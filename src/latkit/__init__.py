@@ -6,7 +6,7 @@ short-vector enumeration, isometry-group verification, and the claim
 reproduction suite (`latkit repro`).
 """
 
-from .cyclo import Cyc5, cyc_inv, cyc_mul, cyc_pow
+from .cyclo import Cyc5
 from .lattice import (
     FiniteQuadraticForm, GlueError, GlueVector, IntegralLattice, LatticeError,
     direct_sum, discriminant_group, fqf_isomorphic, make_lattice,
@@ -21,7 +21,7 @@ from .shortvec import ShortVectorReport, minimum, short_vectors
 from .ratmat import hnf_rowspan, snf
 
 __all__ = [
-    "Cyc5", "cyc_mul", "cyc_inv", "cyc_pow",
+    "Cyc5",
     "IntegralLattice", "GlueVector", "FiniteQuadraticForm",
     "LatticeError", "GlueError",
     "make_lattice", "direct_sum", "rescale", "discriminant_group",

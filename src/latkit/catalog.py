@@ -14,13 +14,13 @@ from fractions import Fraction
 from . import k3fam, shortvec
 from .cyclo import Cyc5
 from .isometry import (
-    Isometry, acts_as_minus_one, disc_action_trivial, group_closure,
-    invariant_sublattice, make_isometry, order,
+    acts_as_minus_one, disc_action_trivial, group_closure, invariant_sublattice,
+    make_isometry, order,
 )
 from .lattice import (
-    GlueError, GlueVector, LatticeError, direct_sum, discriminant_group,
-    fqf_isomorphic, make_lattice, orthogonal_complement, overlattice, rescale,
-    saturation, sublattice,
+    GlueVector, LatticeError, direct_sum, discriminant_group, fqf_isomorphic,
+    make_lattice, orthogonal_complement, overlattice, rescale, saturation,
+    sublattice,
 )
 from .ratmat import det, inverse, is_integral, mat_mul, mat_vec, to_int, transpose
 
@@ -61,6 +61,7 @@ class NamedConstruction:
     vectors: dict            # name -> coords in the lattice basis (ints)
     base_vectors: dict       # name -> coords in the base basis (Fractions)
     isometries: dict         # name -> Isometry on the lattice basis
+    index: int = 1           # index of base_lattice in lattice
 
 
 # --- standard Gram matrices ----------------------------------------------
@@ -216,6 +217,7 @@ def build_L(nu_override=None):
         vectors=vectors,
         base_vectors=base_vectors,
         isometries={"g": g, "h": h},
+        index=index,
     ), index
 
 
@@ -233,43 +235,6 @@ def reflection_in_span(lat, span_rows):
     return [[to_int(x) for x in r] for r in m]
 
 
-def verify_e_basis(construction):
-    """Claims for the two E8(-2) copies and their spanning of L."""
-    c = construction
-    lat = c.lattice
-    claims = []
-
-    def run(cid, locator, expected, fn):
-        t0 = time.perf_counter()
-        try:
-            computed = fn()
-        except LatticeError as exc:
-            computed = "error: %s" % exc
-        claims.append(ClaimResult(cid, locator, expected,
-                                  computed, (time.perf_counter() - t0) * 1000))
-
-    e_rows = [c.vectors["e%d" % i] for i in range(1, 9)]
-    f_rows = [c.vectors["f%d" % i] for i in range(9, 17)]
-
-    def half_unimodular(rows):
-        sub = sublattice(lat, rows)
-        half = [[Fraction(x, 2) for x in row] for row in sub.gram_rows]
-        if not is_integral(half):
-            return "half-Gram not integral"
-        half_lat = make_lattice(half)
-        return (half_lat.is_even, abs(half_lat.det), half_lat.signature)
-
-    run("e8/e-half-unimodular", "L/e-span", (True, 1, (0, 8)),
-        lambda: half_unimodular(e_rows))
-    run("e8/f-half-unimodular", "L/f-span", (True, 1, (0, 8)),
-        lambda: half_unimodular(f_rows))
-    run("e8/ef-det", "L/ef-span", 5 ** 4,
-        lambda: abs(sublattice(lat, e_rows + f_rows).det))
-    run("e8/ef-index", "L/ef-span", 1,
-        lambda: abs(to_int(det(e_rows + f_rows))))
-    return claims
-
-
 def build_nikulin():
     """Index-2 overlattice of A1(-1)^{+8} glued by the all-halves vector."""
     base = direct_sum([std_gram("A1", scale=-1)] * 8)
@@ -283,6 +248,7 @@ def build_nikulin():
         vectors={},
         base_vectors={"glue": tuple(glue.coords)},
         isometries={},
+        index=index,
     ), index
 
 
@@ -320,162 +286,207 @@ def primary_decomposition(invariant_factors):
 
 # --- the reproduction suite ----------------------------------------------
 
+@dataclass(frozen=True)
+class Claim:
+    """One certified fact: fn(*inputs) computes a value that passes when it
+    equals `expected`, where inputs are the named inputs listed in needs."""
+    id: str
+    locator: str
+    expected: object
+    fn: object
+    needs: tuple = ()
+
+
 FAULT_IDS = ("nu-coord",)
+
+
+def _builders(inject_fault):
+    """The named inputs; a builder gets the others through get(name).
+    Functions are looked up when a builder runs, not bound at import, so
+    that patching a module function (as tests and tracers do) takes effect."""
+    nu = None
+    if inject_fault == "nu-coord":
+        nu = list(NU_BASE)
+        nu[4] = Fraction(1, 3)  # breaks integral pairing with the base
+    return {
+        "L": lambda get: build_L(nu_override=nu)[0],
+        "nikulin": lambda get: build_nikulin()[0],
+        "md5": lambda get: build_MD5(),
+        "u2^3": lambda get: u2_cubed(),
+        "disc:L": lambda get: discriminant_group(get("L").lattice),
+        "disc:nikulin": lambda get: discriminant_group(get("nikulin").lattice),
+        "disc:md5": lambda get: discriminant_group(get("md5").lattice),
+        "disc:u2^3": lambda get: discriminant_group(get("u2^3")),
+    }
+
+
+def _lazy(builders):
+    """get(name) builds a named input once, on first use.  A build that
+    raises is not retried: every later get(name) raises its error again."""
+    built = {}
+
+    def get(name):
+        if name not in built:
+            try:
+                built[name] = builders[name](get), None
+            except Exception as exc:
+                built[name] = None, exc
+        value, exc = built[name]
+        if exc is not None:
+            raise exc
+        return value
+
+    return get
+
+
+def _e_rows(c):
+    return [c.vectors["e%d" % i] for i in range(1, 9)]
+
+
+def _f_rows(c):
+    return [c.vectors["f%d" % i] for i in range(9, 17)]
+
+
+def _half_unimodular(lat, rows):
+    sub = sublattice(lat, rows)
+    half = [[Fraction(x, 2) for x in row] for row in sub.gram_rows]
+    if not is_integral(half):
+        return "half-Gram not integral"
+    half_lat = make_lattice(half)
+    return (half_lat.is_even, abs(half_lat.det), half_lat.signature)
+
+
+def _h_invariant_matches(c):
+    closure = group_closure([c.isometries["h"]])
+    inv_lat, inv_rows = invariant_sublattice(c.lattice, closure)
+    comp_lat, comp_rows = orthogonal_complement(c.lattice, _e_rows(c))
+    return inv_rows == comp_rows and len(inv_rows) == 8
+
+
+def _dihedral_relation(c):
+    g, h = c.isometries["g"], c.isometries["h"]
+    return (h * g * h.inverse() * g).is_identity()
+
+
+def _g2h_minus_on_f(c):
+    g, h = c.isometries["g"], c.isometries["h"]
+    return acts_as_minus_one(g * g * h, _f_rows(c))
+
+
+CLAIMS = (
+    # -- the overlattice L
+    Claim("L/index", "L/gluing", 2 ** 8, lambda L: L.index, ("L",)),
+    Claim("L/even", "L/gluing", True, lambda L: L.lattice.is_even, ("L",)),
+    Claim("L/signature", "L/gluing", (0, 16), lambda L: L.lattice.signature, ("L",)),
+    Claim("L/disc-group", "L/discriminant", (5, 5, 5, 5),
+          lambda fqf: fqf.invariant_factors, ("disc:L",)),
+    Claim("L/mu-self", "L/glue-vectors", -4,
+          lambda L: L.base_lattice.norm_of(L.base_vectors["mu"]), ("L",)),
+    Claim("L/nu-self", "L/glue-vectors", -4,
+          lambda L: L.base_lattice.norm_of(L.base_vectors["nu"]), ("L",)),
+    Claim("L/rootless", "L/short-vectors", 0,
+          lambda L: len(shortvec.short_vectors(L.lattice, 3).vectors), ("L",)),
+    Claim("L/minimum", "L/short-vectors", 4,
+          lambda L: shortvec.minimum(L.lattice), ("L",)),
+    Claim("L/mu-primitive", "L/saturation", 1,
+          lambda L: saturation(L.lattice, [L.vectors["mu"]])[1], ("L",)),
+    # -- the order-5 isometry g
+    Claim("g/order", "isometry-g", 5, lambda L: order(L.isometries["g"]), ("L",)),
+    Claim("g/disc-trivial", "isometry-g", True,
+          lambda L, fqf: disc_action_trivial(L.lattice, L.isometries["g"], fqf=fqf),
+          ("L", "disc:L")),
+    Claim("g/no-invariants", "isometry-g", 0,
+          lambda L: len(invariant_sublattice(
+              L.lattice, group_closure([L.isometries["g"]]))[1]), ("L",)),
+    # -- the dihedral group <g, h>
+    Claim("dih10/h-order", "involution-h", 2,
+          lambda L: order(L.isometries["h"]), ("L",)),
+    Claim("dih10/group-order", "dihedral-group", 10,
+          lambda L: group_closure([L.isometries["g"], L.isometries["h"]]).order,
+          ("L",)),
+    Claim("dih10/relation", "dihedral-group", True, _dihedral_relation, ("L",)),
+    Claim("dih10/h-minus-on-e", "involution-h", True,
+          lambda L: acts_as_minus_one(L.isometries["h"], _e_rows(L)), ("L",)),
+    Claim("dih10/g2h-minus-on-f", "involution-h", True, _g2h_minus_on_f, ("L",)),
+    Claim("dih10/h-reflection-match", "involution-h", True,
+          lambda L: reflection_in_span(L.lattice, _e_rows(L)) == L.isometries["h"].rows,
+          ("L",)),
+    Claim("dih10/h-invariant-is-e-complement", "involution-h", True,
+          _h_invariant_matches, ("L",)),
+    # -- the two E8(-2) copies and their spanning of L
+    Claim("e8/e-half-unimodular", "L/e-span", (True, 1, (0, 8)),
+          lambda L: _half_unimodular(L.lattice, _e_rows(L)), ("L",)),
+    Claim("e8/f-half-unimodular", "L/f-span", (True, 1, (0, 8)),
+          lambda L: _half_unimodular(L.lattice, _f_rows(L)), ("L",)),
+    Claim("e8/ef-det", "L/ef-span", 5 ** 4,
+          lambda L: abs(sublattice(L.lattice, _e_rows(L) + _f_rows(L)).det), ("L",)),
+    Claim("e8/ef-index", "L/ef-span", 1,
+          lambda L: abs(to_int(det(_e_rows(L) + _f_rows(L)))), ("L",)),
+    # -- the Nikulin lattice
+    Claim("nikulin/index", "nikulin/gluing", 2, lambda nik: nik.index, ("nikulin",)),
+    Claim("nikulin/disc-group", "nikulin/discriminant", (2,) * 6,
+          lambda fqf: fqf.invariant_factors, ("disc:nikulin",)),
+    Claim("nikulin/disc-form-matches-U2-cubed", "nikulin/discriminant", True,
+          lambda f1, f2: fqf_isomorphic(f1, f2) is not None,
+          ("disc:nikulin", "disc:u2^3")),
+    # -- M_D5
+    Claim("md5/rank", "md5", 16, lambda md5: md5.lattice.rank, ("md5",)),
+    Claim("md5/disc-primary", "md5/discriminant", tuple(sorted([2] * 6 + [5, 5])),
+          lambda fqf: primary_decomposition(fqf.invariant_factors), ("disc:md5",)),
+    Claim("md5/disc-chain", "md5/discriminant", (2, 2, 2, 2, 10, 10),
+          lambda fqf: fqf.invariant_factors, ("disc:md5",)),
+)
+
+
+def _k3_claims():
+    """Claims on the four projective families.  Their ids and expected
+    values come from k3fam_cases(), so the cases are built on every run
+    (about 10 ms, whatever the filter) rather than at import."""
+    claims = []
+    for case in k3fam_cases():
+        pre = "k3/%s" % case["name"]
+        for label, fam, want_w in case["families"]:
+            claims.append(Claim("%s/invariant-%s" % (pre, label), "%s/family" % pre,
+                                (True, want_w),
+                                lambda fam=fam: k3fam.is_invariant_family(fam)))
+        claims.append(Claim("%s/dihedral" % pre, "%s/pgl" % pre, True,
+                            lambda case=case: k3fam.dihedral_in_pgl(
+                                case["sigma"], case["iota"])))
+        claims.append(Claim("%s/moduli" % pre, "%s/moduli" % pre, 3,
+                            lambda case=case: k3fam.moduli_count(
+                                case["param_counts"],
+                                k3fam.commutant_dim(case["commutant_of"]),
+                                case["redundancy"])))
+        claims += [Claim("%s/%s" % (pre, name), "%s/family" % pre, expected, fn)
+                   for name, expected, fn in case["extra"]]
+    return claims
 
 
 def repro_all(filter_tag=None, inject_fault=None):
     """Run every claim; returns an ordered list of ClaimResults.
 
-    filter_tag restricts to claims whose id starts with the tag.
-    inject_fault deliberately corrupts a construction so the harness can
-    be seen to fail (negative control).
+    filter_tag restricts to claims whose id starts with the tag; an input
+    that no selected claim needs is never built.  inject_fault deliberately
+    corrupts a construction so the harness can be seen to fail (negative
+    control).  An Exception raised by a claim, or by the build of one of
+    its inputs, fails that claim with computed value "error: ...".
     """
     if inject_fault is not None and inject_fault not in FAULT_IDS:
         raise ValueError("unknown fault id %r (known: %s)"
                          % (inject_fault, ", ".join(FAULT_IDS)))
-    claims = []
-
-    def run(cid, locator, expected, fn):
-        if filter_tag and not cid.startswith(filter_tag):
-            return
+    get = _lazy(_builders(inject_fault))
+    results = []
+    for claim in CLAIMS + tuple(_k3_claims()):
+        if filter_tag and not claim.id.startswith(filter_tag):
+            continue
         t0 = time.perf_counter()
         try:
-            computed = fn()
-        except (LatticeError, k3fam.FamilyError) as exc:
+            computed = claim.fn(*[get(name) for name in claim.needs])
+        except Exception as exc:
             computed = "error: %s" % exc
-        claims.append(ClaimResult(cid, locator, expected, computed,
-                                  (time.perf_counter() - t0) * 1000))
-
-    nu = None
-    if inject_fault == "nu-coord":
-        nu = list(NU_BASE)
-        nu[4] = Fraction(1, 3)  # breaks integral pairing with the base
-
-    built = {}
-
-    def get_L():
-        if "L" not in built:
-            built["L"] = build_L(nu_override=nu)
-        return built["L"]
-
-    # -- the overlattice L
-    run("L/index", "L/gluing", 2 ** 8, lambda: get_L()[1])
-    run("L/even", "L/gluing", True, lambda: get_L()[0].lattice.is_even)
-    run("L/signature", "L/gluing", (0, 16), lambda: get_L()[0].lattice.signature)
-    run("L/disc-group", "L/discriminant", (5, 5, 5, 5),
-        lambda: discriminant_group(get_L()[0].lattice).invariant_factors)
-    run("L/mu-self", "L/glue-vectors", -4,
-        lambda: get_L()[0].base_lattice.norm_of(get_L()[0].base_vectors["mu"]))
-    run("L/nu-self", "L/glue-vectors", -4,
-        lambda: get_L()[0].base_lattice.norm_of(get_L()[0].base_vectors["nu"]))
-    run("L/rootless", "L/short-vectors", 0,
-        lambda: len(shortvec.short_vectors(get_L()[0].lattice, 3).vectors))
-    run("L/minimum", "L/short-vectors", 4,
-        lambda: shortvec.minimum(get_L()[0].lattice))
-    run("L/mu-primitive", "L/saturation", 1, lambda: saturation(
-        get_L()[0].lattice, [get_L()[0].vectors["mu"]])[1])
-
-    # -- the order-5 isometry g
-    run("g/order", "isometry-g", 5,
-        lambda: order(get_L()[0].isometries["g"]))
-    run("g/disc-trivial", "isometry-g", True,
-        lambda: disc_action_trivial(get_L()[0].lattice, get_L()[0].isometries["g"]))
-    run("g/no-invariants", "isometry-g", 0, lambda: len(invariant_sublattice(
-        get_L()[0].lattice,
-        group_closure([get_L()[0].isometries["g"]]))[1]))
-
-    # -- the dihedral group <g, h>
-    def dih():
-        c, _ = get_L()
-        return c.isometries["g"], c.isometries["h"]
-
-    run("dih10/h-order", "involution-h", 2, lambda: order(dih()[1]))
-    run("dih10/group-order", "dihedral-group", 10,
-        lambda: group_closure(list(dih())).order)
-    run("dih10/relation", "dihedral-group", True, lambda: (
-        lambda g, h: (h * g * h.inverse() * g).is_identity())(*dih()))
-    run("dih10/h-minus-on-e", "involution-h", True, lambda: acts_as_minus_one(
-        dih()[1], [get_L()[0].vectors["e%d" % i] for i in range(1, 9)]))
-    run("dih10/g2h-minus-on-f", "involution-h", True, lambda: acts_as_minus_one(
-        (lambda g, h: g * g * h)(*dih()),
-        [get_L()[0].vectors["f%d" % i] for i in range(9, 17)]))
-    run("dih10/h-reflection-match", "involution-h", True, lambda: (
-        reflection_in_span(get_L()[0].lattice,
-                           [get_L()[0].vectors["e%d" % i] for i in range(1, 9)])
-        == dih()[1].rows))
-    run("dih10/h-invariant-is-e-complement", "involution-h", True,
-        lambda: _h_invariant_matches(get_L()[0]))
-
-    # -- the two E8(-2) copies
-    if not filter_tag or "e8".startswith(filter_tag) or filter_tag.startswith("e8"):
-        try:
-            for cl in verify_e_basis(get_L()[0]):
-                if not filter_tag or cl.id.startswith(filter_tag):
-                    claims.append(cl)
-        except (LatticeError, CatalogError) as exc:
-            claims.append(ClaimResult("e8/build", "L/e-span", "ok",
-                                      "error: %s" % exc, 0.0))
-
-    # -- Nikulin lattice
-    run("nikulin/index", "nikulin/gluing", 2, lambda: build_nikulin()[1])
-    run("nikulin/disc-group", "nikulin/discriminant", (2,) * 6,
-        lambda: discriminant_group(build_nikulin()[0].lattice).invariant_factors)
-    run("nikulin/disc-form-matches-U2-cubed", "nikulin/discriminant", True,
-        lambda: fqf_isomorphic(discriminant_group(build_nikulin()[0].lattice),
-                               discriminant_group(u2_cubed())) is not None)
-
-    # -- M_D5
-    run("md5/rank", "md5", 16, lambda: build_MD5().lattice.rank)
-    run("md5/disc-primary", "md5/discriminant", tuple(sorted([2] * 6 + [5, 5])),
-        lambda: primary_decomposition(
-            discriminant_group(build_MD5().lattice).invariant_factors))
-    run("md5/disc-chain", "md5/discriminant", (2, 2, 2, 2, 10, 10),
-        lambda: discriminant_group(build_MD5().lattice).invariant_factors)
-
-    claims.extend(_family_claims(filter_tag))
-    return claims
-
-
-def _h_invariant_matches(construction):
-    lat = construction.lattice
-    h = construction.isometries["h"]
-    closure = group_closure([h])
-    inv_lat, inv_rows = invariant_sublattice(lat, closure)
-    comp_lat, comp_rows = orthogonal_complement(
-        lat, [construction.vectors["e%d" % i] for i in range(1, 9)])
-    return inv_rows == comp_rows and len(inv_rows) == 8
-
-
-def _family_claims(filter_tag=None):
-    claims = []
-
-    def run(cid, locator, expected, fn):
-        if filter_tag and not cid.startswith(filter_tag):
-            return
-        t0 = time.perf_counter()
-        try:
-            computed = fn()
-        except k3fam.FamilyError as exc:
-            computed = "error: %s" % exc
-        claims.append(ClaimResult(cid, locator, expected, computed,
-                                  (time.perf_counter() - t0) * 1000))
-
-    for case in k3fam_cases():
-        pre = "k3/%s" % case["name"]
-        for label, fam, want_w in case["families"]:
-            run("%s/invariant-%s" % (pre, label), "%s/family" % pre,
-                (True, want_w),
-                lambda fam=fam: k3fam.is_invariant_family(fam))
-        run("%s/dihedral" % pre, "%s/pgl" % pre, True,
-            lambda case=case: k3fam.dihedral_in_pgl(case["sigma"], case["iota"]))
-        run("%s/moduli" % pre, "%s/moduli" % pre, 3,
-            lambda case=case: k3fam.moduli_count(
-                case["param_counts"],
-                k3fam.commutant_dim(case["commutant_of"]),
-                case["redundancy"]))
-        for name, expected, fn in case.get("extra", ()):
-            run("%s/%s" % (pre, name), "%s/family" % pre, expected, fn)
-    return claims
+        results.append(ClaimResult(claim.id, claim.locator, claim.expected,
+                                   computed, (time.perf_counter() - t0) * 1000))
+    return results
 
 
 def k3fam_cases():

@@ -183,15 +183,3 @@ class Cyc5:
         for p in parts[1:]:
             s += p if p.startswith("-") else "+" + p
         return s
-
-
-def cyc_mul(a, b):
-    return a * b
-
-
-def cyc_inv(a):
-    return a.inv()
-
-
-def cyc_pow(a, k):
-    return a ** k

@@ -145,7 +145,10 @@ def parse_family_file(path, text=None):
         lineno, line = lines[i]
         toks = line.split()
         if toks[0] == "vars":
-            n = int(toks[1])
+            m = re.fullmatch(r"vars\s+(\d+)", line)
+            if not m:
+                raise ParseError(path, lineno, "expected 'vars n'")
+            n = int(m.group(1))
         elif toks[0] == "weights":
             weights = tuple(int(t) % 5 for t in toks[1:])
             if n is not None and len(weights) != n:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratmat
-from .ratmat import det, identity, int_kernel, hnf_rowspan, mat_mul, mat_vec, to_int, transpose
+from .ratmat import det, identity, int_kernel, mat_mul, mat_vec, to_int, transpose
 from .lattice import LatticeError, make_lattice, sublattice
 
 
@@ -142,11 +142,7 @@ def invariant_sublattice(lat, closure):
             row = [m[i][j] - (1 if i == j else 0) for j in range(n)]
             if any(row):
                 stacked.append(row)
-    if not stacked:
-        basis = identity(n)
-    else:
-        basis = int_kernel(stacked)
-    basis = [[int(x) for x in r] for r in hnf_rowspan(basis)]
+    basis = int_kernel(stacked) if stacked else identity(n)
     if not basis:
         from .lattice import IntegralLattice
         return IntegralLattice(()), []

@@ -179,7 +179,7 @@ class ProjectiveMap:
         n = self.size
         aug = [list(r) + [Cyc5.one() if i == j else Cyc5.zero() for j in range(n)]
                for i, r in enumerate(self.rows)]
-        red, pivots = ratmat.rref(aug, n, Cyc5.zero(), Cyc5.one())
+        red, pivots = ratmat.rref(aug, n)
         if pivots != list(range(n)):
             raise FamilyError("projective map is singular")
         return ProjectiveMap([row[n:] for row in red])

@@ -271,7 +271,6 @@ def saturation(lat, rows):
                 d = lcm(d, x.denominator)
             kint.append([to_int(x * d) for x in v])
         sat = int_kernel(kint)
-    sat = [[int(x) for x in r] for r in hnf_rowspan(sat)]
     # index = |det of the coordinates of rows in the saturation basis|
     coords = _express_in_basis(rows, sat)
     sq = [[coords[i][j] for j in range(k)] for i in range(k)]
@@ -308,11 +307,7 @@ def orthogonal_complement(lat, rows):
         for x in p:
             d = lcm(d, Fraction(x).denominator)
         pair.append([to_int(Fraction(x) * d) for x in p])
-    if not pair:
-        basis = identity(n)
-    else:
-        basis = int_kernel(pair)
-    basis = [[int(x) for x in r] for r in hnf_rowspan(basis)]
+    basis = int_kernel(pair) if pair else identity(n)
     if not basis:
         return IntegralLattice(()), []
     gram = mat_mul(mat_mul(basis, lat.gram_rows), transpose(basis))

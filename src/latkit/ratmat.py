@@ -40,10 +40,6 @@ def vec_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def scale_mat(a, s):
-    return [[x * s for x in row] for row in a]
-
-
 def is_integral(x):
     if isinstance(x, int):
         return True
@@ -108,7 +104,7 @@ def inverse(a):
     return [row[n:] for row in m]
 
 
-def rref(rows, ncols, zero, one):
+def rref(rows, ncols):
     """Reduced row echelon form over any exact field.
 
     Entries must support +, -, *, / and truth testing.  Returns (R, pivots).
@@ -134,7 +130,7 @@ def rref(rows, ncols, zero, one):
 
 def kernel(rows, ncols, zero=Fraction(0), one=Fraction(1)):
     """Basis (as rows) of the right kernel {x : A x = 0} over the field."""
-    red, pivots = rref(rows, ncols, zero, one)
+    red, pivots = rref(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -152,7 +148,7 @@ def rank(rows, ncols=None):
     if ncols is None:
         ncols = len(rows[0])
     frows = [[Fraction(x) for x in r] for r in rows]
-    red, pivots = rref(frows, ncols, Fraction(0), Fraction(1))
+    red, pivots = rref(frows, ncols)
     return len(pivots)
 
 
@@ -305,7 +301,8 @@ def hnf_rowspan(mat):
 
 
 def int_kernel(mat):
-    """Basis rows of {x in Z^m : mat . x = 0}; the result is saturated."""
+    """Basis rows of {x in Z^m : mat . x = 0} in Hermite normal form; the
+    kernel is saturated."""
     a = [list(map(to_int, row)) for row in mat]
     if not a:
         return []
@@ -313,7 +310,7 @@ def int_kernel(mat):
     u, d, v = snf(a)
     r = sum(1 for i in range(min(len(a), m)) if d[i][i])
     vt = transpose(v)
-    return [vt[j] for j in range(r, m)]
+    return hnf_int([vt[j] for j in range(r, m)])
 
 
 def signature(gram):

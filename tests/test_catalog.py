@@ -1,12 +1,15 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
 
-from latkit import catalog
+from latkit import catalog, cli, lattice
 from latkit.catalog import (
     CatalogError, build_L, build_MD5, build_nikulin, primary_decomposition,
-    repro_all, std_gram, u2_cubed, verify_e_basis,
+    repro_all, std_gram, u2_cubed,
 )
+from latkit.isometry import CapExceeded
 from latkit.lattice import GlueError, discriminant_group
 
 
@@ -57,8 +60,9 @@ def test_fault_injection_breaks_gluing():
 
 
 def test_verify_e_basis_all_pass():
-    c, _ = build_L()
-    for claim in verify_e_basis(c):
+    claims = repro_all(filter_tag="e8")
+    assert len(claims) == 4
+    for claim in claims:
         assert claim.passed, claim.id
 
 
@@ -103,3 +107,70 @@ def test_claim_result_serialisation():
     assert d["pass"] is True
     assert d["id"] == "md5/rank"
     assert set(d) == {"id", "locator", "expected", "computed", "pass", "millis"}
+
+
+def _counting(monkeypatch, owners, name):
+    """Replace `name` in each owner module by one wrapper that counts calls."""
+    orig = getattr(owners[0], name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in owners:
+        monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+def test_claim_error_is_a_failure_not_an_abort(monkeypatch):
+    monkeypatch.setattr(catalog, "order", _raise(CapExceeded("order cap")))
+    builds = _counting(monkeypatch, [catalog], "build_L")
+    forms = _counting(monkeypatch, [catalog, lattice], "discriminant_group")
+    out = io.StringIO()
+    assert cli.main(["repro", "--json"], out=out) == cli.EXIT_FAIL
+    results = json.loads(out.getvalue())["results"]
+    assert len(results) == 51
+    failed = {r["id"]: r["computed"] for r in results if not r["pass"]}
+    assert failed == {"g/order": "error: order cap",
+                      "dih10/h-order": "error: order cap"}
+    # each construction and discriminant form is built once per run
+    assert len(builds) == 1
+    assert len(forms) == 4
+    assert len({args[0].gram for args in forms}) == 4
+
+
+def test_filter_builds_only_what_selected_claims_need(monkeypatch):
+    monkeypatch.setattr(catalog, "build_L", _raise(RuntimeError("no L")))
+    monkeypatch.setattr(catalog, "build_nikulin", _raise(RuntimeError("no Nikulin")))
+    out = io.StringIO()
+    assert cli.main(["repro", "--filter", "k3", "--json"], out=out) == cli.EXIT_OK
+    results = json.loads(out.getvalue())["results"]
+    assert len(results) == 22 and all(r["pass"] for r in results)
+
+
+def test_failed_build_is_attempted_once(monkeypatch):
+    attempts = []
+
+    def broken(*args, **kwargs):
+        attempts.append(args)
+        raise GlueError("broken glue")
+
+    monkeypatch.setattr(catalog, "build_L", broken)
+    claims = repro_all(filter_tag="L/")
+    assert len(claims) == 9 and len(attempts) == 1
+    assert all(c.computed == "error: broken glue" for c in claims)
+
+
+def test_fault_fails_exactly_the_claims_on_L():
+    claims = repro_all(inject_fault="nu-coord")
+    assert len(claims) == 51
+    for c in claims:
+        on_L = c.id.split("/")[0] in ("L", "g", "dih10", "e8")
+        assert c.passed != on_L, c.id

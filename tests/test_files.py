@@ -107,6 +107,8 @@ def test_parse_family_file(tmp_path):
     ("vars 2\nweights 0 1\nmono 1 1\nmap f\n1 0", "missing rows"),
     ("vars 2\nweights 0 1\nmono 1 1\nmap f\n1 0 0\n0 1 0", "map row needs 2"),
     ("bogus 1", "unknown directive"),
+    ("vars", "expected 'vars n'"),
+    ("vars x", ":1: expected 'vars n'"),
 ])
 def test_parse_family_errors(text, msg):
     with pytest.raises(ParseError, match=msg):

@@ -99,6 +99,12 @@ def test_int_kernel_saturated():
     assert 2 * v[0] + 4 * v[1] == 0
     from math import gcd
     assert gcd(v[0], v[1]) == 1
+    assert hnf_int(k) == k
+    # a wider kernel comes back in Hermite normal form too
+    a = [[1, 1, 1, 1], [0, 2, 4, 6]]
+    k = int_kernel(a)
+    assert len(k) == 2 and hnf_int(k) == k
+    assert all(mat_vec(a, v) == [0, 0] for v in k)
 
 
 def test_signature_basics():
