@@ -252,10 +252,9 @@ def build_nikulin():
     ), index
 
 
-def build_MD5():
-    """A4(-1)^{+2} + Nikulin direct sum (rank 16)."""
-    nik, _ = build_nikulin()
-    lat = direct_sum([std_gram("A", 4, -1), std_gram("A", 4, -1), nik.lattice])
+def build_MD5(nikulin):
+    """A4(-1)^{+2} + Nikulin direct sum (rank 16), from build_nikulin()[0]."""
+    lat = direct_sum([std_gram("A", 4, -1), std_gram("A", 4, -1), nikulin.lattice])
     return NamedConstruction(
         name="MD5", lattice=lat, base_lattice=lat,
         change_of_basis=tuple(tuple(int(i == j) for j in range(16)) for i in range(16)),
@@ -311,7 +310,7 @@ def _builders(inject_fault):
     return {
         "L": lambda get: build_L(nu_override=nu)[0],
         "nikulin": lambda get: build_nikulin()[0],
-        "md5": lambda get: build_MD5(),
+        "md5": lambda get: build_MD5(get("nikulin")),
         "u2^3": lambda get: u2_cubed(),
         "disc:L": lambda get: discriminant_group(get("L").lattice),
         "disc:nikulin": lambda get: discriminant_group(get("nikulin").lattice),

@@ -51,6 +51,13 @@ def _parse_fraction(tok, path, lineno):
         raise ParseError(path, lineno, "bad rational %r" % tok)
 
 
+def _parse_int(tok, path, lineno):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(path, lineno, "bad integer %r" % tok)
+
+
 def parse_lattice_file(path, text=None):
     if text is None:
         with open(path) as fh:
@@ -150,11 +157,11 @@ def parse_family_file(path, text=None):
                 raise ParseError(path, lineno, "expected 'vars n'")
             n = int(m.group(1))
         elif toks[0] == "weights":
-            weights = tuple(int(t) % 5 for t in toks[1:])
+            weights = tuple(_parse_int(t, path, lineno) % 5 for t in toks[1:])
             if n is not None and len(weights) != n:
                 raise ParseError(path, lineno, "weights need %d entries" % n)
         elif toks[0] == "mono":
-            exps = tuple(int(t) for t in toks[1:])
+            exps = tuple(_parse_int(t, path, lineno) for t in toks[1:])
             if n is not None and len(exps) != n:
                 raise ParseError(path, lineno, "monomial needs %d exponents" % n)
             monomials.append(exps)

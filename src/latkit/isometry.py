@@ -94,11 +94,8 @@ class GroupClosure:
     def order(self):
         return len(self.elements)
 
-    def isometries(self):
-        return [Isometry(self.lattice, m) for m in self.elements]
-
     def __contains__(self, iso):
-        return iso.matrix in set(self.elements)
+        return iso.matrix in self.elements
 
 
 def group_closure(gens, cap=10000):

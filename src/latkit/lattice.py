@@ -5,15 +5,16 @@ Vectors are rows of coordinates in the lattice basis.  All arithmetic is
 exact (ints and Fractions); every object is immutable after construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt, lcm, prod
 
 from . import ratmat
 from .ratmat import (
-    det, hnf_rowspan, identity, int_kernel, inverse, is_integral, mat_mul,
-    mat_vec, rank, signature, snf, to_int, transpose,
+    det, hnf_rowspan, identity, int_kernel, inverse, mat_mul, mat_vec, rank,
+    signature, snf, to_int, transpose,
 )
 
 
@@ -37,11 +38,11 @@ class IntegralLattice:
     def gram_rows(self):
         return [list(row) for row in self.gram]
 
-    @property
+    @cached_property
     def det(self):
         return int(det(self.gram_rows))
 
-    @property
+    @cached_property
     def signature(self):
         if self.rank == 0:
             return (0, 0)
@@ -113,7 +114,6 @@ class FiniteQuadraticForm:
     def element_order(self, coeffs):
         o = 1
         for a, d in zip(coeffs, self.invariant_factors):
-            from math import gcd, lcm
             o = lcm(o, d // gcd(a, d))
         return o
 
@@ -247,50 +247,29 @@ def sublattice(lat, rows):
 
 
 def saturation(lat, rows):
-    """Primitive closure of the span of rows inside the lattice.
+    """Primitive closure of the span of integer rows inside the lattice.
 
     Returns (basis_rows, index) where index is the index of the input
-    Z-span inside its saturation.
+    Z-span inside its saturation.  The saturation is the kernel of the
+    kernel, in Hermite normal form, so it is upper triangular on its pivot
+    columns and the index is det(rows on those columns) / prod(pivots).
     """
     rows = [list(r) for r in rows]
     n = lat.rank
     k = len(rows)
     if rank(rows, n) != k:
         raise LatticeError("saturation input rows are dependent")
-    # rational kernel of the span, cleared to an integer matrix
-    frows = [[Fraction(x) for x in r] for r in rows]
-    ker = ratmat.kernel(frows, n)
-    if not ker:
-        sat = identity(n)
-    else:
-        from math import lcm
-        kint = []
-        for v in ker:
-            d = 1
-            for x in v:
-                d = lcm(d, x.denominator)
-            kint.append([to_int(x * d) for x in v])
-        sat = int_kernel(kint)
-    # index = |det of the coordinates of rows in the saturation basis|
-    coords = _express_in_basis(rows, sat)
-    sq = [[coords[i][j] for j in range(k)] for i in range(k)]
-    idx = abs(det(sq))
-    if idx.denominator != 1:
+    sat = int_kernel(int_kernel(rows)) if k < n else identity(n)
+    cols = [next(j for j, x in enumerate(r) if x) for r in sat]
+    d = to_int(abs(det([[r[j] for j in cols] for r in rows])))
+    pivots = prod(r[j] for r, j in zip(sat, cols))
+    if d % pivots:
         raise LatticeError("internal: non-integral saturation index")
-    return sat, int(idx)
-
-
-def _express_in_basis(rows, basis):
-    """Solve rows = C . basis for C (basis rows independent)."""
-    bt = transpose(basis)
-    # least-squares-free exact solve: basis has full row rank k, n >= k
-    # solve via normal equations over Q: C = rows . B^T (B B^T)^-1
-    bbt = mat_mul(basis, bt)
-    return mat_mul(mat_mul(rows, bt), inverse(bbt))
+    return sat, d // pivots
 
 
 def orthogonal_complement(lat, rows):
-    """Saturated orthogonal complement of the span of rows.
+    """Saturated orthogonal complement of the span of integer rows.
 
     Returns (lattice, basis_rows) with basis_rows in lat coordinates.
     The lattice has rank 0 when rows span everything.
@@ -299,14 +278,7 @@ def orthogonal_complement(lat, rows):
     n = lat.rank
     if rows and rank(rows, n) != len(rows):
         raise LatticeError("orthogonal_complement input rows are dependent")
-    from math import lcm
-    pair = []
-    for r in rows:
-        p = mat_vec(lat.gram_rows, r)
-        d = 1
-        for x in p:
-            d = lcm(d, Fraction(x).denominator)
-        pair.append([to_int(Fraction(x) * d) for x in p])
+    pair = [mat_vec(lat.gram_rows, r) for r in rows]
     basis = int_kernel(pair) if pair else identity(n)
     if not basis:
         return IntegralLattice(()), []

@@ -6,7 +6,7 @@ Everything here is exact -- no floats anywhere.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 
 class MatrixError(ValueError):
@@ -15,10 +15,6 @@ class MatrixError(ValueError):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(n, m):
-    return [[0] * m for _ in range(n)]
 
 
 def transpose(a):
@@ -87,21 +83,14 @@ def det(a):
 
 
 def inverse(a):
+    """Inverse over Q: the right half of rref([A | I])."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            raise MatrixError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    red, pivots = rref(aug, n)
+    if len(pivots) < n:
+        raise MatrixError("singular matrix")
+    return [row[n:] for row in red]
 
 
 def rref(rows, ncols):

@@ -52,7 +52,7 @@ def _cholesky(gram):
     q = [[Fraction(x) for x in row] for row in gram]
     for i in range(n):
         if q[i][i] <= 0:
-            raise LatticeError("Gram matrix is not positive definite")
+            raise LatticeError("short_vectors requires a definite lattice")
         for j in range(i + 1, n):
             q[j][i] = q[i][j]
             q[i][j] = q[i][j] / q[i][i]
@@ -68,15 +68,15 @@ def short_vectors(lat, bound):
     Negative definite lattices are negated internally; norms in the report
     always use the positive convention.
     """
-    npos, nneg = lat.signature
-    if npos and nneg:
-        raise LatticeError("short_vectors requires a definite lattice")
-    negated = nneg > 0
-    gram = [[-x for x in row] for row in lat.gram_rows] if negated else lat.gram_rows
+    gram = lat.gram_rows
+    # a definite form's diagonal has one sign; _cholesky rejects the rest
+    negated = bool(gram) and gram[0][0] < 0
+    if negated:
+        gram = [[-x for x in row] for row in gram]
+    q = _cholesky(gram)
     bound = int(bound)
     if bound < 1 or lat.rank == 0:
         return ShortVectorReport(bound, (), (), negated)
-    q = _cholesky(gram)
     n = lat.rank
     found = []
     x = [0] * n

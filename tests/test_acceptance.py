@@ -8,10 +8,8 @@ the pass/fail lines.
 import io
 import random
 
-import pytest
-
 from latkit import catalog, cli, k3fam, shortvec
-from latkit.catalog import build_L, build_MD5, build_nikulin, std_gram, u2_cubed
+from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.cyclo import Cyc5
 from latkit.isometry import (
     acts_as_minus_one, disc_action_trivial, group_closure, order,
@@ -30,19 +28,13 @@ def report(name, ok, detail=""):
     assert ok, line
 
 
-@pytest.fixture(scope="module")
-def L():
-    return build_L()
-
-
 def test_01_overlattice_index(L):
     c, index = L
     report("criterion-01 overlattice index 256", index == 256, "index=%d" % index)
 
 
-def test_02_discriminant_group(L):
-    c, _ = L
-    inv = discriminant_group(c.lattice).invariant_factors
+def test_02_discriminant_group(L_disc):
+    inv = L_disc.invariant_factors
     report("criterion-02 discriminant group (5,5,5,5)", inv == (5, 5, 5, 5),
            "factors=%s" % (inv,))
 
@@ -56,11 +48,11 @@ def test_03_rootless_minimum(L):
            "vectors<=3: %d, min=%d" % (len(rep.vectors), m))
 
 
-def test_04_order5_disc_trivial(L):
+def test_04_order5_disc_trivial(L, L_disc):
     c, _ = L
     g = c.isometries["g"]
     o = order(g)
-    triv = disc_action_trivial(c.lattice, g)
+    triv = disc_action_trivial(c.lattice, g, fqf=L_disc)
     report("criterion-04 g has order 5 and trivial disc action",
            o == 5 and triv, "order=%d trivial=%s" % (o, triv))
 
@@ -119,7 +111,7 @@ def test_08_nikulin():
 
 
 def test_09_md5():
-    md5 = build_MD5()
+    md5 = build_MD5(build_nikulin()[0])
     prim = catalog.primary_decomposition(
         discriminant_group(md5.lattice).invariant_factors)
     report("criterion-09 rank-16 lattice with disc (Z/5)^2+(Z/2)^6",

@@ -26,14 +26,14 @@ def test_std_gram():
         std_gram("A1", scale=0)
 
 
-def test_build_L_core_invariants():
-    c, index = build_L()
+def test_build_L_core_invariants(L, L_disc):
+    c, index = L
     assert index == 256
     lat = c.lattice
     assert lat.rank == 16
     assert lat.is_even
     assert lat.signature == (0, 16)
-    assert discriminant_group(lat).invariant_factors == (5, 5, 5, 5)
+    assert L_disc.invariant_factors == (5, 5, 5, 5)
     # the glue vectors have self-pairing -4 in the base form
     assert c.base_lattice.norm_of(c.base_vectors["mu"]) == -4
     assert c.base_lattice.norm_of(c.base_vectors["nu"]) == -4
@@ -42,12 +42,12 @@ def test_build_L_core_invariants():
         assert all(isinstance(x, int) for x in v), name
 
 
-def test_build_L_isometries():
+def test_build_L_isometries(L, L_disc):
     from latkit.isometry import disc_action_trivial, group_closure, order
-    c, _ = build_L()
+    c, _ = L
     g, h = c.isometries["g"], c.isometries["h"]
     assert order(g) == 5 and order(h) == 2
-    assert disc_action_trivial(c.lattice, g)
+    assert disc_action_trivial(c.lattice, g, fqf=L_disc)
     assert group_closure([g, h]).order == 10
     assert (h * g * h.inverse() * g).is_identity()
 
@@ -72,7 +72,7 @@ def test_nikulin_and_md5():
     assert nik.lattice.is_even
     f = discriminant_group(nik.lattice)
     assert f.invariant_factors == (2,) * 6
-    md5 = build_MD5()
+    md5 = build_MD5(nik)
     assert md5.lattice.rank == 16
     assert primary_decomposition(
         discriminant_group(md5.lattice).invariant_factors) == (2, 2, 2, 2, 2, 2, 5, 5)

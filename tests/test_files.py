@@ -109,6 +109,8 @@ def test_parse_family_file(tmp_path):
     ("bogus 1", "unknown directive"),
     ("vars", "expected 'vars n'"),
     ("vars x", ":1: expected 'vars n'"),
+    ("vars 2\nweights 0 x", ":2:"),
+    ("vars 2\nweights 0 1\nmono 1 x", ":3:"),
 ])
 def test_parse_family_errors(text, msg):
     with pytest.raises(ParseError, match=msg):

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -131,6 +134,64 @@ def test_orthogonal_complement():
     # complement of nothing is everything
     comp, rows = orthogonal_complement(a2, [])
     assert comp.rank == 2
+
+
+def laplace_det(m):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * laplace_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def minors_gcd(rows):
+    """gcd of all k x k minors of a k x n integer matrix."""
+    n = len(rows[0]) if rows else 0
+    g = 0
+    for cols in combinations(range(n), len(rows)):
+        g = gcd(g, laplace_det([[r[c] for c in cols] for r in rows]))
+    return g
+
+
+def test_saturation_oracle_random():
+    """The index is the gcd of the k x k minors of the rows, the basis is
+    primitive (minors with gcd 1) and spans every input row over Q."""
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        mult = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        rows = [[sum(mult[a][b] * base[b][c] for b in range(k)) for c in range(n)]
+                for a in range(k)]
+        lat = make_lattice([[int(i == j) for j in range(n)] for i in range(n)])
+        g = minors_gcd(rows)
+        if g == 0:
+            with pytest.raises(LatticeError):
+                saturation(lat, rows)
+            continue
+        sat, idx = saturation(lat, rows)
+        assert len(sat) == k
+        assert idx == g
+        assert minors_gcd(sat) == 1
+        for r in rows:
+            assert minors_gcd(sat + [r]) == 0
+        checked += 1
+    assert checked > 50
+
+
+def test_saturation_edge_cases():
+    z3 = make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert saturation(z3, []) == ([], 1)
+    sat, idx = saturation(z3, [[2, 1, 0], [0, 3, 0], [1, 1, 5]])
+    assert sat == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert idx == 30
+
+
+def test_orthogonal_complement_rejects_non_integer_rows():
+    with pytest.raises(ValueError):
+        orthogonal_complement(std_gram("A", 2), [[Fraction(1, 2), 0]])
 
 
 def test_fqf_isomorphic_positive_and_negative():

@@ -92,6 +92,10 @@ def test_sign_canonicalisation_and_order():
 def test_indefinite_rejected():
     with pytest.raises(LatticeError):
         short_vectors(std_gram("U"), 2)
+    with pytest.raises(LatticeError):
+        short_vectors(make_lattice([[-2, 1], [1, 2]]), 2)
+    with pytest.raises(LatticeError):
+        short_vectors(std_gram("U"), 0)
 
 
 def test_empty_report():
