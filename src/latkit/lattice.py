@@ -6,15 +6,14 @@ exact (ints and Fractions); every object is immutable after construction.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
 from . import ratmat
 from .ratmat import (
-    det, hnf_rowspan, identity, int_kernel, inverse, mat_mul, mat_vec, rank,
-    signature, snf, to_int, transpose,
+    det, hnf_int, hnf_rowspan, identity, int_kernel, inverse, mat_mul, mat_vec,
+    rank, signature, snf, to_int, transpose,
 )
 
 
@@ -38,11 +37,11 @@ class IntegralLattice:
     def gram_rows(self):
         return [list(row) for row in self.gram]
 
-    @cached_property
+    @property
     def det(self):
         return int(det(self.gram_rows))
 
-    @cached_property
+    @property
     def signature(self):
         if self.rank == 0:
             return (0, 0)
@@ -250,22 +249,24 @@ def saturation(lat, rows):
     """Primitive closure of the span of integer rows inside the lattice.
 
     Returns (basis_rows, index) where index is the index of the input
-    Z-span inside its saturation.  The saturation is the kernel of the
-    kernel, in Hermite normal form, so it is upper triangular on its pivot
-    columns and the index is det(rows on those columns) / prod(pivots).
+    Z-span inside its saturation.  One Smith normal form D = U rows V gives
+    both: the index is the product of the diagonal of D (the gcd of the
+    k x k minors), and the last n - k columns of V span the kernel of the
+    rows, whose kernel is the saturation (in Hermite normal form).  The
+    kernel is put in Hermite normal form before its own kernel is taken,
+    because the entries of V can be large enough to blow up that SNF.
     """
     rows = [list(r) for r in rows]
     n = lat.rank
     k = len(rows)
-    if rank(rows, n) != k:
+    if not rows:
+        return [], 1
+    _, d, v = snf(rows)
+    diag = [d[i][i] for i in range(min(k, n))]
+    if k > n or not all(diag):
         raise LatticeError("saturation input rows are dependent")
-    sat = int_kernel(int_kernel(rows)) if k < n else identity(n)
-    cols = [next(j for j, x in enumerate(r) if x) for r in sat]
-    d = to_int(abs(det([[r[j] for j in cols] for r in rows])))
-    pivots = prod(r[j] for r, j in zip(sat, cols))
-    if d % pivots:
-        raise LatticeError("internal: non-integral saturation index")
-    return sat, d // pivots
+    sat = int_kernel(hnf_int(transpose(v)[k:])) if k < n else identity(n)
+    return sat, prod(diag)
 
 
 def orthogonal_complement(lat, rows):
@@ -276,10 +277,12 @@ def orthogonal_complement(lat, rows):
     """
     rows = [list(r) for r in rows]
     n = lat.rank
-    if rows and rank(rows, n) != len(rows):
-        raise LatticeError("orthogonal_complement input rows are dependent")
     pair = [mat_vec(lat.gram_rows, r) for r in rows]
     basis = int_kernel(pair) if pair else identity(n)
+    # the Gram matrix is nondegenerate, so the rows are independent
+    # exactly when their pairings leave a kernel of rank n - k
+    if len(basis) != n - len(rows):
+        raise LatticeError("orthogonal_complement input rows are dependent")
     if not basis:
         return IntegralLattice(()), []
     gram = mat_mul(mat_mul(basis, lat.gram_rows), transpose(basis))

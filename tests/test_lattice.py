@@ -189,6 +189,19 @@ def test_saturation_edge_cases():
     assert idx == 30
 
 
+def test_dependent_rows_rejected():
+    z3 = make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    a2 = std_gram("A", 2)
+    for lat, rows in ((z3, [[1, 2, 3], [2, 4, 6]]),
+                      (z3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),
+                      (a2, [[1, 0], [2, 0]]),
+                      (a2, [[1, 0], [0, 1], [1, 1]])):
+        with pytest.raises(LatticeError, match="dependent"):
+            saturation(lat, rows)
+        with pytest.raises(LatticeError, match="dependent"):
+            orthogonal_complement(lat, rows)
+
+
 def test_orthogonal_complement_rejects_non_integer_rows():
     with pytest.raises(ValueError):
         orthogonal_complement(std_gram("A", 2), [[Fraction(1, 2), 0]])
