@@ -12,7 +12,7 @@ from math import gcd, isqrt, lcm, prod
 
 from . import ratmat
 from .ratmat import (
-    det, hnf_int, hnf_rowspan, identity, int_kernel, inverse, mat_mul, mat_vec,
+    det, hnf_rowspan, identity, int_kernel, inverse, mat_mul, mat_vec,
     rank, signature, snf, to_int, transpose,
 )
 
@@ -39,7 +39,7 @@ class IntegralLattice:
 
     @property
     def det(self):
-        return int(det(self.gram_rows))
+        return det(self.gram_rows)
 
     @property
     def signature(self):
@@ -168,6 +168,11 @@ def discriminant_group(lat):
     with U G V = D, the class of column i of U^-1 generates a cyclic
     factor of order d_i in Z^n / G Z^n = L*/L, and its dual-vector lift
     in base coordinates is G^-1 applied to that column.
+
+    The invariant factors are canonical; the generators are not.  They
+    follow from the U that snf returns, so the lifts, q_values and
+    b_matrix are fixed only up to isomorphism of the form (compare forms
+    with fqf_isomorphic).
     """
     n = lat.rank
     if n == 0:
@@ -252,9 +257,7 @@ def saturation(lat, rows):
     Z-span inside its saturation.  One Smith normal form D = U rows V gives
     both: the index is the product of the diagonal of D (the gcd of the
     k x k minors), and the last n - k columns of V span the kernel of the
-    rows, whose kernel is the saturation (in Hermite normal form).  The
-    kernel is put in Hermite normal form before its own kernel is taken,
-    because the entries of V can be large enough to blow up that SNF.
+    rows, whose kernel is the saturation (in Hermite normal form).
     """
     rows = [list(r) for r in rows]
     n = lat.rank
@@ -265,7 +268,7 @@ def saturation(lat, rows):
     diag = [d[i][i] for i in range(min(k, n))]
     if k > n or not all(diag):
         raise LatticeError("saturation input rows are dependent")
-    sat = int_kernel(hnf_int(transpose(v)[k:])) if k < n else identity(n)
+    sat = int_kernel(transpose(v)[k:]) if k < n else identity(n)
     return sat, prod(diag)
 
 

@@ -59,27 +59,31 @@ def to_int(x):
 
 
 def det(a):
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
+    """Determinant by fraction-free Bareiss elimination on ints (Bareiss
+    1968): every division is exact and every entry is a minor.
+
+    Rational input is scaled by the lcm `den` of its denominators and the
+    result divided by den^n.  Returns an int for integer input.
+    """
     n = len(a)
     if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
+        return 1
+    den = lcm(*(x.denominator for row in a for x in row if isinstance(x, Fraction)))
+    m = [[to_int(x * den) for x in row] for row in a]
+    sign, prev = 1, 1
+    while len(m) > 1:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
+            return 0
+        if piv:
+            m[0], m[piv] = m[piv], m[0]
             sign = -sign
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * d
+        p, *top = m[0]
+        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+             for row in m[1:]]
+        prev = p
+    d = sign * m[0][0]
+    return d if den == 1 else Fraction(d, den ** n)
 
 
 def inverse(a):
@@ -156,12 +160,20 @@ def snf(mat):
     """Smith normal form.  Returns (U, D, V) with D = U * mat * V,
     U and V unimodular, D diagonal with nonnegative d1 | d2 | ...
 
+    The elimination starts from the row Hermite form of [mat | I]: its
+    left block H = W mat has small entries, and its right block W is the
+    unimodular start for U.  Reducing H instead of mat keeps the entries
+    of U and V from exploding (Kannan-Bachem 1979; Cohen, A Course in
+    Computational Algebraic Number Theory, section 2.4).
+
     Pivot choice: smallest absolute value, ties by lowest (row, col).
     """
     a = [list(map(to_int, row)) for row in mat]
     n = len(a)
     m = len(a[0]) if a else 0
-    u = identity(n)
+    hw = hnf_int([row + e for row, e in zip(a, identity(n))])
+    a = [row[:m] for row in hw]
+    u = [row[m:] for row in hw]
     v = identity(m)
     t = 0
     while t < min(n, m):

@@ -1,5 +1,7 @@
 import io
 import json
+import random
+from math import prod
 
 import pytest
 
@@ -57,6 +59,26 @@ def test_disc_text_and_json(tmp_path):
     assert payload["exit"] == EXIT_OK
     ids = {r["id"] for r in payload["results"]}
     assert "disc/group" in ids and "disc/q[0]" in ids
+
+
+def test_disc_generic_rank16(tmp_path):
+    # A generic rank-16 even definite Gram matrix 2 B B^T: snf on such a
+    # matrix once ran for minutes because its transforms exploded.
+    from sympy import Matrix
+
+    rng = random.Random(16)
+    while True:
+        b = [[rng.choice((-1, 0, 1)) for _ in range(16)] for _ in range(16)]
+        det_b = int(Matrix(b).det())
+        if det_b:
+            break
+    gram = [[2 * sum(x * y for x, y in zip(r, s)) for s in b] for r in b]
+    text = "rank 16\n" + "\n".join(" ".join(map(str, row)) for row in gram) + "\n"
+    f = write(tmp_path, "generic16.lat", text)
+    code, out = run(["disc", f, "--json"])
+    assert code == EXIT_OK
+    group = next(r["value"] for r in json.loads(out)["results"] if r["id"] == "disc/group")
+    assert prod(int(d) for d in group.split(",")) == 2 ** 16 * det_b ** 2
 
 
 def test_shortvec(tmp_path):

@@ -7,9 +7,9 @@ import pytest
 
 from latkit.catalog import std_gram, u2_cubed
 from latkit.lattice import (
-    GlueError, GlueVector, LatticeError, direct_sum, discriminant_group,
-    fqf_isomorphic, make_lattice, orthogonal_complement, overlattice, rescale,
-    saturation, sublattice,
+    FiniteQuadraticForm, GlueError, GlueVector, LatticeError, direct_sum,
+    discriminant_group, fqf_isomorphic, make_lattice, orthogonal_complement,
+    overlattice, rescale, saturation, sublattice,
 )
 
 
@@ -226,3 +226,21 @@ def test_fqf_witness_is_checked():
     for i, x in enumerate(wit):
         assert f.element_order(x) == f.invariant_factors[i]
         assert f.q_of(x) == f.q_values[i] % 2
+
+
+def test_L_discriminant_form_pinned_up_to_isomorphism(L_disc):
+    # The generators of L*/L depend on the transforms snf returns, so the
+    # form is pinned only up to isomorphism; fqf_isomorphic never reads the
+    # lifts.  q and b are the values of an earlier generator choice.
+    f5 = Fraction(1, 5)
+    q = (2 * f5, 0, 2 * f5, 0)
+    b = ((2 * f5, 0, f5, 4 * f5), (0, 0, 3 * f5, f5),
+         (f5, 3 * f5, 2 * f5, f5), (4 * f5, f5, f5, 0))
+    pinned = FiniteQuadraticForm((5, 5, 5, 5), (), q, b)
+    assert L_disc.invariant_factors == (5, 5, 5, 5)
+    assert fqf_isomorphic(L_disc, pinned) is not None
+    # the other isomorphism class of forms on (Z/5)^4, as a negative control
+    q_other = (2 * f5, 2 * f5, 2 * f5, 4 * f5)
+    b_other = tuple(tuple(q_other[i] if i == j else 0 for j in range(4)) for i in range(4))
+    other = FiniteQuadraticForm((5, 5, 5, 5), (), q_other, b_other)
+    assert fqf_isomorphic(L_disc, other) is None
