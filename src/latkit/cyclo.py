@@ -2,10 +2,12 @@
 
 Elements are stored on the power basis {1, w, w^2, w^3}; w^4 is always
 eliminated through 1 + w + w^2 + w^3 + w^4 = 0, so representatives are
-unique.  Values are immutable.
+unique.  Values are immutable; rref solves over Q(w) through ratmat.rref.
 """
 
 from fractions import Fraction
+
+from . import ratmat
 
 
 class CycloError(ArithmeticError):
@@ -183,3 +185,22 @@ class Cyc5:
         for p in parts[1:]:
             s += p if p.startswith("-") else "+" + p
         return s
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over Q(w) of Cyc5 rows, as ratmat.rref.
+
+    Row r expands, lazily (ratmat keeps only its int copy), into the rows
+    w^k r (k = 0..3) in power-basis coordinates, with w (a, b, c, d) =
+    (-d, a - d, b - d, c - d).  They Q-span the Q(w) row space, whose
+    rational RREF has pivots at all 4 coordinates of each Q(w) pivot column
+    j: its row with pivot 4j is the Q(w) row."""
+    def expanded():
+        for row in rows:
+            coords = [x.c for x in row]
+            for _ in range(4):
+                yield [t for x in coords for t in x]
+                coords = [(-d, a - d, b - d, c - d) for a, b, c, d in coords]
+    red, pivots = ratmat.rref(expanded(), 4 * ncols)
+    return ([[Cyc5(row[k:k + 4]) for k in range(0, len(row), 4)] for row in red[::4]],
+            [c // 4 for c in pivots[::4]])

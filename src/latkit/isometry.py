@@ -52,6 +52,9 @@ class Isometry:
 def make_isometry(lat, matrix):
     """Validate M^T G M = G; on failure the error carries the Gram defect."""
     rows = [[to_int(x) for x in r] for r in matrix]
+    n = lat.rank
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise IsometryError("isometry matrix must be %d x %d" % (n, n))
     g = lat.gram_rows
     lhs = mat_mul(mat_mul(transpose(rows), g), rows)
     defect = [[lhs[i][j] - g[i][j] for j in range(lat.rank)] for i in range(lat.rank)]

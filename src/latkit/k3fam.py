@@ -3,14 +3,13 @@ root-of-unity actions, invariance of defining polynomials, dihedral
 relations in PGL, fixed loci and fixed-point counts, moduli arithmetic.
 
 Polynomials are dicts {exponent tuple: Cyc5 coefficient}; projective maps
-are square matrices over Q(w).
+are square matrices over Q(w), and every linear solve is a cyclo.rref.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import cyclo, ratmat
 from .cyclo import Cyc5
-from . import ratmat
 
 
 class FamilyError(ValueError):
@@ -179,7 +178,7 @@ class ProjectiveMap:
         n = self.size
         aug = [list(r) + [Cyc5.one() if i == j else Cyc5.zero() for j in range(n)]
                for i, r in enumerate(self.rows)]
-        red, pivots = ratmat.rref(aug, n)
+        red, pivots = cyclo.rref(aug, n)
         if pivots != list(range(n)):
             raise FamilyError("projective map is singular")
         return ProjectiveMap([row[n:] for row in red])
@@ -221,23 +220,25 @@ def permutation_map(images, signs=None):
     return ProjectiveMap(rows)
 
 
+def _scalar_multiple(pairs):
+    """True iff x = lambda * y over all pairs (x, y), for one nonzero lambda."""
+    lam = None
+    for x, y in pairs:
+        if bool(x) != bool(y):
+            return False
+        if y:
+            r = x / y
+            if lam is None:
+                lam = r
+            elif r != lam:
+                return False
+    return lam is not None
+
+
 def pgl_equal(a, b):
     """True iff A = lambda * B for some nonzero lambda in Q(w)."""
-    if a.size != b.size:
-        return False
-    lam = None
-    for i in range(a.size):
-        for j in range(a.size):
-            x, y = a.matrix[i][j], b.matrix[i][j]
-            if bool(x) != bool(y):
-                return False
-            if y:
-                r = x / y
-                if lam is None:
-                    lam = r
-                elif r != lam:
-                    return False
-    return lam is not None
+    return a.size == b.size and _scalar_multiple(
+        (x, y) for ra, rb in zip(a.matrix, b.matrix) for x, y in zip(ra, rb))
 
 
 def dihedral_in_pgl(sigma, iota):
@@ -259,8 +260,7 @@ def fixed_locus(iota):
     basis rows over Q(w))."""
     sq = iota.power(2)
     if not sq.is_scalar():
-        return_err = FamilyError("fixed_locus requires an involution up to scalar")
-        raise return_err
+        raise FamilyError("fixed_locus requires an involution up to scalar")
     # normalise so the matrix squares to the identity; the scalar must be
     # a square in Q(w) for our permutation-style involutions (it is 1).
     s = sq.matrix[0][0]
@@ -271,9 +271,16 @@ def fixed_locus(iota):
     for sign in (1, -1):
         rows = [[iota.matrix[i][j] - (Cyc5.one() * sign if i == j else Cyc5.zero())
                  for j in range(n)] for i in range(n)]
-        basis = ratmat.kernel(rows, n, Cyc5.zero(), Cyc5.one())
+        red, pivots = cyclo.rref(rows, n)
+        basis = []
+        for f in sorted(set(range(n)) - set(pivots)):
+            v = [Cyc5.zero()] * n
+            v[f] = Cyc5.one()
+            for row, c in zip(red, pivots):
+                v[c] = -row[f]
+            basis.append(tuple(v))
         if basis:
-            spaces.append((sign, [tuple(v) for v in basis]))
+            spaces.append((sign, basis))
     return spaces
 
 
@@ -384,8 +391,7 @@ def commutant_dim(sigma):
                 row[i * n + k] = row[i * n + k] + m[k][j]
                 row[k * n + j] = row[k * n + j] - m[i][k]
             rows.append(row)
-    ker = ratmat.kernel(rows, n * n, Cyc5.zero(), Cyc5.one())
-    return len(ker)
+    return n * n - len(cyclo.rref(rows, n * n)[1])
 
 
 def moduli_count(params, commutant, redundancy=0):
@@ -407,17 +413,5 @@ def swap_check(iota, p, q):
     comp = poly_apply_map(p, iota.inverse().matrix)
     if not comp or not q:
         return not comp and not q
-    lam = None
-    keys = set(comp) | set(q)
-    for k in keys:
-        a = comp.get(k, Cyc5.zero())
-        b = q.get(k, Cyc5.zero())
-        if bool(a) != bool(b):
-            return False
-        if b:
-            r = a / b
-            if lam is None:
-                lam = r
-            elif r != lam:
-                return False
-    return lam is not None
+    return _scalar_multiple((comp.get(k, Cyc5.zero()), q.get(k, Cyc5.zero()))
+                            for k in set(comp) | set(q))

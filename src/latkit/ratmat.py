@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the rationals and over Z.
 
 Matrices are plain lists of lists.  Entries are ints or Fractions for the
-rational routines; the integer normal forms (snf, hnf_int) insist on ints.
-Everything here is exact -- no floats anywhere.
+rational routines, and det, inverse, rank and rref share one fraction-free
+elimination on ints; the integer normal forms (snf, hnf_int) insist on
+ints.  Everything here is exact -- no floats anywhere.
 """
 
 from fractions import Fraction
@@ -58,98 +59,79 @@ def to_int(x):
     raise MatrixError("non-integer entry %r" % (x,))
 
 
-def det(a):
-    """Determinant by fraction-free Bareiss elimination on ints (Bareiss
-    1968): every division is exact and every entry is a minor.
-
-    Rational input is scaled by the lcm `den` of its denominators and the
-    result divided by den^n.  Returns an int for integer input.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    den = lcm(*(x.denominator for row in a for x in row if isinstance(x, Fraction)))
-    m = [[to_int(x * den) for x in row] for row in a]
-    sign, prev = 1, 1
-    while len(m) > 1:
-        piv = next((i for i, row in enumerate(m) if row[0]), None)
-        if piv is None:
-            return 0
-        if piv:
-            m[0], m[piv] = m[piv], m[0]
-            sign = -sign
-        p, *top = m[0]
-        m = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
-             for row in m[1:]]
-        prev = p
-    d = sign * m[0][0]
-    return d if den == 1 else Fraction(d, den ** n)
+def _square(a):
+    if any(len(row) != len(a) for row in a):
+        raise MatrixError("matrix with %d rows is not square" % len(a))
+    return len(a)
 
 
-def inverse(a):
-    """Inverse over Q: the right half of rref([A | I])."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug, n)
-    if len(pivots) < n:
-        raise MatrixError("singular matrix")
-    return [row[n:] for row in red]
-
-
-def rref(rows, ncols):
-    """Reduced row echelon form over any exact field.
-
-    Entries must support +, -, *, / and truth testing.  Returns (R, pivots).
-    """
-    a = [list(r) for r in rows]
-    pivots = []
-    r = 0
+def _fraction_free(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination on ints (Bareiss 1968), with
+    pivots in the first ncols columns.  Each row is scaled to ints by the
+    lcm of its denominators; each step maps every other row to
+    (p * row - row[c] * pivot row) // d, p the new pivot and d the last
+    one, and every division is exact.  At the end every pivot is d, the
+    determinant of the pivot minor, so the rows are d times the RREF.
+    Returns (pivot rows, pivots, d, sign of the row swaps, row scales' product)."""
+    a, den = [], 1
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (s // x.denominator) for x in row])
+        den *= s
+    pivots, d, sign = [], 1, 1
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i == r or not f and p == d:
+                continue
+            a[i] = ([(p * x - f * y) // d for x, y in zip(row, top)] if f
+                    else [p * x // d for x in row])
+        d = p
         pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    return a[:len(pivots)], pivots, d, sign, den
 
 
-def kernel(rows, ncols, zero=Fraction(0), one=Fraction(1)):
-    """Basis (as rows) of the right kernel {x : A x = 0} over the field."""
-    red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = zero - red[r][f]
-        basis.append(v)
-    return basis
-
-
-def rank(rows, ncols=None):
-    if not rows:
+def det(a):
+    """sign * d divided by the row scales; an int for integer input."""
+    n = _square(a)
+    _, pivots, d, sign, den = _fraction_free(a, n)
+    if len(pivots) < n:
         return 0
-    if ncols is None:
-        ncols = len(rows[0])
-    frows = [[Fraction(x) for x in r] for r in rows]
-    red, pivots = rref(frows, ncols)
-    return len(pivots)
+    return sign * d if den == 1 else Fraction(sign * d, den)
+
+
+def inverse(a):
+    """Inverse over Q: the right block of [A | I] eliminated, divided by d."""
+    n = _square(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    red, pivots, d, _, _ = _fraction_free(aug, n)
+    if len(pivots) < n:
+        raise MatrixError("singular matrix")
+    return [[Fraction(x, d) for x in row[n:]] for row in red]
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over Q, pivots in the first ncols columns.
+    Returns (R, pivots); R has one row per pivot; its zeros share one Fraction(0)."""
+    red, pivots, d, _, _ = _fraction_free(rows, ncols)
+    zero = Fraction(0)
+    return [[Fraction(x, d) if x else zero for x in row] for row in red], pivots
+
+
+def rank(rows, ncols):
+    return len(_fraction_free(rows, ncols)[1])
 
 
 # --- integer normal forms -------------------------------------------------
-
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
 
 def _swap_cols(a, i, j):
     for row in a:
@@ -187,8 +169,8 @@ def snf(mat):
             break
         i0, j0 = best
         if i0 != t:
-            _swap_rows(a, t, i0)
-            _swap_rows(u, t, i0)
+            a[t], a[i0] = a[i0], a[t]
+            u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             _swap_cols(a, t, j0)
             _swap_cols(v, t, j0)
@@ -201,8 +183,8 @@ def snf(mat):
                     a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     if a[i][t]:
-                        _swap_rows(a, t, i)
-                        _swap_rows(u, t, i)
+                        a[t], a[i] = a[i], a[t]
+                        u[t], u[i] = u[i], u[t]
                         dirty = True
             if dirty:
                 continue
@@ -260,7 +242,7 @@ def hnf_int(mat):
                 break
             i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
             if i0 != r:
-                _swap_rows(a, r, i0)
+                a[r], a[i0] = a[i0], a[r]
             done = True
             for i in range(r + 1, n):
                 if a[i][c]:
@@ -324,7 +306,7 @@ def signature(gram):
         if not a[t][t]:
             j = next((i for i in range(t + 1, n) if a[i][i]), None)
             if j is not None:
-                _swap_rows(a, t, j)
+                a[t], a[j] = a[j], a[t]
                 _swap_cols(a, t, j)
             else:
                 j = next((i for i in range(t + 1, n) if a[t][i]), None)

@@ -19,6 +19,13 @@ def test_make_isometry_validation():
     with pytest.raises(IsometryError, match="defect"):
         make_isometry(lat, [[1, 1], [0, 1]])
     make_isometry(lat, [[0, 1], [1, 0]])  # the diagram involution
+    # only rank x rank matrices: a 1 x 2 matrix on a rank-1 lattice used
+    # to pass, its Gram defect compared on one entry and its det taken as 1
+    for bad in ([[1, 0]], [[1], [0]], []):
+        with pytest.raises(IsometryError, match="1 x 1"):
+            make_isometry(make_lattice([[2]]), bad)
+    with pytest.raises(IsometryError, match="2 x 2"):
+        make_isometry(lat, [[1, 0], [0]])
 
 
 def test_order_and_inverse():

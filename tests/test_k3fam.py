@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from latkit import k3fam
@@ -158,3 +161,134 @@ def test_catalog_cases_are_consistent():
         assert moduli_count(case["param_counts"],
                             commutant_dim(case["commutant_of"]),
                             case["redundancy"]) == 3
+
+
+# --- oracle: the field-generic Gauss-Jordan that solved over Q(w) before
+# the solves went through cyclo.rref, kept unchanged as the reference ----
+
+def ref_rref(rows, ncols):
+    """Reduced row echelon form over any exact field.
+
+    Entries must support +, -, *, / and truth testing.  Returns (R, pivots).
+    """
+    a = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][c]
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def ref_kernel(rows, ncols, zero=Fraction(0), one=Fraction(1)):
+    """Basis (as rows) of the right kernel {x : A x = 0} over the field."""
+    red, pivots = ref_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [zero] * ncols
+        v[f] = one
+        for r, c in enumerate(pivots):
+            v[c] = zero - red[r][f]
+        basis.append(v)
+    return basis
+
+
+def _rand_cyc(rng, rational):
+    if rational or rng.random() < 0.3:
+        return one * Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Cyc5([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)])
+
+
+def _rand_cyc_matrix(rng, n, rational):
+    """A random n x n matrix over Q(w); a quarter of them singular, with
+    the last row a Q(w)-combination of the others."""
+    a = [[_rand_cyc(rng, rational) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.25:
+        c = [_rand_cyc(rng, rational) for _ in range(n - 1)]
+        a[-1] = [sum((ci * row[j] for ci, row in zip(c, a)), Cyc5.zero())
+                 for j in range(n)]
+    return a
+
+
+def ref_commutant_dim(a):
+    n = len(a)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [Cyc5.zero()] * (n * n)
+            for k in range(n):
+                row[i * n + k] = row[i * n + k] + a[k][j]
+                row[k * n + j] = row[k * n + j] - a[i][k]
+            rows.append(row)
+    return len(ref_kernel(rows, n * n, Cyc5.zero(), one))
+
+
+def test_inverse_and_commutant_match_reference():
+    rng = random.Random(41)
+    singular = 0
+    for case in range(80):
+        n = rng.randint(1, 4)
+        a = _rand_cyc_matrix(rng, n, case % 2 == 0)
+        aug = [row + [one if i == j else Cyc5.zero() for j in range(n)]
+               for i, row in enumerate(a)]
+        red, pivots = ref_rref(aug, n)
+        if pivots != list(range(n)):
+            singular += 1
+            with pytest.raises(FamilyError, match="singular"):
+                ProjectiveMap(a).inverse()
+        else:
+            assert ProjectiveMap(a).inverse() == ProjectiveMap([row[n:] for row in red])
+        if n <= 3:
+            assert commutant_dim(ProjectiveMap(a)) == ref_commutant_dim(a)
+    assert singular >= 8
+
+
+def test_commutant_dim_of_conjugated_diagonals():
+    # P D P^-1 with repeated eigenvalues in D: commutants of every size,
+    # of dimension the sum of the squared eigenvalue multiplicities
+    rng = random.Random(43)
+    for case in range(30):
+        n = rng.randint(2, 3)
+        p = ProjectiveMap(_rand_cyc_matrix(rng, n, case % 2 == 0))
+        if len(ref_rref(p.rows, n)[1]) < n:
+            continue
+        eig = [w(rng.randrange(3)) for _ in range(n)]
+        sigma = p * diagonal_map(eig) * p.inverse()
+        expected = sum(1 for x in eig for y in eig if x == y)
+        assert commutant_dim(sigma) == ref_commutant_dim(sigma.rows) == expected
+
+
+def test_fixed_locus_matches_reference():
+    rng = random.Random(47)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 4)
+        p = _rand_cyc_matrix(rng, n, done % 2 == 0)
+        red, pivots = ref_rref([row + [one if i == j else Cyc5.zero() for j in range(n)]
+                                for i, row in enumerate(p)], n)
+        if pivots != list(range(n)):
+            continue
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        iota = ProjectiveMap(p) * diagonal_map(signs) * ProjectiveMap([r[n:] for r in red])
+        expected = []
+        for sign in (1, -1):
+            rows = [[iota.matrix[i][j] - (one * sign if i == j else Cyc5.zero())
+                     for j in range(n)] for i in range(n)]
+            basis = ref_kernel(rows, n, Cyc5.zero(), one)
+            if basis:
+                expected.append((sign, [tuple(v) for v in basis]))
+        assert fixed_locus(iota) == expected
+        counts = (signs.count(1), signs.count(-1))
+        assert [len(b) for _, b in expected] == [c for c in counts if c]
+        done += 1

@@ -1,0 +1,29 @@
+"""The benchmark's layer tracer (perfbench/layertrace.py) must still find
+every function it wraps: this runs the self-check that
+`perfbench/run.py --trace 1` makes before its replay, so renaming or
+deleting a traced function fails the suite and not only a traced run."""
+
+import importlib
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+import layertrace  # noqa: E402
+import run  # noqa: E402
+
+
+def test_tracer_binds_every_traced_function():
+    modules = {name: importlib.import_module("latkit." + name) for name in run.LAYERS}
+    namespaces = list(run.latkit_modules().values())
+    tracer = layertrace.Tracer()
+    tracer.install(modules, namespaces)
+    try:
+        tracer.check_bindings(namespaces)
+        a4 = [[-4, 2, 0, 0], [2, -4, 2, 0], [0, 2, -4, 2], [0, 0, 2, -4]]
+        modules["lattice"].discriminant_group(modules["lattice"].make_lattice(a4))
+        tracer.check_disc_spans()
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["lattice.discriminant_group"].calls == 1

@@ -5,8 +5,8 @@ import pytest
 
 from latkit import ratmat
 from latkit.ratmat import (
-    det, hnf_int, hnf_rowspan, identity, int_kernel, inverse, kernel, mat_mul,
-    mat_vec, rank, signature, snf, transpose, MatrixError,
+    det, hnf_int, hnf_rowspan, identity, int_kernel, inverse, mat_mul,
+    mat_vec, rank, rref, signature, snf, transpose, MatrixError,
 )
 
 
@@ -37,15 +37,12 @@ def test_inverse_singular_raises():
         inverse([[1, 2], [2, 4]])
 
 
-def test_kernel_annihilates():
-    rng = random.Random(11)
-    for _ in range(30):
-        n, m = rng.randint(1, 4), rng.randint(1, 5)
-        a = [[Fraction(x) for x in row] for row in rand_mat(rng, n, m)]
-        ker = kernel(a, m)
-        assert len(ker) == m - rank(a, m)
-        for v in ker:
-            assert all(x == 0 for x in mat_vec(a, v))
+def test_non_square_rejected():
+    for a in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+        with pytest.raises(MatrixError, match="not square"):
+            det(a)
+        with pytest.raises(MatrixError, match="not square"):
+            inverse(a)
 
 
 def _rank_deficient(rng, n, m, r):
@@ -183,3 +180,42 @@ def test_det_oracle_sympy():
         assert got == Fraction(int(expected.p), int(expected.q))
         if case % 2 == 0:
             assert type(got) is int
+
+
+def test_elimination_oracle_sympy():
+    # rref, rank, inverse and det from the one fraction-free elimination,
+    # against sympy on int and Fraction matrices: square, rectangular and
+    # rank-deficient (n x r times r x m)
+    from sympy import Matrix, Rational
+
+    def to_sympy(a):
+        return Matrix([[Rational(x.numerator, x.denominator) for x in row] for row in a])
+
+    def from_sympy(x):
+        return Fraction(int(x.p), int(x.q))
+
+    rng = random.Random(23)
+    for case in range(150):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        if case % 5 < 2:
+            m = n
+        if case % 3 == 0:
+            a = _rank_deficient(rng, n, m, rng.randint(1, min(n, m)))
+        else:
+            a = rand_mat(rng, n, m)
+        if case % 2:
+            a = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in a]
+        s = to_sympy(a)
+        expected, expected_pivots = s.rref()
+        red, pivots = rref(a, m)
+        assert pivots == list(expected_pivots)
+        assert red == [[from_sympy(x) for x in expected.row(i)] for i in range(len(pivots))]
+        assert rank(a, m) == s.rank() == len(pivots)
+        if n != m:
+            continue
+        assert det(a) == from_sympy(s.det())
+        if len(pivots) < n:
+            with pytest.raises(MatrixError, match="singular"):
+                inverse(a)
+        else:
+            assert inverse(a) == [[from_sympy(x) for x in s.inv().row(i)] for i in range(n)]
