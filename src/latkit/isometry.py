@@ -40,9 +40,6 @@ class Isometry:
         inv = ratmat.inverse(self.rows)
         return Isometry(self.lattice, tuple(tuple(to_int(x) for x in r) for r in inv))
 
-    def apply(self, v):
-        return tuple(ratmat.vec_dot(row, list(v)) for row in self.rows)
-
     def is_identity(self):
         n = self.lattice.rank
         return all(self.matrix[i][j] == (1 if i == j else 0)

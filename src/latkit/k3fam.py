@@ -8,7 +8,7 @@ are square matrices over Q(w), and every linear solve is a cyclo.rref.
 
 from dataclasses import dataclass
 
-from . import cyclo, ratmat
+from . import cyclo
 from .cyclo import Cyc5
 
 
@@ -172,7 +172,17 @@ class ProjectiveMap:
         return [list(r) for r in self.matrix]
 
     def __mul__(self, other):
-        return ProjectiveMap(ratmat.mat_mul(self.rows, other.rows))
+        """Matrix product over Q(w).  Terms with a zero factor are skipped, so a
+        diagonal or permutation factor costs n^2 Cyc5 products, not n^3."""
+        if other.size != self.size:
+            raise FamilyError("projective maps of sizes %d and %d" % (self.size, other.size))
+        b, zero = other.matrix, Cyc5.zero()
+        out = []
+        for row in self.matrix:
+            nz = [(k, x) for k, x in enumerate(row) if x]
+            out.append([sum((x * b[k][j] for k, x in nz if b[k][j]), zero)
+                        for j in range(len(b))])
+        return ProjectiveMap(out)
 
     def inverse(self):
         n = self.size
@@ -184,30 +194,25 @@ class ProjectiveMap:
         return ProjectiveMap([row[n:] for row in red])
 
     def is_scalar(self):
-        n = self.size
         d = self.matrix[0][0]
-        if not d:
-            return False
-        for i in range(n):
-            for j in range(n):
-                want = d if i == j else Cyc5.zero()
-                if self.matrix[i][j] != want:
-                    return False
-        return True
+        return bool(d) and all(x == d if i == j else not x
+                               for i, r in enumerate(self.matrix) for j, x in enumerate(r))
 
     def power(self, k):
-        out = diagonal_map([Cyc5.one()] * self.size)
-        base = self
-        for _ in range(k):
-            out = out * base
-        return out
+        """self^k (k >= 0) by repeated squaring: sigma^5 = sigma (sigma^2)^2."""
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return diagonal_map([Cyc5.one()] * self.size) if out is None else out
 
 
 def diagonal_map(entries):
     n = len(entries)
-    entries = [x if isinstance(x, Cyc5) else Cyc5.one() * x for x in entries]
-    return ProjectiveMap([[entries[i] if i == j else Cyc5.zero() for j in range(n)]
-                          for i in range(n)])
+    return ProjectiveMap([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def permutation_map(images, signs=None):
@@ -221,18 +226,19 @@ def permutation_map(images, signs=None):
 
 
 def _scalar_multiple(pairs):
-    """True iff x = lambda * y over all pairs (x, y), for one nonzero lambda."""
-    lam = None
+    """True iff x = lambda * y over all pairs (x, y), for one nonzero lambda.
+    Each pair is compared with the first nonzero pair (x0, y0) as
+    x * y0 == x0 * y, so no element of Q(w) is inverted."""
+    first = None
     for x, y in pairs:
         if bool(x) != bool(y):
             return False
         if y:
-            r = x / y
-            if lam is None:
-                lam = r
-            elif r != lam:
+            if first is None:
+                first = (x, y)
+            elif x * first[1] != first[0] * y:
                 return False
-    return lam is not None
+    return first is not None
 
 
 def pgl_equal(a, b):
@@ -244,15 +250,16 @@ def pgl_equal(a, b):
 def dihedral_in_pgl(sigma, iota):
     """True iff sigma and iota generate the dihedral group of order 10 in
     PGL: iota^2 and sigma^5 scalar, sigma not scalar, and conjugation by
-    iota inverts sigma."""
+    iota inverts sigma.  The nonzero scalars iota^2 and sigma^5 make both
+    maps invertible, so iota sigma iota^-1 ~ sigma^-1 is tested as the
+    equivalent sigma iota sigma ~ iota: two products and no inverse."""
     if iota.size != sigma.size:
         return False
     if not iota.power(2).is_scalar():
         return False
     if sigma.is_scalar() or not sigma.power(5).is_scalar():
         return False
-    conj = iota * sigma * iota.inverse()
-    return pgl_equal(conj, sigma.inverse())
+    return pgl_equal(sigma * iota * sigma, iota)
 
 
 def fixed_locus(iota):
@@ -379,9 +386,22 @@ def plane_fixed_count(polys, plane_rows):
 
 
 def commutant_dim(sigma):
-    """Dimension over Q(w) of {X : X sigma = sigma X}."""
+    """Dimension over Q(w) of {X : X sigma = sigma X}.
+
+    The nullities d of sigma - lambda over the ten lambda = +-w^k (one n x n
+    cyclo.rref each) sum to n exactly when sigma is diagonalizable over Q(w)
+    with those eigenvalues, as every map of order dividing 10 is; then the
+    dimension is sum d^2.  Otherwise it is the nullity of X -> X sigma - sigma X.
+    """
     n = sigma.size
     m = sigma.matrix
+    dims = []
+    for lam in (Cyc5.omega(k) * s for s in (1, -1) for k in range(5)):
+        shifted = [[x - lam if i == j else x for j, x in enumerate(r)]
+                   for i, r in enumerate(m)]
+        dims.append(n - len(cyclo.rref(shifted, n)[1]))
+        if sum(dims) == n:
+            return sum(d * d for d in dims)
     rows = []
     for i in range(n):
         for j in range(n):

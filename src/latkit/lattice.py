@@ -51,11 +51,6 @@ class IntegralLattice:
     def is_even(self):
         return all(row[i] % 2 == 0 for i, row in enumerate(self.gram))
 
-    @property
-    def is_definite(self):
-        npos, nneg = self.signature
-        return npos == 0 or nneg == 0
-
     def pairing(self, u, v):
         return ratmat.vec_dot(mat_vec(self.gram_rows, list(v)), list(u))
 

@@ -65,13 +65,15 @@ def _square(a):
     return len(a)
 
 
-def _fraction_free(rows, ncols):
+def _fraction_free(rows, ncols, above=True):
     """Fraction-free Gauss-Jordan elimination on ints (Bareiss 1968), with
     pivots in the first ncols columns.  Each row is scaled to ints by the
     lcm of its denominators; each step maps every other row to
     (p * row - row[c] * pivot row) // d, p the new pivot and d the last
     one, and every division is exact.  At the end every pivot is d, the
     determinant of the pivot minor, so the rows are d times the RREF.
+    above=False skips the rows above each pivot (triangular Bareiss), with
+    the same pivots, d and sign but unreduced rows.
     Returns (pivot rows, pivots, d, sign of the row swaps, row scales' product)."""
     a, den = [], 1
     for row in rows:
@@ -89,7 +91,8 @@ def _fraction_free(rows, ncols):
             sign = -sign
         top = a[r]
         p = top[c]
-        for i, row in enumerate(a):
+        for i in range(len(a)) if above else range(r + 1, len(a)):
+            row = a[i]
             f = row[c]
             if i == r or not f and p == d:
                 continue
@@ -101,9 +104,10 @@ def _fraction_free(rows, ncols):
 
 
 def det(a):
-    """sign * d divided by the row scales; an int for integer input."""
+    """sign * d divided by the row scales, from the triangular elimination;
+    an int for integer input."""
     n = _square(a)
-    _, pivots, d, sign, den = _fraction_free(a, n)
+    _, pivots, d, sign, den = _fraction_free(a, n, above=False)
     if len(pivots) < n:
         return 0
     return sign * d if den == 1 else Fraction(sign * d, den)
@@ -128,7 +132,7 @@ def rref(rows, ncols):
 
 
 def rank(rows, ncols):
-    return len(_fraction_free(rows, ncols)[1])
+    return len(_fraction_free(rows, ncols, above=False)[1])
 
 
 # --- integer normal forms -------------------------------------------------

