@@ -1,7 +1,8 @@
 """latkit command line: discriminant forms, short vectors, overlattice
 gluing, family checks, and the full claim reproduction suite.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 input/usage error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 input/usage error,
+3 a computation ran past its work budget.
 """
 
 import argparse
@@ -10,6 +11,7 @@ import sys
 
 from . import catalog, k3fam, shortvec
 from .files import ParseError, parse_family_file, parse_lattice_file
+from .isometry import CapExceeded
 from .lattice import (
     GlueVector, LatticeError, discriminant_group, make_lattice, overlattice,
 )
@@ -19,6 +21,7 @@ SCHEMA = 1
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BUDGET = 3
 
 
 def _emit(payload, as_json, out):
@@ -198,6 +201,9 @@ def main(argv=None, out=None):
     except (ParseError, FileNotFoundError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except CapExceeded as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ class IsometryError(LatticeError):
 
 
 class CapExceeded(RuntimeError):
-    """An order or closure computation ran past its cap."""
+    """An order, group closure or short-vector search ran past its cap."""
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ from math import prod
 
 import pytest
 
-from latkit.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from latkit import shortvec
+from latkit.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 
 A2 = "rank 2\n2 -1\n-1 2\n"
 NIKULIN = ("rank 8\n"
@@ -90,6 +91,19 @@ def test_shortvec(tmp_path):
     payload = json.loads(text)
     ids = [r["id"] for r in payload["results"]]
     assert "shortvec/vector" not in ids
+
+
+def test_shortvec_budget_exit(tmp_path, monkeypatch, capsys):
+    # Z^2 at bound 10^6 needs about 3.1M search nodes; with a small budget
+    # the search stops with a one-line error and its own exit code.
+    monkeypatch.setattr(shortvec, "NODE_BUDGET", 10_000)
+    f = write(tmp_path, "z2.lat", "rank 2\n1 0\n0 1\n")
+    code, text = run(["shortvec", f, "--bound", "1000000"])
+    assert code == EXIT_BUDGET
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_overlattice_command(tmp_path):

@@ -1,42 +1,37 @@
 import random
 from itertools import product
+from math import isqrt
 
 import pytest
 
 from latkit.catalog import std_gram
 from latkit.lattice import LatticeError, make_lattice
+from latkit.ratmat import det
 from latkit.shortvec import minimum, short_vectors
 
 
 def naive_pairs(gram, bound):
-    """Box-enumeration oracle: all vectors with |x_i| <= box up to sign.
+    """Box-enumeration oracle: all vectors of norm <= bound up to sign.
 
-    The box is conservative: any vector of norm <= bound has coordinates
-    bounded by bound * max entry of the inverse Gram, but for the small
-    random lattices here a generous fixed box suffices and is verified by
-    widening until stable.
+    By Cauchy-Schwarz, norm(x) <= bound gives x_i^2 <= bound * (G^-1)_ii,
+    so the box |x_i| <= isqrt(bound * (G^-1)_ii) holds them all.  G^-1
+    comes from sympy, not from latkit.
     """
+    from sympy import Matrix, floor
+
     n = len(gram)
+    inv = Matrix(gram).inv()
+    boxes = [isqrt(max(0, int(floor(bound * inv[i, i])))) for i in range(n)]
 
     def norm(v):
         return sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
 
-    def collect(box):
-        out = set()
-        for v in product(range(-box, box + 1), repeat=n):
-            if any(v) and norm(v) <= bound:
-                first = next(x for x in v if x)
-                out.add(v if first > 0 else tuple(-x for x in v))
-        return out
-
-    box = bound + 1
-    prev = collect(box)
-    while True:
-        box += 2
-        cur = collect(box)
-        if cur == prev:
-            return sorted((v, norm(v)) for v in prev)
-        prev = cur
+    out = set()
+    for v in product(*(range(-b, b + 1) for b in boxes)):
+        if any(v) and norm(v) <= bound:
+            first = next(x for x in v if x)
+            out.add(v if first > 0 else tuple(-x for x in v))
+    return sorted((v, norm(v)) for v in out)
 
 
 def rand_pos_def(rng, n):
@@ -53,7 +48,6 @@ def test_oracle_equivalence_random():
     while done < 50:
         n = rng.randint(1, 4)
         g = rand_pos_def(rng, n)
-        from latkit.ratmat import det
         if det(g) == 0:
             continue
         lat = make_lattice(g)
@@ -111,3 +105,74 @@ def test_minimum():
     assert minimum(std_gram("E8", scale=-2)) == 4
     with pytest.raises(LatticeError):
         minimum(make_lattice([]))
+
+
+def transform(gram, u):
+    """U^T G U: the Gram matrix of the basis given by the columns of U."""
+    n = len(gram)
+    return [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(n) for b in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def badly_reduced(rng, gram, spread):
+    """U^T G U for a random unimodular U, built by adding +-1 or +-2 times
+    another column to the column of smallest norm until every diagonal
+    entry is at least `spread`."""
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        g = transform(gram, u)
+        i = min(range(n), key=lambda t: g[t][t])
+        if g[i][i] >= spread:
+            return g
+        j = rng.choice([t for t in range(n) if t != i])
+        k = rng.choice((-2, -1, 1, 2))
+        for row in u:
+            row[i] += k * row[j]
+
+
+def test_minimum_oracle():
+    # odd, scaled by 2, 3 and 6, negative definite, and badly reduced bases
+    # (smallest diagonal entry >= 10x the minimum) against brute force
+    rng = random.Random(8)
+    cases = []
+    while len(cases) < 96:
+        g = rand_pos_def(rng, rng.randint(1, 4))
+        if det(g) == 0:
+            continue
+        s = (1, 2, 3, 6, -1, -2)[len(cases) % 6]
+        cases.append(([[s * x for x in row] for row in g], None))
+    a2, a3 = [[2, -1], [-1, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    for k in range(12):
+        cases.append((badly_reduced(rng, a3 if k % 2 else a2, 20), 2))
+    for g, expected in cases:
+        got = minimum(make_lattice(g))
+        pos = [[-x for x in row] for row in g] if g[0][0] < 0 else g
+        # every vector up to norm `got` is listed, and the least has norm `got`
+        assert min(norm for _, norm in naive_pairs(pos, got)) == got
+        assert expected in (None, got)
+    # A3 in a basis with entries up to 165,774, too large for the box
+    # oracle; a shrinking search that does not try the middle of each
+    # range first runs past NODE_BUDGET here
+    u = [[-113, -157, 56], [-182, -253, 90], [70, 97, -35]]
+    assert minimum(make_lattice(transform(a3, u))) == 2
+
+
+def test_bound_between_norms():
+    # every norm is a multiple of gcd(G_ii, 2 G_ij), so the search runs at
+    # the largest multiple <= bound; the report must not change
+    rep = short_vectors(make_lattice([[4, 1], [1, 4]]), 7)
+    # g = 2 here; a gcd of the diagonal alone (4) would miss (1, -1), norm 6
+    assert rep.vectors == (((0, 1), 4), ((1, -1), 6), ((1, 0), 4))
+    assert rep.bound == 7
+    rng = random.Random(7)
+    for _ in range(40):
+        g = rand_pos_def(rng, rng.randint(1, 3))
+        if det(g) == 0:
+            continue
+        s = rng.choice((2, 3, 6))
+        g = [[s * x for x in row] for row in g]
+        bound = rng.randint(1, 8 * s)
+        rep = short_vectors(make_lattice(g), bound)
+        assert rep.bound == bound
+        assert list(rep.vectors) == naive_pairs(g, bound)
