@@ -22,7 +22,10 @@ from .lattice import (
     make_lattice, orthogonal_complement, overlattice, rescale, saturation,
     sublattice,
 )
-from .ratmat import det, inverse, is_integral, mat_mul, mat_vec, to_int, transpose
+from .ratmat import (
+    clear_denominators, det, divide_exact, is_integral, mat_mul, mat_vec,
+    scaled_inverse, to_int, transpose,
+)
 
 
 class CatalogError(LatticeError):
@@ -130,84 +133,65 @@ NU_BASE = tuple(Fraction(x, 2) for x in
                 (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1))
 
 
-def _to_new_basis(p_inv, vec, what):
-    y = mat_vec(p_inv, list(vec))
-    if not is_integral(y):
-        raise CatalogError("%s does not lie in the overlattice" % what)
-    return tuple(to_int(x) for x in y)
-
-
-def _conjugate_isometry(lat, p, p_inv, m, what):
-    rows = mat_mul(mat_mul(p_inv, m), p)
-    if not is_integral(rows):
-        raise CatalogError("%s does not extend integrally to the overlattice" % what)
-    return make_isometry(lat, [[to_int(x) for x in r] for r in rows])
-
-
 def build_L(nu_override=None):
     """The rank-16 overlattice of A4(-2)^{+4} glued along the g-orbits of
-    mu and nu, with the order-5 isometry g and the involution h."""
+    mu and nu, with the order-5 isometry g and the involution h.
+
+    After the gluing everything runs on ints.  The basis of L is H / d in
+    base coordinates, so P = d (H^T)^-1 maps base coordinates to those of
+    L; P is integral because the base lies in L.  A base map m becomes
+    P m H^T / d, and the named vectors are kept as ints V over the common
+    denominator s of mu and nu (s = 2), with coordinates P V / s in L.
+    """
     base = direct_sum([std_gram("A", 4, -2)] * 4)
     g_base = _block_diag([_gamma4()] * 4)
-    mu = list(MU_BASE)
-    nu = list(nu_override if nu_override is not None else NU_BASE)
+    nu = nu_override if nu_override is not None else NU_BASE
+    (mu, nu), s = clear_denominators([MU_BASE, nu])
+    mus, nus = [mu], [nu]
+    for _ in range(3):
+        mus.append(mat_vec(g_base, mus[-1]))
+        nus.append(mat_vec(g_base, nus[-1]))
+    lat, index, basis = overlattice(
+        base, [GlueVector([Fraction(x, s) for x in v]) for v in mus + nus])
 
-    orbit = []
-    for v in (mu, nu):
-        cur = v
-        for _ in range(4):
-            orbit.append(GlueVector(cur))
-            cur = mat_vec(g_base, cur)
-    lat, index, basis = overlattice(base, orbit)
+    h_int, d = clear_denominators(basis)
+    ht = transpose(h_int)
+    inv, dh = scaled_inverse(ht)
+    p = divide_exact([[d * x for x in row] for row in inv], dh)
+    isometries = {}
+    for name, m in (("g", g_base), ("h", _block_diag([_eta4()] * 4))):
+        rows = divide_exact(mat_mul(mat_mul(p, m), ht), d)
+        if rows is None:
+            raise CatalogError("%s does not extend integrally to the overlattice" % name)
+        isometries[name] = make_isometry(lat, rows)
 
-    p = transpose(basis)
-    p_inv = inverse(p)
-    g = _conjugate_isometry(lat, p, p_inv, g_base, "g")
-    h_base = _block_diag([_eta4()] * 4)
-    h = _conjugate_isometry(lat, p, p_inv, h_base, "h")
-
-    base_vectors = {"mu": tuple(mu), "nu": tuple(nu)}
-    cur_mu, cur_nu = mu, nu
+    base_vectors = {"mu": mu, "nu": nu}
     for i in range(1, 4):
-        cur_mu = mat_vec(g_base, cur_mu)
-        cur_nu = mat_vec(g_base, cur_nu)
-        base_vectors["g%d(mu)" % i] = tuple(cur_mu)
-        base_vectors["g%d(nu)" % i] = tuple(cur_nu)
+        base_vectors["g%d(mu)" % i] = mus[i]
+        base_vectors["g%d(nu)" % i] = nus[i]
 
-    def gpow(v, k):
-        for _ in range(k):
-            v = mat_vec(g_base, v)
-        return v
-
-    def basis_vec(copy, idx):
-        v = [Fraction(0)] * 16
-        v[4 * copy + idx] = Fraction(1)
+    def unit(copy, *idx):
+        v = [0] * 16
+        for i in idx:
+            v[4 * copy + i] = s
         return v
 
     def add(*vs):
-        out = [Fraction(0)] * 16
-        for v in vs:
-            out = [a + b for a, b in zip(out, v)]
-        return out
+        return [sum(x) for x in zip(*vs)]
 
-    def neg(v):
-        return [-x for x in v]
+    e = [mu, add(mus[2], mus[3]), nu,
+         add(mu, mus[2], mus[3], [-x for x in nus[2]], [-x for x in nus[3]]),
+         unit(0, 0), unit(0, 2, 3), unit(1, 0), unit(1, 2, 3)]
+    for i, v in enumerate(e, 1):
+        base_vectors["e%d" % i] = v
+        base_vectors["f%d" % (i + 8)] = mat_vec(g_base, v)
 
-    e = [None] * 9
-    e[1] = list(mu)
-    e[2] = add(gpow(mu, 2), gpow(mu, 3))
-    e[3] = list(nu)
-    e[4] = add(mu, gpow(mu, 2), gpow(mu, 3), neg(gpow(nu, 2)), neg(gpow(nu, 3)))
-    e[5] = basis_vec(0, 0)
-    e[6] = add(basis_vec(0, 2), basis_vec(0, 3))
-    e[7] = basis_vec(1, 0)
-    e[8] = add(basis_vec(1, 2), basis_vec(1, 3))
-    for i in range(1, 9):
-        base_vectors["e%d" % i] = tuple(e[i])
-        base_vectors["f%d" % (i + 8)] = tuple(mat_vec(g_base, e[i]))
-
-    vectors = {name: _to_new_basis(p_inv, v, name)
-               for name, v in base_vectors.items()}
+    vectors = {}
+    for name, v in base_vectors.items():
+        y = mat_vec(p, v)
+        if any(x % s for x in y):
+            raise CatalogError("%s does not lie in the overlattice" % name)
+        vectors[name] = tuple(x // s for x in y)
 
     return NamedConstruction(
         name="L",
@@ -215,24 +199,27 @@ def build_L(nu_override=None):
         base_lattice=base,
         change_of_basis=tuple(tuple(r) for r in basis),
         vectors=vectors,
-        base_vectors=base_vectors,
-        isometries={"g": g, "h": h},
+        base_vectors={name: tuple(Fraction(x, s) for x in v)
+                      for name, v in base_vectors.items()},
+        isometries=isometries,
         index=index,
     ), index
 
 
 def reflection_in_span(lat, span_rows):
     """The rational map acting as -1 on span_rows and +1 on its orthogonal
-    complement; returned as integer matrix rows (raises if non-integral)."""
+    complement; returned as integer matrix rows (raises if non-integral).
+    With C the columns span_rows + complement, it is C diag(-1, .., 1) C^-1
+    = (C diag) B / e for B = e C^-1, on ints."""
     comp, comp_rows = orthogonal_complement(lat, span_rows)
+    k = len(span_rows)
     cols = transpose(list(span_rows) + list(comp_rows))
-    n = lat.rank
-    diag = [[(-1 if i == j and i < len(span_rows) else (1 if i == j else 0))
-             for j in range(n)] for i in range(n)]
-    m = mat_mul(mat_mul(cols, diag), inverse(cols))
-    if not is_integral(m):
+    inv, e = scaled_inverse(cols)
+    signed = [[-x if j < k else x for j, x in enumerate(row)] for row in cols]
+    m = divide_exact(mat_mul(signed, inv), e)
+    if m is None:
         raise CatalogError("reflection is not integral on the lattice")
-    return [[to_int(x) for x in r] for r in m]
+    return m
 
 
 def build_nikulin():

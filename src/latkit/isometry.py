@@ -10,15 +10,11 @@ from fractions import Fraction
 
 from . import ratmat
 from .ratmat import det, identity, int_kernel, mat_mul, mat_vec, to_int, transpose
-from .lattice import LatticeError, make_lattice, sublattice
+from .lattice import CapExceeded, LatticeError, sublattice
 
 
 class IsometryError(LatticeError):
     pass
-
-
-class CapExceeded(RuntimeError):
-    """An order, group closure or short-vector search ran past its cap."""
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from math import gcd, isqrt, lcm, prod
 
 from . import ratmat
 from .ratmat import (
-    det, hnf_rowspan, identity, int_kernel, inverse, mat_mul, mat_vec,
-    rank, signature, snf, to_int, transpose,
+    clear_denominators, det, divide_exact, hnf_int, identity, int_kernel,
+    inverse, mat_mul, mat_vec, rank, signature, snf, to_int, transpose, vec_dot,
 )
 
 
@@ -23,6 +23,16 @@ class LatticeError(ValueError):
 
 class GlueError(LatticeError):
     pass
+
+
+class CapExceeded(RuntimeError):
+    """An order, group closure, short-vector search or discriminant-form
+    isomorphism search ran past its cap."""
+
+
+# Candidate images fqf_isomorphic's backtracking may try before it raises
+# CapExceeded.
+NODE_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
@@ -195,37 +205,44 @@ def overlattice(lat, glue):
     """Adjoin glue vectors to an even lattice; returns (L', index, B).
 
     B is the change of basis: its rows express the basis of L' in the
-    coordinates of the input lattice.
+    coordinates of the input lattice.  Everything runs on ints: with d the
+    common denominator of the glue and W = d * glue, the glue must have
+    G W divisible by d, each W_k G W_k by 2 d^2 and each W_a G W_b by d^2;
+    B = H / d for the Hermite form H of [d I ; W], and the Gram matrix of
+    L' is H G H^T / d^2.
     """
     n = lat.rank
+    gram = lat.gram_rows
     vecs = [list(g.coords) if isinstance(g, GlueVector) else [Fraction(x) for x in g]
             for g in glue]
-    for k, w in enumerate(vecs):
+    ws, d = clear_denominators(vecs)
+    gws = []
+    for k, w in enumerate(ws):
         if len(w) != n:
             raise GlueError("glue vector %d has wrong length" % k)
-        pair_rows = mat_vec(lat.gram_rows, w)
-        for i, p in enumerate(pair_rows):
-            if Fraction(p).denominator != 1:
+        gw = mat_vec(gram, w)
+        for i, p in enumerate(gw):
+            if p % d:
                 raise GlueError(
                     "glue vector %d pairs non-integrally with basis vector %d "
-                    "(value %s)" % (k, i, p))
-        self_pair = lat.norm_of(w)
-        if Fraction(self_pair).denominator != 1 or to_int(Fraction(self_pair)) % 2 != 0:
-            raise GlueError(
-                "glue vector %d has self-pairing %s not in 2Z" % (k, self_pair))
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            p = lat.pairing(vecs[a], vecs[b])
-            if Fraction(p).denominator != 1:
+                    "(value %s)" % (k, i, Fraction(p, d)))
+        self_pair = vec_dot(w, gw)
+        if self_pair % (2 * d * d):
+            raise GlueError("glue vector %d has self-pairing %s not in 2Z"
+                            % (k, Fraction(self_pair, d * d)))
+        gws.append(gw)
+    for a in range(len(ws)):
+        for b in range(a + 1, len(ws)):
+            p = vec_dot(ws[a], gws[b])
+            if p % (d * d):
                 raise GlueError(
                     "glue vectors %d and %d pair non-integrally (value %s)"
-                    % (a, b, p))
-    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] + vecs
-    basis = hnf_rowspan(rows)
-    if len(basis) != n:
+                    % (a, b, Fraction(p, d * d)))
+    h = hnf_int([[d if i == j else 0 for j in range(n)] for i in range(n)] + ws)
+    if len(h) != n:
         raise GlueError("glue vectors do not preserve the rank")
-    new_gram = mat_mul(mat_mul(basis, lat.gram_rows), transpose(basis))
-    new_lat = make_lattice(new_gram)
+    # exact: the checks above make every pairing of L' integral
+    new_lat = make_lattice(divide_exact(mat_mul(mat_mul(h, gram), transpose(h)), d * d))
     ratio = Fraction(lat.det, new_lat.det)
     if ratio.denominator != 1:
         raise LatticeError("internal: determinant ratio %s not integral" % ratio)
@@ -233,7 +250,7 @@ def overlattice(lat, glue):
     idx = isqrt(idx2)
     if idx * idx != idx2:
         raise LatticeError("internal: determinant ratio %d is not a square" % idx2)
-    return new_lat, idx, basis
+    return new_lat, idx, [[Fraction(x, d) for x in row] for row in h]
 
 
 def sublattice(lat, rows):
@@ -291,7 +308,8 @@ def fqf_isomorphic(f1, f2):
     """Search for an isomorphism of finite quadratic forms.
 
     Returns a witness (tuple of images of f1's generators, as coefficient
-    tuples in f2) or None if no isomorphism exists.
+    tuples in f2) or None if no isomorphism exists.  Raises CapExceeded
+    when the backtracking tries more than NODE_BUDGET candidate images.
     """
     if f1.order != f2.order:
         return None
@@ -331,13 +349,19 @@ def fqf_isomorphic(f1, f2):
             frontier = new
         return len(seen)
 
+    nodes = 0
+
     def backtrack(i):
+        nonlocal nodes
         if i == len(gens1):
             if generated_order(assigned) == f2.order:
                 return True
             return False
         want_order = f1.invariant_factors[i]
         for cand, o, q in pool:
+            nodes += 1
+            if nodes > NODE_BUDGET:
+                raise CapExceeded("isomorphism search past %d nodes" % NODE_BUDGET)
             if o != want_order or q != q1[i]:
                 continue
             ok = True

@@ -1,9 +1,11 @@
 """Exact dense linear algebra over the rationals and over Z.
 
 Matrices are plain lists of lists.  Entries are ints or Fractions for the
-rational routines, and det, inverse, rank and rref share one fraction-free
-elimination on ints; the integer normal forms (snf, hnf_int) insist on
-ints.  Everything here is exact -- no floats anywhere.
+rational routines, and det, scaled_inverse (and inverse), rank and rref
+share one fraction-free elimination on ints; the integer normal forms
+(snf, hnf_int) insist on ints, and clear_denominators turns rational rows
+into ints over one common denominator.  Everything here is exact -- no
+floats anywhere.
 """
 
 from fractions import Fraction
@@ -113,14 +115,29 @@ def det(a):
     return sign * d if den == 1 else Fraction(sign * d, den)
 
 
-def inverse(a):
-    """Inverse over Q: the right block of [A | I] eliminated, divided by d."""
+def scaled_inverse(a):
+    """(B, d) with B = d A^-1 an int matrix: the right block of [A | I]
+    after the fraction-free elimination, and d its last pivot (for int A,
+    d = +-det A and B = +-adj A)."""
     n = _square(a)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     red, pivots, d, _, _ = _fraction_free(aug, n)
     if len(pivots) < n:
         raise MatrixError("singular matrix")
-    return [[Fraction(x, d) for x in row[n:]] for row in red]
+    return [row[n:] for row in red], d
+
+
+def inverse(a):
+    """Inverse over Q: the scaled inverse divided by its d."""
+    b, d = scaled_inverse(a)
+    return [[Fraction(x, d) for x in row] for row in b]
+
+
+def divide_exact(a, d):
+    """The int matrix a divided by d, or None if d does not divide every entry."""
+    if any(x % d for row in a for x in row):
+        return None
+    return [[x // d for x in row] for row in a]
 
 
 def rref(rows, ncols):
@@ -276,15 +293,15 @@ def hnf_rowspan(mat):
     reattached afterwards, so the returned rows Z-span exactly what the
     input rows Z-span.
     """
-    if not mat:
-        return []
-    d = 1
-    for row in mat:
-        for x in row:
-            d = lcm(d, Fraction(x).denominator)
-    ints = [[to_int(Fraction(x) * d) for x in row] for row in mat]
-    h = hnf_int(ints)
-    return [[Fraction(x, d) for x in row] for row in h]
+    ints, d = clear_denominators(mat)
+    return [[Fraction(x, d) for x in row] for row in hnf_int(ints)]
+
+
+def clear_denominators(rows):
+    """(int rows, d): d is the least common denominator of the entries
+    (ints or Fractions), and the int rows are d times the input rows."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def int_kernel(mat):
@@ -301,11 +318,20 @@ def int_kernel(mat):
 
 
 def signature(gram):
-    """Signature (n_plus, n_minus) of a symmetric nondegenerate matrix,
-    by exact symmetric Gaussian reduction (Sylvester counting)."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    """Signature (n_plus, n_minus) of a symmetric nondegenerate matrix, by
+    fraction-free symmetric elimination on ints (Sylvester counting).
+
+    Step t maps each later row to (p * row - row[t] * pivot row) // d on
+    the columns after t, p the pivot and d the last one (Bareiss): the
+    trailing block stays d times the Schur complement, so the pivot counts
+    with the sign of p * d.  A zero pivot is first swapped with a later
+    nonzero diagonal entry, or made nonzero by e_t += e_j; both moves are
+    congruences of the trailing block, so the divisions stay exact.
+    """
+    a, _ = clear_denominators(gram)
+    n = len(a)
     npos = nneg = 0
+    d = 1
     for t in range(n):
         if not a[t][t]:
             j = next((i for i in range(t + 1, n) if a[i][i]), None)
@@ -320,17 +346,15 @@ def signature(gram):
                 a[t] = [x + y for x, y in zip(a[t], a[j])]
                 for row in a:
                     row[t] += row[j]
-        d = a[t][t]
-        if d > 0:
+        top = a[t]
+        p = top[t]
+        if (p > 0) == (d > 0):
             npos += 1
         else:
             nneg += 1
         for i in range(t + 1, n):
-            if a[i][t]:
-                f = a[i][t] / d
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-        for row in a[t + 1:]:
-            row[t] = Fraction(0)
-        for j in range(t + 1, n):
-            a[t][j] = Fraction(0)
+            row = a[i]
+            f = row[t]
+            row[t + 1:] = [(p * x - f * y) // d for x, y in zip(row[t + 1:], top[t + 1:])]
+        d = p
     return npos, nneg

@@ -5,9 +5,10 @@ from math import gcd
 
 import pytest
 
-from latkit.catalog import std_gram, u2_cubed
+from latkit import lattice
+from latkit.catalog import build_nikulin, std_gram, u2_cubed
 from latkit.lattice import (
-    FiniteQuadraticForm, GlueError, GlueVector, LatticeError, direct_sum,
+    CapExceeded, FiniteQuadraticForm, GlueError, GlueVector, LatticeError, direct_sum,
     discriminant_group, fqf_isomorphic, make_lattice, orthogonal_complement,
     overlattice, rescale, saturation, sublattice,
 )
@@ -226,6 +227,19 @@ def test_fqf_witness_is_checked():
     for i, x in enumerate(wit):
         assert f.element_order(x) == f.invariant_factors[i]
         assert f.q_of(x) == f.q_values[i] % 2
+
+
+def test_fqf_isomorphic_budget(monkeypatch):
+    # The Nikulin / U(2)^3 pair (the claim nikulin/disc-form-matches-U2-cubed)
+    # takes 265 backtracking nodes; a budget below that raises.
+    nik = discriminant_group(build_nikulin()[0].lattice)
+    u2 = discriminant_group(u2_cubed())
+    assert fqf_isomorphic(nik, u2) is not None
+    monkeypatch.setattr(lattice, "NODE_BUDGET", 100)
+    with pytest.raises(CapExceeded, match="past 100 nodes"):
+        fqf_isomorphic(nik, u2)
+    monkeypatch.setattr(lattice, "NODE_BUDGET", 265)
+    assert fqf_isomorphic(nik, u2) is not None
 
 
 def test_L_discriminant_form_pinned_up_to_isomorphism(L_disc):
