@@ -8,7 +8,7 @@ exchanged up to sign by a dihedral group of order 10.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import k3fam, shortvec
@@ -283,7 +283,19 @@ class Claim:
     needs: tuple = ()
 
 
-FAULT_IDS = ("nu-coord",)
+# Negative controls, one construction corrupted each:
+#   nu-coord     nu gets a coordinate 1/3, so the gluing of L fails
+#   u2-diagonal  U(2)^3 becomes <-2>^6, whose q values are 3/2, so the
+#                Nikulin form no longer matches
+#   h-minus-one  h becomes -I, which breaks the dihedral relation and
+#                fixes nothing
+FAULT_IDS = ("nu-coord", "u2-diagonal", "h-minus-one")
+
+
+def _minus_one_as_h(c):
+    n = c.lattice.rank
+    minus = make_isometry(c.lattice, [[-int(i == j) for j in range(n)] for i in range(n)])
+    return replace(c, isometries={**c.isometries, "h": minus})
 
 
 def _builders(inject_fault):
@@ -294,11 +306,21 @@ def _builders(inject_fault):
     if inject_fault == "nu-coord":
         nu = list(NU_BASE)
         nu[4] = Fraction(1, 3)  # breaks integral pairing with the base
+
+    def build_l(get):
+        c = build_L(nu_override=nu)[0]
+        return _minus_one_as_h(c) if inject_fault == "h-minus-one" else c
+
+    def build_u2(get):
+        if inject_fault == "u2-diagonal":
+            return direct_sum([std_gram("A1", scale=-1)] * 6)
+        return u2_cubed()
+
     return {
-        "L": lambda get: build_L(nu_override=nu)[0],
+        "L": build_l,
         "nikulin": lambda get: build_nikulin()[0],
         "md5": lambda get: build_MD5(get("nikulin")),
-        "u2^3": lambda get: u2_cubed(),
+        "u2^3": build_u2,
         "disc:L": lambda get: discriminant_group(get("L").lattice),
         "disc:nikulin": lambda get: discriminant_group(get("nikulin").lattice),
         "disc:md5": lambda get: discriminant_group(get("md5").lattice),
@@ -343,8 +365,7 @@ def _half_unimodular(lat, rows):
 
 
 def _h_invariant_matches(c):
-    closure = group_closure([c.isometries["h"]])
-    inv_lat, inv_rows = invariant_sublattice(c.lattice, closure)
+    inv_lat, inv_rows = invariant_sublattice(c.lattice, [c.isometries["h"]])
     comp_lat, comp_rows = orthogonal_complement(c.lattice, _e_rows(c))
     return inv_rows == comp_rows and len(inv_rows) == 8
 
@@ -382,8 +403,8 @@ CLAIMS = (
           lambda L, fqf: disc_action_trivial(L.lattice, L.isometries["g"], fqf=fqf),
           ("L", "disc:L")),
     Claim("g/no-invariants", "isometry-g", 0,
-          lambda L: len(invariant_sublattice(
-              L.lattice, group_closure([L.isometries["g"]]))[1]), ("L",)),
+          lambda L: len(invariant_sublattice(L.lattice, [L.isometries["g"]])[1]),
+          ("L",)),
     # -- the dihedral group <g, h>
     Claim("dih10/h-order", "involution-h", 2,
           lambda L: order(L.isometries["h"]), ("L",)),

@@ -6,15 +6,24 @@ row vector v the image has coordinates M . v^T.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from . import ratmat
-from .ratmat import det, identity, int_kernel, mat_mul, mat_vec, to_int, transpose
+from .ratmat import (
+    clear_denominators, det, identity, int_kernel, mat_mul, mat_vec, to_int,
+    transpose,
+)
 from .lattice import CapExceeded, LatticeError, sublattice
 
 
 class IsometryError(LatticeError):
     pass
+
+
+def _product(a, b_cols):
+    """The int matrix product a b as a tuple of tuples, from the rows of a
+    and the columns of b."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
 
 
 @dataclass(frozen=True)
@@ -29,8 +38,7 @@ class Isometry:
     def __mul__(self, other):
         if other.lattice != self.lattice:
             raise IsometryError("isometries live on different lattices")
-        return Isometry(self.lattice,
-                        tuple(tuple(x) for x in mat_mul(self.rows, other.rows)))
+        return Isometry(self.lattice, _product(self.matrix, tuple(zip(*other.matrix))))
 
     def inverse(self):
         inv = ratmat.inverse(self.rows)
@@ -70,13 +78,14 @@ def order(iso, cap=1000):
 
 def disc_action_trivial(lat, iso, fqf=None):
     """True iff the isometry fixes every class of the discriminant group,
-    i.e. M x - x is integral for each generator lift x."""
+    i.e. M x - x is integral for each generator lift x: with the lifts
+    as int rows X over their common denominator d, M X = X mod d."""
     from .lattice import discriminant_group
     if fqf is None:
         fqf = discriminant_group(lat)
-    for lift in fqf.generator_lifts:
-        img = mat_vec(iso.rows, list(lift))
-        if any(Fraction(a - b).denominator != 1 for a, b in zip(img, lift)):
+    lifts, d = clear_denominators(fqf.generator_lifts)
+    for x in lifts:
+        if any((a - b) % d for a, b in zip(mat_vec(iso.rows, x), x)):
             return False
     return True
 
@@ -95,14 +104,19 @@ class GroupClosure:
 
 
 def group_closure(gens, cap=10000):
-    """Breadth-first closure of the generated matrix group."""
+    """Breadth-first closure of the generated matrix group.
+
+    Each new element is multiplied on the right by the generators only:
+    in a finite group every inverse is a positive power, so the closure
+    is the whole group, and an infinite group runs past cap (CapExceeded).
+    """
     if not gens:
         raise IsometryError("need at least one generator")
     lat = gens[0].lattice
     for g in gens:
         if g.lattice != lat:
             raise IsometryError("generators live on different lattices")
-    gens = list(gens) + [g.inverse() for g in gens]
+    cols = [tuple(zip(*g.matrix)) for g in gens]
     n = lat.rank
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     seen = {ident}
@@ -110,9 +124,8 @@ def group_closure(gens, cap=10000):
     while frontier:
         new = []
         for m in frontier:
-            mi = Isometry(lat, m)
-            for g in gens:
-                prod = (mi * g).matrix
+            for g_cols in cols:
+                prod = _product(m, g_cols)
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:
@@ -123,16 +136,19 @@ def group_closure(gens, cap=10000):
     return GroupClosure(lat, tuple(sorted(seen)))
 
 
-def invariant_sublattice(lat, closure):
-    """Saturated fixed sublattice of the group: kernel of stacked (M - I).
+def invariant_sublattice(lat, gens):
+    """Saturated sublattice fixed by the group the isometries gens
+    generate: a vector is fixed by the group iff it is fixed by every
+    generator, so this is int_kernel of the stacked rows of g - I (in
+    Hermite normal form).
 
     Returns (lattice_or_rank0, basis_rows).
     """
     n = lat.rank
     stacked = []
-    for m in closure.elements:
-        for i in range(n):
-            row = [m[i][j] - (1 if i == j else 0) for j in range(n)]
+    for g in gens:
+        for i, row in enumerate(g.matrix):
+            row = [x - (1 if i == j else 0) for j, x in enumerate(row)]
             if any(row):
                 stacked.append(row)
     basis = int_kernel(stacked) if stacked else identity(n)

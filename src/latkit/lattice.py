@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from . import ratmat
 from .ratmat import (
@@ -304,40 +305,67 @@ def orthogonal_complement(lat, rows):
     return make_lattice(gram), basis
 
 
+def _fqf_table(f, den):
+    """Every element of f in elements() order as (coeffs, order, Q, row):
+    Q = den q(x) mod 2 den and row[j] = den b(x, gen_j) mod den, on ints.
+    den must clear the denominators of f's q and b values.  The table is
+    built one generator at a time: adding c gen_i to a prefix x adds
+    c^2 Q_i + 2 c row_x[i] to Q, which is q_of's expansion."""
+    two_den = 2 * den
+    table = [((), 1, 0, (0,) * len(f.invariant_factors))]
+    for i, d in enumerate(f.invariant_factors):
+        qi = int(f.q_values[i] * den)
+        brow = [int(x * den) for x in f.b_matrix[i]]
+        longer = []
+        for coeffs, o, q, row in table:
+            for c in range(d):
+                longer.append((coeffs + (c,), lcm(o, d // gcd(c, d)),
+                               (q + c * c * qi + 2 * c * row[i]) % two_den,
+                               tuple((r + c * b) % den for r, b in zip(row, brow))))
+        table = longer
+    return table
+
+
 def fqf_isomorphic(f1, f2):
     """Search for an isomorphism of finite quadratic forms.
 
     Returns a witness (tuple of images of f1's generators, as coefficient
     tuples in f2) or None if no isomorphism exists.  Raises CapExceeded
-    when the backtracking tries more than NODE_BUDGET candidate images.
+    when the order exceeds NODE_BUDGET (before any table is built) or the
+    backtracking tries more than NODE_BUDGET candidate images.
+
+    The search runs on int tables (_fqf_table) over den, the lcm of the
+    denominators of both forms' q and b values: the (element order, q)
+    multisets must agree, and a candidate image x of generator i needs
+    f1's order and q, then b(x, y) = sum_j row_x[j] y[j] mod den against
+    each earlier image y and itself.  Candidates are scanned in
+    elements() order, so witnesses and node counts are those of the
+    Fraction search over q_of and b_of.
     """
     if f1.order != f2.order:
         return None
     if sorted(f1.invariant_factors) != sorted(f2.invariant_factors):
         return None
+    if f1.order > NODE_BUDGET:
+        raise CapExceeded("isomorphism search on order %d past %d nodes"
+                          % (f1.order, NODE_BUDGET))
+    den = lcm(*(Fraction(x).denominator for f in (f1, f2)
+                for x in f.q_values + tuple(v for row in f.b_matrix for v in row)))
+    table1 = _fqf_table(f1, den)
+    pool = _fqf_table(f2, den)
     # full-multiset prune on (element order, q value)
-    if f1.order <= 4096:
-        m1 = sorted((f1.element_order(e), f1.q_of(e)) for e in f1.elements())
-        m2 = sorted((f2.element_order(e), f2.q_of(e)) for e in f2.elements())
-        if m1 != m2:
-            return None
-    else:
-        m1 = sorted((d, q) for d, q in zip(f1.invariant_factors, f1.q_values))
-        m2 = sorted((d, q) for d, q in zip(f2.invariant_factors, f2.q_values))
-        if m1 != m2:
-            return None
+    if sorted(e[1:3] for e in table1) != sorted(e[1:3] for e in pool):
+        return None
 
-    gens1 = list(range(len(f1.invariant_factors)))
-    q1 = [f1.q_values[i] % 2 for i in gens1]
-    b1 = [[f1.b_matrix[i][j] % 1 for j in gens1] for i in gens1]
-    pool = [(e, f2.element_order(e), f2.q_of(e)) for e in f2.elements()]
-
+    k = len(f1.invariant_factors)
+    q1 = [int(x * den) % (2 * den) for x in f1.q_values]
+    b1 = [[int(x * den) % den for x in row] for row in f1.b_matrix]
+    mods = f2.invariant_factors
     assigned = []
 
     def generated_order(images):
-        seen = {tuple([0] * len(f2.invariant_factors))}
-        frontier = [next(iter(seen))]
-        mods = f2.invariant_factors
+        seen = {(0,) * k}
+        frontier = list(seen)
         while frontier:
             new = []
             for x in frontier:
@@ -353,25 +381,19 @@ def fqf_isomorphic(f1, f2):
 
     def backtrack(i):
         nonlocal nodes
-        if i == len(gens1):
-            if generated_order(assigned) == f2.order:
-                return True
-            return False
-        want_order = f1.invariant_factors[i]
-        for cand, o, q in pool:
+        if i == k:
+            return generated_order(assigned) == f2.order
+        want_order, want_q, want_b = f1.invariant_factors[i], q1[i], b1[i]
+        for cand, o, q, row in pool:
             nodes += 1
             if nodes > NODE_BUDGET:
                 raise CapExceeded("isomorphism search past %d nodes" % NODE_BUDGET)
-            if o != want_order or q != q1[i]:
+            if o != want_order or q != want_q:
                 continue
-            ok = True
-            for j, prev in enumerate(assigned):
-                if f2.b_of(cand, prev) != b1[i][j]:
-                    ok = False
-                    break
-            if f2.b_of(cand, cand) % 1 != b1[i][i]:
-                ok = False
-            if not ok:
+            if any(sum(map(mul, row, prev)) % den != want_b[j]
+                   for j, prev in enumerate(assigned)):
+                continue
+            if sum(map(mul, row, cand)) % den != want_b[i]:
                 continue
             assigned.append(cand)
             if backtrack(i + 1):

@@ -174,3 +174,19 @@ def test_fault_fails_exactly_the_claims_on_L():
     for c in claims:
         on_L = c.id.split("/")[0] in ("L", "g", "dih10", "e8")
         assert c.passed != on_L, c.id
+
+
+@pytest.mark.parametrize("fault,failed", [
+    ("u2-diagonal", {"nikulin/disc-form-matches-U2-cubed"}),
+    ("h-minus-one", {"dih10/relation", "dih10/g2h-minus-on-f",
+                     "dih10/h-reflection-match", "dih10/h-invariant-is-e-complement"}),
+])
+def test_fault_fails_its_claim_group(fault, failed):
+    # <-2>^6 has q values 3/2, so no isomorphism to the Nikulin form; -I
+    # as h commutes with g and fixes nothing
+    out = io.StringIO()
+    assert cli.main(["repro", "--json", "--inject-fault", fault], out=out) == cli.EXIT_FAIL
+    results = json.loads(out.getvalue())["results"]
+    assert len(results) == 51
+    assert {r["id"] for r in results if not r["pass"]} == failed
+    assert all(r["computed"] in ("True", "False") for r in results if not r["pass"])

@@ -67,10 +67,10 @@ def test_group_closure_cap():
 
 def test_invariant_sublattice():
     lat, rot = a2_rotation()
-    inv, rows = invariant_sublattice(lat, group_closure([rot]))
+    inv, rows = invariant_sublattice(lat, [rot])
     assert rows == []  # order-3 rotation of A2 fixes nothing
     swap = make_isometry(lat, [[0, 1], [1, 0]])
-    inv, rows = invariant_sublattice(lat, group_closure([swap]))
+    inv, rows = invariant_sublattice(lat, [swap])
     assert rows == [[1, 1]]
     assert inv.gram == ((2,),)
 
