@@ -245,8 +245,8 @@ def assert_same_search(f1, f2, monkeypatch):
     if want is not None:
         assert is_witness(f1, f2, got)
     if nodes == 0:
-        # rejected before any candidate: the whole scan of one generator
-        # would already spend the order
+        # the prune rejected the pair before any candidate; a search that
+        # skipped it would run past a budget of just the order
         with monkeypatch.context() as m:
             m.setattr(lattice, "NODE_BUDGET", f1.order)
             assert fqf_isomorphic(f1, f2) is None
