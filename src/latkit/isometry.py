@@ -148,9 +148,9 @@ def invariant_sublattice(lat, gens):
     stacked = []
     for g in gens:
         for i, row in enumerate(g.matrix):
-            row = [x - (1 if i == j else 0) for j, x in enumerate(row)]
-            if any(row):
-                stacked.append(row)
+            moved = [x - (1 if i == j else 0) for j, x in enumerate(row)]
+            if any(moved):
+                stacked.append(moved)
     basis = int_kernel(stacked) if stacked else identity(n)
     if not basis:
         from .lattice import IntegralLattice
