@@ -10,6 +10,11 @@ from dataclasses import dataclass
 
 from . import cyclo
 from .cyclo import Cyc5
+from .isometry import CapExceeded
+
+# Cofactor terms one resultant determinant may expand before CapExceeded;
+# the largest in repro (5 x 5) expands 19.
+DET_TERM_BUDGET = 10_000
 
 
 class FamilyError(ValueError):
@@ -18,30 +23,27 @@ class FamilyError(ValueError):
 
 # --- polynomials over Q(w) ------------------------------------------------
 
+def _accumulate(p, key, c):
+    """p[key] += c, dropping the key when the sum is zero."""
+    acc = p[key] + c if key in p else c
+    if acc:
+        p[key] = acc
+    else:
+        p.pop(key, None)
+
+
 def poly_from_terms(terms):
     """terms: iterable of (exponent tuple, coefficient)."""
     p = {}
     for exps, c in terms:
-        c = c if isinstance(c, Cyc5) else Cyc5.one() * c
-        if not c:
-            continue
-        key = tuple(int(e) for e in exps)
-        acc = p.get(key, Cyc5.zero()) + c
-        if acc:
-            p[key] = acc
-        else:
-            p.pop(key, None)
+        _accumulate(p, tuple(int(e) for e in exps), c if isinstance(c, Cyc5) else Cyc5.one() * c)
     return p
 
 
 def poly_add(p, q):
     out = dict(p)
     for k, c in q.items():
-        acc = out.get(k, Cyc5.zero()) + c
-        if acc:
-            out[k] = acc
-        else:
-            out.pop(k, None)
+        _accumulate(out, k, c)
     return out
 
 
@@ -56,12 +58,7 @@ def poly_mul(p, q):
     out = {}
     for k1, c1 in p.items():
         for k2, c2 in q.items():
-            k = tuple(a + b for a, b in zip(k1, k2))
-            acc = out.get(k, Cyc5.zero()) + c1 * c2
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
+            _accumulate(out, tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
     return out
 
 
@@ -97,15 +94,15 @@ def poly_substitute(p, linear_forms):
     return out
 
 
+def _linear_forms(rows):
+    """Row i as the linear form sum_j rows[i][j] y_j."""
+    return [poly_from_terms(((tuple(int(k == j) for k in range(len(row))), x)
+                             for j, x in enumerate(row) if x)) for row in rows]
+
+
 def poly_apply_map(p, matrix):
     """Compose p with the linear map x -> M x (substitute x_i by row i of M)."""
-    n = len(matrix)
-    forms = []
-    for i in range(n):
-        forms.append(poly_from_terms(
-            ((tuple(1 if k == j else 0 for k in range(n)), matrix[i][j])
-             for j in range(n) if matrix[i][j])))
-    return poly_substitute(p, forms)
+    return poly_substitute(p, _linear_forms(matrix))
 
 
 def poly_total_degree(p):
@@ -294,14 +291,7 @@ def fixed_locus(iota):
 def restrict_to_subspace(poly, basis_rows):
     """Restrict a polynomial to the subspace spanned by basis_rows,
     yielding a polynomial in len(basis_rows) parameters."""
-    k = len(basis_rows)
-    nv = len(basis_rows[0])
-    forms = []
-    for i in range(nv):
-        forms.append(poly_from_terms(
-            ((tuple(1 if t == j else 0 for t in range(k)), basis_rows[j][i])
-             for j in range(k) if basis_rows[j][i])))
-    return poly_substitute(poly, forms)
+    return poly_substitute(poly, _linear_forms(list(zip(*basis_rows))))
 
 
 def restrict_and_count(poly, line_rows):
@@ -328,12 +318,7 @@ def sylvester_resultant(p, q, var):
         for exps, c in poly.items():
             e = exps[var]
             rest = tuple(x for i, x in enumerate(exps) if i != var)
-            bucket = by_deg.setdefault(e, {})
-            acc = bucket.get(rest, Cyc5.zero()) + c
-            if acc:
-                bucket[rest] = acc
-            else:
-                bucket.pop(rest, None)
+            _accumulate(by_deg.setdefault(e, {}), rest, c)
         return by_deg
 
     cp, cq = coeffs_in(p), coeffs_in(q)
@@ -356,7 +341,11 @@ def sylvester_resultant(p, q, var):
     return _poly_det(rows, one)
 
 
-def _poly_det(rows, one):
+def _poly_det(rows, one, terms=None):
+    """Cofactor expansion along the first row.  An n x n matrix can expand
+    into n! terms, so past DET_TERM_BUDGET terms (counted in terms[0]
+    across the recursion) it raises CapExceeded."""
+    terms = terms or [0]
     n = len(rows)
     if n == 0:
         return one
@@ -366,8 +355,11 @@ def _poly_det(rows, one):
     for j in range(n):
         if not rows[0][j]:
             continue
+        terms[0] += 1
+        if terms[0] > DET_TERM_BUDGET:
+            raise CapExceeded("resultant determinant past %d terms" % DET_TERM_BUDGET)
         minor = [[r[k] for k in range(n) if k != j] for r in rows[1:]]
-        term = poly_mul(rows[0][j], _poly_det(minor, one))
+        term = poly_mul(rows[0][j], _poly_det(minor, one, terms))
         out = poly_add(out, term) if j % 2 == 0 else poly_add(out, poly_scale(term, -1))
     return out
 

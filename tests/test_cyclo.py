@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from cyclo_ref import RefCyc5, from_ref, ref_rref, to_ref
+from latkit import cyclo, ratmat
 from latkit.cyclo import Cyc5, CycloError
 
 
@@ -42,20 +45,23 @@ def test_field_axioms_random():
 def test_inverse_and_division():
     w = Cyc5.omega(1)
     assert w.inv() == Cyc5.omega(4)
-    assert (Cyc5.one() + w) / (Cyc5.one() + w) == Cyc5.one()
     with pytest.raises(CycloError):
         Cyc5.zero().inv()
+    # division lives only in the reference
+    rw = RefCyc5.omega(1)
+    assert (RefCyc5.one() + rw) / (RefCyc5.one() + rw) == RefCyc5.one()
+    assert 1 / rw == RefCyc5.omega(4)
 
 
 def test_norm_is_rational_and_multiplicative():
     rng = random.Random(56)
     for _ in range(50):
-        a, b = rand_elt(rng), rand_elt(rng)
+        a, b = to_ref(rand_elt(rng)), to_ref(rand_elt(rng))
         if not a or not b:
             continue
         assert (a * b).norm() == a.norm() * b.norm()
     # norm of 1 - w is Phi_5(1) = 5
-    assert (Cyc5.one() - Cyc5.omega(1)).norm() == 5
+    assert (RefCyc5.one() - RefCyc5.omega(1)).norm() == 5
 
 
 def test_conj_is_automorphism():
@@ -75,7 +81,11 @@ def test_pow_matches_repeated_product():
     for k in range(6):
         assert a ** k == acc
         acc = acc * a
-    assert a ** -2 == (a.inv()) ** 2
+    with pytest.raises(CycloError):
+        a ** -2
+    r = to_ref(a)
+    assert r ** -2 == r.inv() ** 2
+    assert from_ref(r ** -2) == a.inv() ** 2
 
 
 def test_int_coercion_and_repr():
@@ -88,5 +98,106 @@ def test_int_coercion_and_repr():
 def test_immutability_and_hash():
     a = Cyc5.one()
     with pytest.raises(AttributeError):
-        a.c = ()
+        a.n = (2, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        a.d = 2
     assert hash(Cyc5((1, 0, 0, 0))) == hash(Cyc5.one())
+
+
+def test_canonical_form():
+    half = Cyc5((Fraction(1, 2), 0, 0, 0))
+    assert Cyc5((Fraction(2, 4), 0, 0, 0)) == half
+    assert half != Cyc5((Fraction(1, 3), 0, 0, 0)) and half != 1
+    assert hash(Cyc5((Fraction(2, 4), 0, 0, 0))) == hash(half)
+    quarter = Cyc5((Fraction(1, 4), 0, 0, 0))
+    assert quarter + quarter == half and hash(quarter + quarter) == hash(half)
+    assert (quarter + quarter).d == 2
+    assert half * 2 == Cyc5.one() and (half * 2).d == 1
+    sevenths = Cyc5((Fraction(1, 7), Fraction(-2, 7), 0, Fraction(3, 7)))
+    zero = sevenths - sevenths
+    assert zero == Cyc5.zero() and hash(zero) == hash(Cyc5.zero())
+    assert zero.n == (0, 0, 0, 0) and zero.d == 1 and not zero
+    assert (sevenths + (-sevenths)) == 0
+    # the numerators share a factor with the denominator only jointly
+    mixed = Cyc5((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 0))
+    assert (mixed.n, mixed.d) == ((1, 2, 3, 0), 6)
+    assert mixed + mixed + mixed == Cyc5((Fraction(1, 2), 1, Fraction(3, 2), 0))
+    assert (mixed * 6).d == 1 and (mixed * 6).n == (1, 2, 3, 0)
+
+
+def test_matches_reference_with_denominators():
+    """Elements with denominators 1-12 against the Fraction reference:
+    +, -, *, ==, hash and inv, then cyclo.rref on random 3 x 5 matrices
+    (some with a dependent row) against the division Gauss-Jordan."""
+    rng = random.Random(71)
+
+    def rand_den(p_zero=0.2):
+        if rng.random() < p_zero:
+            return Cyc5.zero()
+        d = rng.randint(1, 12)
+        return Cyc5(tuple(Fraction(rng.randint(-9, 9), d) if rng.random() < 0.8 else 0
+                          for _ in range(4)))
+
+    for _ in range(300):
+        a, b = rand_den(), rand_den()
+        ra, rb = to_ref(a), to_ref(b)
+        for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                          (-a, -ra), (a * 3, ra * 3), (Fraction(5, 6) - a, Fraction(5, 6) - ra)):
+            assert got == from_ref(want)
+            assert to_ref(got) == want
+            assert got.d > 0 and math.gcd(*got.n, got.d) == 1
+        assert (a == b) == (ra == rb)
+        assert a == from_ref(ra) and hash(a) == hash(from_ref(ra))
+        if a:
+            assert to_ref(a.inv()) == ra.inv()
+            assert (a * a.inv()).n == (1, 0, 0, 0)
+    shapes = set()
+    for case in range(60):
+        m = [[rand_den(0.3) for _ in range(5)] for _ in range(3)]
+        if case % 3 == 0:
+            c = [rand_den(0) for _ in range(2)]
+            m[2] = [c[0] * x + c[1] * y for x, y in zip(m[0], m[1])]
+        red, pivots = cyclo.rref(m, 5)
+        want_red, want_pivots = ref_rref(m, 5)
+        assert pivots == want_pivots
+        assert [[to_ref(x) for x in row] for row in red] == want_red
+        shapes.add(len(pivots))
+    assert shapes == {2, 3}
+
+
+def test_rref_with_negative_last_pivot(monkeypatch):
+    """The elimination may end on a negative pivot; rref must flip the
+    signs before it reads the entries (denominators stay positive)."""
+    seen = []
+    kernel = ratmat._fraction_free
+
+    def spy(rows, ncols, above=True):
+        out = kernel(rows, ncols, above)
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(ratmat, "_fraction_free", spy)
+    w = Cyc5.omega(1)
+    rows = [[w, Cyc5((1, 2, 0, 0)), Cyc5((Fraction(1, 3), 0, 0, 0))]]
+    red, pivots = cyclo.rref(rows, 3)
+    assert seen[-1] < 0
+    want, want_pivots = ref_rref(rows, 3)
+    assert pivots == want_pivots == [0]
+    assert [[to_ref(x) for x in row] for row in red] == want
+    assert all(x.d > 0 for row in red for x in row)
+
+
+def test_int_arithmetic_builds_no_fraction(monkeypatch):
+    """With every denominator 1, +, -, * (also by an int) and rref run on
+    ints alone: no Fraction is constructed."""
+    rng = random.Random(73)
+    elts = [Cyc5(tuple(rng.randint(-5, 5) for _ in range(4))) for _ in range(20)]
+    rows = [elts[i:i + 4] for i in range(0, 12, 4)]
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("Fraction constructed")
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(no_fraction))
+    for a, b in zip(elts, elts[1:]):
+        a + b, a - b, a * b, 2 * a, a - 1, -a, a == b
+    cyclo.rref(rows, 4)

@@ -1,9 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from latkit import k3fam, ratmat
+from cyclo_ref import (
+    RefCyc5, from_ref_matrix, ref_kernel, ref_matrix, ref_rref,
+)
+from latkit import k3fam
+from latkit.isometry import CapExceeded
 from latkit.cyclo import Cyc5
 from latkit.k3fam import (
     FamilyError, MonomialFamily, ProjectiveMap, commutant_dim, diagonal_map,
@@ -106,6 +111,25 @@ def test_sylvester_resultant_degree():
     assert sylvester_resultant(poly_mul(shared, shared), shared, 0) == {}
 
 
+def test_resultant_determinant_budget(monkeypatch):
+    # a dense 4 x 4 determinant expands 4 + 4 * 3 + 4 * 3 * 2 = 40 terms
+    rows = [[{(): one * c} for c in row] for row in
+            ([2, 1, 0, 3], [1, 4, 1, 1], [5, 1, 3, 2], [1, 2, 1, 6])]
+    with monkeypatch.context() as m:
+        m.setattr(k3fam, "DET_TERM_BUDGET", 40)
+        assert k3fam._poly_det(rows, {(): one}) == {(): one * 136}
+        m.setattr(k3fam, "DET_TERM_BUDGET", 39)
+        with pytest.raises(CapExceeded):
+            k3fam._poly_det(rows, {(): one})
+    # dense binary octics: a 16 x 16 Sylvester matrix, 16! cofactor terms
+    p = poly_from_terms([((k, 8 - k), k + 1) for k in range(9)])
+    q = poly_from_terms([((k, 8 - k), (-1) ** k * (k + 2)) for k in range(9)])
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="past %d terms" % k3fam.DET_TERM_BUDGET):
+        sylvester_resultant(p, q, 0)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_plane_fixed_count_bezout():
     plane = [(one, Cyc5.zero(), Cyc5.zero()),
              (Cyc5.zero(), one, Cyc5.zero()),
@@ -170,46 +194,8 @@ def test_catalog_cases_are_consistent():
                             case["redundancy"]) == 3
 
 
-# --- oracle: the field-generic Gauss-Jordan that solved over Q(w) before
-# the solves went through cyclo.rref, kept unchanged as the reference ----
-
-def ref_rref(rows, ncols):
-    """Reduced row echelon form over any exact field.
-
-    Entries must support +, -, *, / and truth testing.  Returns (R, pivots).
-    """
-    a = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def ref_kernel(rows, ncols, zero=Fraction(0), one=Fraction(1)):
-    """Basis (as rows) of the right kernel {x : A x = 0} over the field."""
-    red, pivots = ref_rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = zero - red[r][f]
-        basis.append(v)
-    return basis
-
+# --- oracle: the ref_* functions compute on the Fraction Q(w) arithmetic
+# and field-generic Gauss-Jordan of tests/cyclo_ref.py alone ------------
 
 def _rand_cyc(rng, rational):
     if rational or rng.random() < 0.3:
@@ -229,16 +215,17 @@ def _rand_cyc_matrix(rng, n, rational):
 
 
 def ref_commutant_dim(a):
+    a = ref_matrix(a)
     n = len(a)
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [Cyc5.zero()] * (n * n)
+            row = [RefCyc5.zero()] * (n * n)
             for k in range(n):
                 row[i * n + k] = row[i * n + k] + a[k][j]
                 row[k * n + j] = row[k * n + j] - a[i][k]
             rows.append(row)
-    return len(ref_kernel(rows, n * n, Cyc5.zero(), one))
+    return len(ref_kernel(rows, n * n))
 
 
 def test_inverse_and_commutant_match_reference():
@@ -255,7 +242,8 @@ def test_inverse_and_commutant_match_reference():
             with pytest.raises(FamilyError, match="singular"):
                 ProjectiveMap(a).inverse()
         else:
-            assert ProjectiveMap(a).inverse() == ProjectiveMap([row[n:] for row in red])
+            inv = ProjectiveMap(a).inverse()
+            assert inv == ProjectiveMap(from_ref_matrix([row[n:] for row in red]))
         if n <= 3:
             assert commutant_dim(ProjectiveMap(a)) == ref_commutant_dim(a)
     assert singular >= 8
@@ -283,28 +271,37 @@ def test_commutant_dim_of_conjugated_diagonals():
 
 
 # --- reference: dihedral_in_pgl as it was written before the sigma iota
-# sigma test, with k-fold powers, an inverse and division ----------------
+# sigma test, with k-fold powers, an inverse and division, on RefCyc5 ----
 
 def ref_product(a, b):
-    return ProjectiveMap(ratmat.mat_mul(a.rows, b.rows))
+    return [[sum((x * y for x, y in zip(row, col)), RefCyc5.zero()) for col in zip(*b)]
+            for row in a]
 
 
 def ref_power(a, k):
-    out = diagonal_map([one] * a.size)
+    n = len(a)
+    out = [[RefCyc5.one() if i == j else RefCyc5.zero() for j in range(n)] for i in range(n)]
     for _ in range(k):
         out = ref_product(out, a)
     return out
 
 
+def ref_inverse(a):
+    n = len(a)
+    red, _ = ref_rref([row + [RefCyc5.one() if i == j else RefCyc5.zero() for j in range(n)]
+                       for i, row in enumerate(a)], n)
+    return [row[n:] for row in red]
+
+
 def ref_is_scalar(a):
-    d = a.matrix[0][0]
-    return bool(d) and all(a.matrix[i][j] == (d if i == j else Cyc5.zero())
-                           for i in range(a.size) for j in range(a.size))
+    d = a[0][0]
+    return bool(d) and all(a[i][j] == (d if i == j else RefCyc5.zero())
+                           for i in range(len(a)) for j in range(len(a)))
 
 
 def ref_pgl_equal(a, b):
     lam = None
-    for x, y in zip(sum(a.matrix, ()), sum(b.matrix, ())):
+    for x, y in zip(sum(a, []), sum(b, [])):
         if bool(x) != bool(y):
             return False
         if y:
@@ -316,12 +313,13 @@ def ref_pgl_equal(a, b):
 
 
 def ref_dihedral_in_pgl(sigma, iota):
-    if iota.size != sigma.size or not ref_is_scalar(ref_power(iota, 2)):
+    s, i = ref_matrix(sigma.rows), ref_matrix(iota.rows)
+    if len(i) != len(s) or not ref_is_scalar(ref_power(i, 2)):
         return False
-    if ref_is_scalar(sigma) or not ref_is_scalar(ref_power(sigma, 5)):
+    if ref_is_scalar(s) or not ref_is_scalar(ref_power(s, 5)):
         return False
-    conj = ref_product(ref_product(iota, sigma), iota.inverse())
-    return ref_pgl_equal(conj, sigma.inverse())
+    conj = ref_product(ref_product(i, s), ref_inverse(i))
+    return ref_pgl_equal(conj, ref_inverse(s))
 
 
 def test_power_is_repeated_product():
@@ -329,7 +327,7 @@ def test_power_is_repeated_product():
     dense = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
     for a in (dense, diagonal_map([w(1), -w(3), one]), permutation_map([2, 0, 1], [1, -1, 1])):
         for k in range(12):
-            assert a.power(k) == ref_power(a, k)
+            assert a.power(k) == ProjectiveMap(from_ref_matrix(ref_power(ref_matrix(a.rows), k)))
 
 
 def test_dihedral_in_pgl_matches_reference():
@@ -377,7 +375,7 @@ def test_pgl_equal_matches_division_reference():
             i, j = rng.randrange(n), rng.randrange(n)
             b[i][j] = Cyc5.zero() if b[i][j] and rng.random() < 0.5 else b[i][j] + one
         pa, pb = ProjectiveMap(a), ProjectiveMap(b)
-        want = ref_pgl_equal(pa, pb)
+        want = ref_pgl_equal(ref_matrix(a), ref_matrix(b))
         assert pgl_equal(pa, pb) == want
         zeros_match = all(bool(x) == bool(y) for x, y in zip(sum(pa.matrix, ()), sum(pb.matrix, ())))
         seen.add((want, zeros_match, lam == one))
@@ -395,14 +393,16 @@ def test_fixed_locus_matches_reference():
         if pivots != list(range(n)):
             continue
         signs = [rng.choice((1, -1)) for _ in range(n)]
-        iota = ProjectiveMap(p) * diagonal_map(signs) * ProjectiveMap([r[n:] for r in red])
+        iota = (ProjectiveMap(p) * diagonal_map(signs)
+                * ProjectiveMap(from_ref_matrix([r[n:] for r in red])))
+        ref_iota = ref_matrix(iota.rows)
         expected = []
         for sign in (1, -1):
-            rows = [[iota.matrix[i][j] - (one * sign if i == j else Cyc5.zero())
-                     for j in range(n)] for i in range(n)]
-            basis = ref_kernel(rows, n, Cyc5.zero(), one)
+            rows = [[ref_iota[i][j] - (sign if i == j else 0) for j in range(n)]
+                    for i in range(n)]
+            basis = ref_kernel(rows, n)
             if basis:
-                expected.append((sign, [tuple(v) for v in basis]))
+                expected.append((sign, [tuple(v) for v in from_ref_matrix(basis)]))
         assert fixed_locus(iota) == expected
         counts = (signs.count(1), signs.count(-1))
         assert [len(b) for _, b in expected] == [c for c in counts if c]

@@ -27,3 +27,22 @@ def test_tracer_binds_every_traced_function():
     finally:
         tracer.uninstall()
     assert tracer.stats["lattice.discriminant_group"].calls == 1
+
+
+def test_tracer_counts_cyc5_products_and_inverses():
+    """Cyc5.mul covers both operand orders (the tracer patches __rmul__
+    only while it is the same function as __mul__), and inv is counted on
+    its own; mul is read first, because inv multiplies internally."""
+    modules = {name: importlib.import_module("latkit." + name) for name in run.LAYERS}
+    namespaces = list(run.latkit_modules().values())
+    omega = modules["cyclo"].Cyc5.omega
+    tracer = layertrace.Tracer()
+    tracer.install(modules, namespaces)
+    try:
+        omega(1) * omega(2)
+        2 * omega(1)
+        assert tracer.stats["cyclo.Cyc5.mul"].calls == 2
+        omega(1).inv()
+        assert tracer.stats["cyclo.Cyc5.inv"].calls == 1
+    finally:
+        tracer.uninstall()
