@@ -99,9 +99,6 @@ class GroupClosure:
     def order(self):
         return len(self.elements)
 
-    def __contains__(self, iso):
-        return iso.matrix in self.elements
-
 
 def group_closure(gens, cap=10000):
     """Breadth-first closure of the generated matrix group.

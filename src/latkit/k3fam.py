@@ -7,6 +7,8 @@ are square matrices over Q(w), and every linear solve is a cyclo.rref.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 
 from . import cyclo
 from .cyclo import Cyc5
@@ -15,6 +17,9 @@ from .isometry import CapExceeded
 # Cofactor terms one resultant determinant may expand before CapExceeded;
 # the largest in repro (5 x 5) expands 19.
 DET_TERM_BUDGET = 10_000
+# Unknowns (n^2) of commutant_dim's solve, taken only when sigma^10 != I,
+# before CapExceeded: a dense n = 4 solve takes about 1 s, n = 6 over 80 s.
+COMMUTANT_UNKNOWN_BUDGET = 16
 
 
 class FamilyError(ValueError):
@@ -380,29 +385,29 @@ def plane_fixed_count(polys, plane_rows):
 def commutant_dim(sigma):
     """Dimension over Q(w) of {X : X sigma = sigma X}.
 
-    The nullities d of sigma - lambda over the ten lambda = +-w^k (one n x n
-    cyclo.rref each) sum to n exactly when sigma is diagonalizable over Q(w)
-    with those eigenvalues, as every map of order dividing 10 is; then the
-    dimension is sum d^2.  Otherwise it is the nullity of X -> X sigma - sigma X.
+    If sigma^10 = I, sigma is diagonalizable over Q(w) with eigenvalues among
+    the ten lambda = +-w^k (x^10 - 1 is separable) of multiplicities
+    d = (1/10) sum_{j<10} tr(sigma^j) lambda^-j (the character projection
+    for Z/10), and the dimension is sum d^2: ten map products, no solve.
+    Otherwise it is the nullity of X -> X sigma - sigma X, a solve on n^2
+    unknowns that raises CapExceeded past COMMUTANT_UNKNOWN_BUDGET of them.
     """
     n = sigma.size
+    powers = list(accumulate([sigma] * 10, ProjectiveMap.__mul__, initial=sigma.power(0)))
+    if powers[10] == powers[0]:
+        traces = [sum((p.matrix[i][i] for i in range(n)), Cyc5.zero()) for p in powers[:10]]
+        # 10 d = sum_j tr(sigma^j) x^j at x = 1 / lambda, by Horner's rule
+        dims = [reduce(lambda acc, t: acc * x + t, traces[::-1]).rational_value() / 10
+                for x in (Cyc5.omega(k) * s for s in (1, -1) for k in range(5))]
+        if sum(dims) != n or any(d < 0 or d.denominator != 1 for d in dims):
+            raise FamilyError("eigenvalue multiplicities %s of a map with sigma^10 = I" % dims)
+        return int(sum(d * d for d in dims))
+    if n * n > COMMUTANT_UNKNOWN_BUDGET:
+        raise CapExceeded("commutant solve past %d unknowns" % COMMUTANT_UNKNOWN_BUDGET)
     m = sigma.matrix
-    dims = []
-    for lam in (Cyc5.omega(k) * s for s in (1, -1) for k in range(5)):
-        shifted = [[x - lam if i == j else x for j, x in enumerate(r)]
-                   for i, r in enumerate(m)]
-        dims.append(n - len(cyclo.rref(shifted, n)[1]))
-        if sum(dims) == n:
-            return sum(d * d for d in dims)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            # (X sigma - sigma X)[i][j] as a linear form in the X entries
-            row = [Cyc5.zero()] * (n * n)
-            for k in range(n):
-                row[i * n + k] = row[i * n + k] + m[k][j]
-                row[k * n + j] = row[k * n + j] - m[i][k]
-            rows.append(row)
+    # row (i, j): (X sigma - sigma X)[i][j] as a linear form in the X entries X[a][b]
+    rows = [[m[b][j] * (a == i) - m[i][a] * (b == j) for a in range(n) for b in range(n)]
+            for i in range(n) for j in range(n)]
     return n * n - len(cyclo.rref(rows, n * n)[1])
 
 

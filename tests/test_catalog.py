@@ -190,3 +190,14 @@ def test_fault_fails_its_claim_group(fault, failed):
     assert len(results) == 51
     assert {r["id"] for r in results if not r["pass"]} == failed
     assert all(r["computed"] in ("True", "False") for r in results if not r["pass"])
+
+
+def test_k3_commutant_fault_fails_the_quartic_moduli():
+    # diag(1, 1, w, w^2) in place of the quartic's sigma has commutant
+    # 2^2 + 1 + 1 = 6, so its moduli count drops from 3 to 1
+    out = io.StringIO()
+    assert cli.main(["repro", "--json", "--inject-fault", "k3-commutant"], out=out) == cli.EXIT_FAIL
+    results = json.loads(out.getvalue())["results"]
+    assert len(results) == 51
+    assert [(r["id"], r["computed"]) for r in results if not r["pass"]] == [
+        ("k3/quartic-p3/moduli", "1")]

@@ -147,8 +147,7 @@ def test_commutant_dim():
     assert commutant_dim(diagonal_map([one, one])) == 4
     # repeated eigenvalue in a 3x3: 1 + 1 + a 2x2 block
     assert commutant_dim(diagonal_map([one, one, w(1)])) == 5
-    # not diagonalizable with eigenvalues +-w^k, so the eigenspace count
-    # falls short of n and the n^2-unknown solve answers: a Jordan block
+    # sigma^10 != I, so the n^2-unknown solve answers: a Jordan block
     # (commutant {aI + bN}) and eigenvalues 2 and 2w
     jordan = [[one, one], [Cyc5.zero(), one]]
     assert commutant_dim(ProjectiveMap(jordan)) == ref_commutant_dim(jordan) == 2
@@ -268,6 +267,102 @@ def test_commutant_dim_of_conjugated_diagonals():
         if n <= 3:
             assert ref_commutant_dim(sigma.rows) == expected
         done += 1
+
+
+TEN_ROOTS = [w(k) * s for s in (1, -1) for k in range(5)]
+
+
+def _partitions(n, most):
+    if n == 0:
+        yield []
+    for first in range(min(n, most), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield [first] + rest
+
+
+def test_commutant_dim_of_diagonal_roots_of_unity():
+    # the multiplicity formula sum d^2: every map for n <= 2, and for each
+    # n <= 8 every multiplicity pattern on randomly chosen eigenvalues
+    rng = random.Random(67)
+    maps = [[x] for x in TEN_ROOTS] + [[x, y] for x in TEN_ROOTS for y in TEN_ROOTS]
+    for n in range(1, 9):
+        for parts in _partitions(n, 10):
+            eig = [x for d, x in zip(parts, rng.sample(TEN_ROOTS, len(parts))) for _ in range(d)]
+            rng.shuffle(eig)
+            maps.append(eig)
+    for eig in maps:
+        assert commutant_dim(diagonal_map(eig)) == sum(eig.count(x) ** 2 for x in set(eig))
+    assert len(maps) == 110 + 66
+
+
+def _order(a):
+    """The order of a monomial map of size <= 3 with entries +-w^k (at most 30)."""
+    p = a
+    for k in range(1, 31):
+        if p == a.power(0):
+            return k
+        p = p * a
+    raise AssertionError("order above 30")
+
+
+def test_commutant_dim_of_monomial_maps_matches_reference():
+    # permutation maps with signs +-w^k, n <= 3: orders 2, 5 and 10 take the
+    # trace path, and the others (3, 4, 6, 15, ...) the n^2-unknown solve
+    rng = random.Random(71)
+    seen = {}
+    while min(seen.get(k, 0) for k in (2, 5, 10)) < 6 or len(seen) < 6:
+        n = rng.randint(1, 3)
+        a = permutation_map(rng.sample(range(n), n), [rng.choice(TEN_ROOTS) for _ in range(n)])
+        k = _order(a)
+        if seen.get(k, 0) < 6:
+            assert commutant_dim(a) == ref_commutant_dim(a.rows)
+            seen[k] = seen.get(k, 0) + 1
+    assert any(10 % k for k in seen)
+
+
+def test_commutant_dim_solves_only_when_sigma_to_the_tenth_is_not_one(monkeypatch):
+    rng = random.Random(73)
+    p = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
+    while len(ref_rref(p.rows, 3)[1]) < 3:
+        p = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
+    trace_path = [diagonal_map([one, w(1), -w(1), -one]),
+                  permutation_map([1, 2, 3, 4, 0], [w(2), one, w(3), -one, -one]),
+                  p * diagonal_map([-w(4), -w(4), w(2)]) * p.inverse()]
+    fallback = [ProjectiveMap([[one, one], [Cyc5.zero(), one]]),   # jordan
+                diagonal_map([one * 2, w(1) * 2])]                 # scaled
+    calls, real_rref = [], k3fam.cyclo.rref
+
+    def counting_rref(rows, ncols):
+        calls.append(ncols)
+        return real_rref(rows, ncols)
+
+    monkeypatch.setattr(k3fam.cyclo, "rref", counting_rref)
+    assert [commutant_dim(a) for a in trace_path] == [4, 5, 5]
+    assert calls == []
+    assert [commutant_dim(a) for a in fallback] == [2, 2]
+    assert calls == [4, 4]
+
+
+def test_commutant_solve_budget(monkeypatch):
+    # a dense n = 6 conjugate P diag(2 w^(i mod 3)) P^-1 has sigma^10 != I,
+    # and its 36-unknown solve (over 80 s) is refused at once
+    rng = random.Random(79)
+    p = ProjectiveMap(_rand_cyc_matrix(rng, 6, False))
+    while len(ref_rref(p.rows, 6)[1]) < 6:
+        p = ProjectiveMap(_rand_cyc_matrix(rng, 6, False))
+    sigma = p * diagonal_map([w(i % 3) * 2 for i in range(6)]) * p.inverse()
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="past %d unknowns" % k3fam.COMMUTANT_UNKNOWN_BUDGET):
+        commutant_dim(sigma)
+    assert time.perf_counter() - t0 < 1.0
+    # the budget admits n = 4 (a 2 + 2 Jordan form) and refuses it one lower;
+    # every other solve in the tests has n <= 3
+    jordan = ProjectiveMap([[one, one, 0, 0], [0, one, 0, 0], [0, 0, w(1) * 2, one],
+                            [0, 0, 0, w(1) * 2]])
+    assert commutant_dim(jordan) == ref_commutant_dim(jordan.rows) == 4
+    monkeypatch.setattr(k3fam, "COMMUTANT_UNKNOWN_BUDGET", 15)
+    with pytest.raises(CapExceeded):
+        commutant_dim(jordan)
 
 
 # --- reference: dihedral_in_pgl as it was written before the sigma iota
