@@ -117,7 +117,7 @@ def parse_cyc5(tok, path="<token>", lineno=0):
         if not m or m.end() == pos:
             raise ParseError(path, lineno, "bad Q(w) token %r" % tok)
         sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _parse_fraction(m.group("coef"), path, lineno) if m.group("coef") else 1
         if m.group("exp1") is not None:
             exp = int(m.group("exp1"))
         elif m.group("exp2") is not None:
@@ -153,8 +153,8 @@ def parse_family_file(path, text=None):
         toks = line.split()
         if toks[0] == "vars":
             m = re.fullmatch(r"vars\s+(\d+)", line)
-            if not m:
-                raise ParseError(path, lineno, "expected 'vars n'")
+            if not m or int(m.group(1)) < 1:
+                raise ParseError(path, lineno, "expected 'vars n' with n >= 1")
             n = int(m.group(1))
         elif toks[0] == "weights":
             weights = tuple(_parse_int(t, path, lineno) % 5 for t in toks[1:])

@@ -7,7 +7,6 @@ exact (ints and Fractions); every object is immutable after construction.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -93,38 +92,7 @@ class FiniteQuadraticForm:
 
     @property
     def order(self):
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
-    def q_of(self, coeffs):
-        """q of the element sum(coeffs[i] * lift_i), in [0, 2)."""
-        val = Fraction(0)
-        k = len(self.invariant_factors)
-        for i in range(k):
-            val += coeffs[i] * coeffs[i] * self.q_values[i]
-            for j in range(i + 1, k):
-                val += 2 * coeffs[i] * coeffs[j] * self.b_matrix[i][j]
-        return val % 2
-
-    def b_of(self, x, y):
-        val = Fraction(0)
-        k = len(self.invariant_factors)
-        for i in range(k):
-            for j in range(k):
-                val += x[i] * y[j] * self.b_matrix[i][j]
-        return val % 1
-
-    def element_order(self, coeffs):
-        o = 1
-        for a, d in zip(coeffs, self.invariant_factors):
-            o = lcm(o, d // gcd(a, d))
-        return o
-
-    def elements(self):
-        for coeffs in product(*(range(d) for d in self.invariant_factors)):
-            yield coeffs
+        return prod(self.invariant_factors)
 
 
 def make_lattice(gram):
@@ -267,22 +235,26 @@ def saturation(lat, rows):
     """Primitive closure of the span of integer rows inside the lattice.
 
     Returns (basis_rows, index) where index is the index of the input
-    Z-span inside its saturation.  One Smith normal form D = U rows V gives
-    both: the index is the product of the diagonal of D (the gcd of the
-    k x k minors), and the last n - k columns of V span the kernel of the
-    rows, whose kernel is the saturation (in Hermite normal form).
+    Z-span inside its saturation.  The saturation is the kernel of the
+    kernel of the rows, int_kernel(int_kernel(rows)), in Hermite normal
+    form.  The Hermite basis H of the rows and that of the saturation
+    have the same pivot columns, so the index is the product of H's
+    pivots over the product of the saturation's.
     """
     rows = [list(r) for r in rows]
     n = lat.rank
     k = len(rows)
     if not rows:
         return [], 1
-    _, d, v = snf(rows)
-    diag = [d[i][i] for i in range(min(k, n))]
-    if k > n or not all(diag):
+    h = hnf_int(rows)
+    if len(h) < k:
         raise LatticeError("saturation input rows are dependent")
-    sat = int_kernel(transpose(v)[k:]) if k < n else identity(n)
-    return sat, prod(diag)
+    sat = int_kernel(int_kernel(rows)) if k < n else identity(n)
+    return sat, prod(map(_pivot, h)) // prod(map(_pivot, sat))
+
+
+def _pivot(row):
+    return next(x for x in row if x)
 
 
 def orthogonal_complement(lat, rows):
@@ -306,11 +278,12 @@ def orthogonal_complement(lat, rows):
 
 
 def _fqf_table(f, den):
-    """Every element of f in elements() order as (coeffs, order, Q, row):
-    Q = den q(x) mod 2 den and row[j] = den b(x, gen_j) mod den, on ints.
-    den must clear the denominators of f's q and b values.  The table is
-    built one generator at a time: adding c gen_i to a prefix x adds
-    c^2 Q_i + 2 c row_x[i] to Q, which is q_of's expansion."""
+    """Every element of f as (coeffs, order, Q, row), the coefficient
+    tuples in itertools.product order over range(d_i), d_i the invariant
+    factors: Q = den q(x) mod 2 den and row[j] = den b(x, gen_j) mod den,
+    on ints.  den must clear the denominators of f's q and b values.  The
+    table is built one generator at a time: adding c gen_i to a prefix x
+    adds c^2 Q_i + 2 c row_x[i] to Q, the expansion of q(x + c gen_i)."""
     two_den = 2 * den
     table = [((), 1, 0, (0,) * len(f.invariant_factors))]
     for i, d in enumerate(f.invariant_factors):
@@ -339,8 +312,9 @@ def fqf_isomorphic(f1, f2):
     multisets must agree, and a candidate image x of generator i needs
     f1's order and q, then b(x, y) = sum_j row_x[j] y[j] mod den against
     each earlier image y and itself.  Candidates are scanned in
-    elements() order, so witnesses and node counts are those of the
-    Fraction search over q_of and b_of.
+    _fqf_table's order, itertools.product order of the coefficient
+    tuples, so witnesses and node counts are those of a Fraction search
+    over the same elements.
     """
     if f1.order != f2.order:
         return None

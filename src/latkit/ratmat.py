@@ -305,16 +305,20 @@ def clear_denominators(rows):
 
 
 def int_kernel(mat):
-    """Basis rows of {x in Z^m : mat . x = 0} in Hermite normal form; the
-    kernel is saturated."""
+    """Basis rows of {x in Z^m : mat . x = 0} in Hermite normal form.
+
+    One Hermite form H = W [mat^T | I_m] gives it (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.4.10): the rows of H
+    whose left block is zero have right blocks w with mat . w = 0, and as
+    rows of the unimodular W they span the whole kernel, which is thus
+    saturated.  They are the trailing rows of H, so they are already in
+    Hermite normal form."""
     a = [list(map(to_int, row)) for row in mat]
     if not a:
         return []
-    m = len(a[0])
-    u, d, v = snf(a)
-    r = sum(1 for i in range(min(len(a), m)) if d[i][i])
-    vt = transpose(v)
-    return hnf_int([vt[j] for j in range(r, m)])
+    k, m = len(a), len(a[0])
+    h = hnf_int([col + e for col, e in zip(transpose(a), identity(m))])
+    return [row[k:] for row in h if not any(row[:k])]
 
 
 def signature(gram):

@@ -1,5 +1,5 @@
-"""Session-wide fixtures: L and its discriminant form are built once,
-because discriminant_group(L) dominates the suite's running time."""
+"""Session-wide fixtures: L and its discriminant form are built once and
+shared by every module that checks them."""
 
 import pytest
 

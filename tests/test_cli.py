@@ -134,6 +134,19 @@ def test_family_command_fails_on_mixed_weights(tmp_path):
     assert "FAIL" in text
 
 
+@pytest.mark.parametrize("text, msg", [
+    ("vars 1\nweights 0\nmono 5\nmap sigma\n1/0\nmap iota\n1\n", "bad rational '1/0'"),
+    ("vars 0\nweights\nmono\nmap sigma\nmap iota\n", "expected 'vars n' with n >= 1"),
+])
+def test_family_command_rejects_malformed_file(tmp_path, capsys, text, msg):
+    f = write(tmp_path, "bad.fam", text)
+    code, out = run(["family", f])
+    assert code == EXIT_USAGE and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and msg in err
+    assert "Traceback" not in err
+
+
 def test_repro_filter_and_json():
     code, text = run(["repro", "--filter", "md5", "--json"])
     assert code == EXIT_OK

@@ -9,6 +9,7 @@ from math import isqrt, lcm
 
 import pytest
 
+from fqf_ref import b_of, q_of
 from latkit import catalog
 from latkit.catalog import (
     CatalogError, NamedConstruction, build_L, build_nikulin, reflection_in_span,
@@ -252,7 +253,7 @@ def _isotropic_glue(rng, lat):
     chosen = []
     for _ in range(30):
         c = tuple(rng.randrange(d) for d in f.invariant_factors)
-        if f.q_of(c) or any(f.b_of(c, prev) for prev in chosen):
+        if q_of(f, c) or any(b_of(f, c, prev) for prev in chosen):
             continue
         chosen.append(c)
         if len(chosen) == 3:

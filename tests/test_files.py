@@ -85,6 +85,8 @@ def test_parse_cyc5_tokens():
     assert parse_cyc5("0") == Cyc5.zero()
     with pytest.raises(ParseError):
         parse_cyc5("x+1")
+    with pytest.raises(ParseError, match="bad rational '1/0'"):
+        parse_cyc5("1/0")
 
 
 def test_parse_family_file(tmp_path):
@@ -111,6 +113,9 @@ def test_parse_family_file(tmp_path):
     ("vars x", ":1: expected 'vars n'"),
     ("vars 2\nweights 0 x", ":2:"),
     ("vars 2\nweights 0 1\nmono 1 x", ":3:"),
+    ("vars 0\nweights\nmono\nmap sigma\nmap iota", ":1: expected 'vars n' with n >= 1"),
+    ("vars 1\nweights 0\nmono 5\nmap sigma\n1/0", ":5: bad rational '1/0'"),
+    ("vars 1\nweights 0\nmono 5\nmap sigma\nw+2/0*w^2", ":5: bad rational '2/0'"),
 ])
 def test_parse_family_errors(text, msg):
     with pytest.raises(ParseError, match=msg):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from fqf_ref import b_of, element_order, elements, q_of
 from latkit import lattice
 from latkit.catalog import build_nikulin, std_gram, u2_cubed
 from latkit.isometry import (
@@ -22,27 +23,28 @@ from latkit.lattice import (
     FiniteQuadraticForm, direct_sum, discriminant_group, fqf_isomorphic,
     make_lattice, rescale,
 )
-from latkit.ratmat import det, hnf_int, identity, int_kernel, mat_mul, transpose
+from latkit.ratmat import det, identity, int_kernel, mat_mul, transpose
 
 
 # --- the oracles ----------------------------------------------------------
 
 def ref_fqf_isomorphic(f1, f2):
-    """The Fraction search over q_of and b_of, with its budget, for orders
-    up to 4096; returns (witness or None, candidate images tried)."""
+    """The Fraction search over fqf_ref's q_of and b_of, with its budget,
+    for orders up to 4096; returns (witness or None, candidate images
+    tried)."""
     assert f1.order <= 4096
     if f1.order != f2.order:
         return None, 0
     if sorted(f1.invariant_factors) != sorted(f2.invariant_factors):
         return None, 0
-    m1 = sorted((f1.element_order(e), f1.q_of(e)) for e in f1.elements())
-    m2 = sorted((f2.element_order(e), f2.q_of(e)) for e in f2.elements())
+    m1 = sorted((element_order(f1, e), q_of(f1, e)) for e in elements(f1))
+    m2 = sorted((element_order(f2, e), q_of(f2, e)) for e in elements(f2))
     if m1 != m2:
         return None, 0
     k = len(f1.invariant_factors)
     q1 = [f1.q_values[i] % 2 for i in range(k)]
     b1 = [[f1.b_matrix[i][j] % 1 for j in range(k)] for i in range(k)]
-    pool = [(e, f2.element_order(e), f2.q_of(e)) for e in f2.elements()]
+    pool = [(e, element_order(f2, e), q_of(f2, e)) for e in elements(f2)]
     assigned = []
     nodes = 0
 
@@ -56,9 +58,9 @@ def ref_fqf_isomorphic(f1, f2):
                 raise CapExceeded("past %d nodes" % lattice.NODE_BUDGET)
             if o != f1.invariant_factors[i] or q != q1[i]:
                 continue
-            if any(f2.b_of(cand, prev) != b1[i][j] for j, prev in enumerate(assigned)):
+            if any(b_of(f2, cand, prev) != b1[i][j] for j, prev in enumerate(assigned)):
                 continue
-            if f2.b_of(cand, cand) % 1 != b1[i][i]:
+            if b_of(f2, cand, cand) % 1 != b1[i][i]:
                 continue
             assigned.append(cand)
             if backtrack(i + 1):
@@ -88,9 +90,9 @@ def is_witness(f1, f2, wit):
     """The images have f1's orders, q and b values, and generate f2."""
     k = len(f1.invariant_factors)
     return (len(wit) == k
-            and all(f2.element_order(x) == d for x, d in zip(wit, f1.invariant_factors))
-            and all(f2.q_of(wit[i]) == f1.q_values[i] % 2 for i in range(k))
-            and all(f2.b_of(wit[i], wit[j]) == f1.b_matrix[i][j] % 1
+            and all(element_order(f2, x) == d for x, d in zip(wit, f1.invariant_factors))
+            and all(q_of(f2, wit[i]) == f1.q_values[i] % 2 for i in range(k))
+            and all(b_of(f2, wit[i], wit[j]) == f1.b_matrix[i][j] % 1
                     for i in range(k) for j in range(k))
             and ref_generated_order(f2, wit) == f2.order)
 
@@ -124,14 +126,12 @@ def ref_disc_action_trivial(m, fqf):
 
 
 def ref_invariant_rows(lat, elements):
-    """int_kernel of M - I stacked over every element of the closure.  The
-    stack is replaced by its Hermite form, which has the same kernel:
-    int_kernel of the 1,536 x 4 stack of the hyperoctahedral group takes
-    over a minute."""
+    """int_kernel of M - I stacked over every element of the closure.
+    int_kernel takes one Hermite form of the transposed stack, so the
+    1,536 x 4 stack of the hyperoctahedral group costs a 4-row form."""
     n = lat.rank
     stacked = [[m[i][j] - (i == j) for j in range(n)] for m in elements for i in range(n)]
-    stacked = hnf_int([row for row in stacked if any(row)])
-    return int_kernel(stacked) if stacked else identity(n)
+    return int_kernel(stacked)
 
 
 # --- seeded forms -----------------------------------------------------------

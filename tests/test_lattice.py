@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from fqf_ref import element_order, q_of
 from latkit import lattice
 from latkit.catalog import build_nikulin, std_gram, u2_cubed
 from latkit.lattice import (
@@ -188,6 +189,9 @@ def test_saturation_edge_cases():
     sat, idx = saturation(z3, [[2, 1, 0], [0, 3, 0], [1, 1, 5]])
     assert sat == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert idx == 30
+    # a primitive row whose Hermite pivot is not 1
+    assert saturation(z3, [[2, 1, 0]]) == ([[2, 1, 0]], 1)
+    assert saturation(z3, [[4, 2, 0], [0, 0, 3]]) == ([[2, 1, 0], [0, 0, 1]], 6)
 
 
 def test_dependent_rows_rejected():
@@ -217,7 +221,7 @@ def test_fqf_isomorphic_positive_and_negative():
     f_a2 = discriminant_group(std_gram("A", 2))
     assert fqf_isomorphic(f_a1, f_a2) is None  # different orders
     wit = fqf_isomorphic(f_a2, f_a2)
-    assert wit is not None and f_a2.q_of(wit[0]) == f_a2.q_values[0] % 2
+    assert wit is not None and q_of(f_a2, wit[0]) == f_a2.q_values[0] % 2
 
 
 def test_fqf_witness_is_checked():
@@ -225,8 +229,8 @@ def test_fqf_witness_is_checked():
     wit = fqf_isomorphic(f, f)
     assert wit is not None
     for i, x in enumerate(wit):
-        assert f.element_order(x) == f.invariant_factors[i]
-        assert f.q_of(x) == f.q_values[i] % 2
+        assert element_order(f, x) == f.invariant_factors[i]
+        assert q_of(f, x) == f.q_values[i] % 2
 
 
 def test_fqf_isomorphic_budget(monkeypatch):
