@@ -9,7 +9,7 @@ reproduction suite (`latkit repro`).
 from .cyclo import Cyc5
 from .lattice import (
     FiniteQuadraticForm, GlueError, GlueVector, IntegralLattice, LatticeError,
-    direct_sum, discriminant_group, fqf_isomorphic, make_lattice,
+    direct_sum, discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
     orthogonal_complement, overlattice, rescale, saturation, sublattice,
 )
 from .isometry import (
@@ -24,7 +24,7 @@ __all__ = [
     "Cyc5",
     "IntegralLattice", "GlueVector", "FiniteQuadraticForm",
     "LatticeError", "GlueError",
-    "make_lattice", "direct_sum", "rescale", "discriminant_group",
+    "make_lattice", "direct_sum", "rescale", "discriminant_group", "invariant_factors",
     "overlattice", "sublattice", "saturation", "orthogonal_complement",
     "fqf_isomorphic",
     "Isometry", "GroupClosure", "IsometryError", "CapExceeded",

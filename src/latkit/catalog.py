@@ -19,8 +19,8 @@ from .isometry import (
 )
 from .lattice import (
     GlueVector, LatticeError, direct_sum, discriminant_group, fqf_isomorphic,
-    make_lattice, orthogonal_complement, overlattice, rescale, saturation,
-    sublattice,
+    invariant_factors, make_lattice, orthogonal_complement, overlattice, rescale,
+    saturation, sublattice,
 )
 from .ratmat import (
     clear_denominators, det, divide_exact, is_integral, mat_mul, mat_vec,
@@ -289,15 +289,19 @@ class Claim:
 #                Nikulin form no longer matches
 #   h-minus-one  h becomes -I, which breaks the dihedral relation and
 #                fixes nothing
+#   g-minus-one  g becomes -I, of order 2, acting as -1 on L*/L = (Z/5)^4
+#   md5-unglued  M_D5 is built on A1(-1)^8 instead of the Nikulin lattice,
+#                so its discriminant group grows to (Z/2)^8 + (Z/5)^2
 #   k3-commutant the quartic's sigma gets eigenvalue 1 twice, so its
 #                commutant grows from 4 to 6 and the moduli count to 1
-FAULT_IDS = ("nu-coord", "u2-diagonal", "h-minus-one", "k3-commutant")
+FAULT_IDS = ("nu-coord", "u2-diagonal", "h-minus-one", "g-minus-one",
+             "md5-unglued", "k3-commutant")
 
 
-def _minus_one_as_h(c):
+def _minus_one_as(c, name):
     n = c.lattice.rank
     minus = make_isometry(c.lattice, [[-int(i == j) for j in range(n)] for i in range(n)])
-    return replace(c, isometries={**c.isometries, "h": minus})
+    return replace(c, isometries={**c.isometries, name: minus})
 
 
 def _builders(inject_fault):
@@ -311,7 +315,15 @@ def _builders(inject_fault):
 
     def build_l(get):
         c = build_L(nu_override=nu)[0]
-        return _minus_one_as_h(c) if inject_fault == "h-minus-one" else c
+        if inject_fault in ("g-minus-one", "h-minus-one"):
+            return _minus_one_as(c, inject_fault[0])
+        return c
+
+    def build_md5(get):
+        nik = get("nikulin")
+        if inject_fault == "md5-unglued":
+            nik = replace(nik, lattice=nik.base_lattice)
+        return build_MD5(nik)
 
     def build_u2(get):
         if inject_fault == "u2-diagonal":
@@ -321,11 +333,11 @@ def _builders(inject_fault):
     return {
         "L": build_l,
         "nikulin": lambda get: build_nikulin()[0],
-        "md5": lambda get: build_MD5(get("nikulin")),
+        "md5": build_md5,
         "u2^3": build_u2,
-        "disc:L": lambda get: discriminant_group(get("L").lattice),
+        "factors:L": lambda get: invariant_factors(get("L").lattice),
+        "factors:md5": lambda get: invariant_factors(get("md5").lattice),
         "disc:nikulin": lambda get: discriminant_group(get("nikulin").lattice),
-        "disc:md5": lambda get: discriminant_group(get("md5").lattice),
         "disc:u2^3": lambda get: discriminant_group(get("u2^3")),
     }
 
@@ -388,7 +400,7 @@ CLAIMS = (
     Claim("L/even", "L/gluing", True, lambda L: L.lattice.is_even, ("L",)),
     Claim("L/signature", "L/gluing", (0, 16), lambda L: L.lattice.signature, ("L",)),
     Claim("L/disc-group", "L/discriminant", (5, 5, 5, 5),
-          lambda fqf: fqf.invariant_factors, ("disc:L",)),
+          lambda factors: factors, ("factors:L",)),
     Claim("L/mu-self", "L/glue-vectors", -4,
           lambda L: L.base_lattice.norm_of(L.base_vectors["mu"]), ("L",)),
     Claim("L/nu-self", "L/glue-vectors", -4,
@@ -402,8 +414,7 @@ CLAIMS = (
     # -- the order-5 isometry g
     Claim("g/order", "isometry-g", 5, lambda L: order(L.isometries["g"]), ("L",)),
     Claim("g/disc-trivial", "isometry-g", True,
-          lambda L, fqf: disc_action_trivial(L.lattice, L.isometries["g"], fqf=fqf),
-          ("L", "disc:L")),
+          lambda L: disc_action_trivial(L.lattice, L.isometries["g"]), ("L",)),
     Claim("g/no-invariants", "isometry-g", 0,
           lambda L: len(invariant_sublattice(L.lattice, [L.isometries["g"]])[1]),
           ("L",)),
@@ -441,9 +452,9 @@ CLAIMS = (
     # -- M_D5
     Claim("md5/rank", "md5", 16, lambda md5: md5.lattice.rank, ("md5",)),
     Claim("md5/disc-primary", "md5/discriminant", tuple(sorted([2] * 6 + [5, 5])),
-          lambda fqf: primary_decomposition(fqf.invariant_factors), ("disc:md5",)),
+          primary_decomposition, ("factors:md5",)),
     Claim("md5/disc-chain", "md5/discriminant", (2, 2, 2, 2, 10, 10),
-          lambda fqf: fqf.invariant_factors, ("disc:md5",)),
+          lambda factors: factors, ("factors:md5",)),
 )
 
 

@@ -155,21 +155,26 @@ def parse_family_file(path, text=None):
             m = re.fullmatch(r"vars\s+(\d+)", line)
             if not m or int(m.group(1)) < 1:
                 raise ParseError(path, lineno, "expected 'vars n' with n >= 1")
+            if n is not None:
+                raise ParseError(path, lineno, "'vars' given twice")
             n = int(m.group(1))
+        elif toks[0] in ("weights", "mono", "map") and n is None:
+            raise ParseError(path, lineno, "'vars' must come before %r" % toks[0])
         elif toks[0] == "weights":
             weights = tuple(_parse_int(t, path, lineno) % 5 for t in toks[1:])
-            if n is not None and len(weights) != n:
+            if len(weights) != n:
                 raise ParseError(path, lineno, "weights need %d entries" % n)
         elif toks[0] == "mono":
             exps = tuple(_parse_int(t, path, lineno) for t in toks[1:])
-            if n is not None and len(exps) != n:
+            if len(exps) != n:
                 raise ParseError(path, lineno, "monomial needs %d exponents" % n)
+            if monomials and sum(exps) != sum(monomials[0]):
+                raise ParseError(path, lineno, "monomial has degree %d, the first has %d"
+                                 % (sum(exps), sum(monomials[0])))
             monomials.append(exps)
         elif toks[0] == "map":
             if len(toks) != 2:
                 raise ParseError(path, lineno, "expected 'map NAME'")
-            if n is None:
-                raise ParseError(path, lineno, "'vars' must come before 'map'")
             name = toks[1]
             rows = []
             for k in range(n):

@@ -10,8 +10,7 @@ from operator import mul
 
 from . import ratmat
 from .ratmat import (
-    clear_denominators, det, identity, int_kernel, mat_mul, mat_vec, to_int,
-    transpose,
+    det, identity, int_kernel, mat_mul, mat_vec, scaled_inverse, to_int, transpose,
 )
 from .lattice import CapExceeded, LatticeError, sublattice
 
@@ -76,18 +75,13 @@ def order(iso, cap=1000):
     raise CapExceeded("order not found within cap %d" % cap)
 
 
-def disc_action_trivial(lat, iso, fqf=None):
-    """True iff the isometry fixes every class of the discriminant group,
-    i.e. M x - x is integral for each generator lift x: with the lifts
-    as int rows X over their common denominator d, M X = X mod d."""
-    from .lattice import discriminant_group
-    if fqf is None:
-        fqf = discriminant_group(lat)
-    lifts, d = clear_denominators(fqf.generator_lifts)
-    for x in lifts:
-        if any((a - b) % d for a, b in zip(mat_vec(iso.rows, x), x)):
-            return False
-    return True
+def disc_action_trivial(lat, iso):
+    """True iff the isometry fixes every class of L*/L, i.e. (M - I) L* is
+    in L.  The columns of G^-1 generate L* in basis coordinates, so with
+    (B, d) = scaled_inverse(G), B = d G^-1, this is (M - I) B = 0 mod d."""
+    b, d = scaled_inverse(lat.gram_rows)
+    moved = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(iso.matrix)]
+    return not any(x % d for row in mat_mul(moved, b) for x in row)
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,13 @@ def rescale(lat, s):
     return make_lattice([[x * s for x in row] for row in lat.gram_rows])
 
 
+def invariant_factors(lat):
+    """The invariant factors d_1 | d_2 | ... (each > 1) of L*/L = Z^n / G Z^n:
+    the diagonal entries above 1 of the Smith form of the Gram matrix."""
+    d = snf(lat.gram_rows)[1]
+    return tuple(row[i] for i, row in enumerate(d) if row[i] > 1)
+
+
 def discriminant_group(lat):
     """Discriminant group L*/L as a finite quadratic form.
 

@@ -48,11 +48,11 @@ def test_03_rootless_minimum(L):
            "vectors<=3: %d, min=%d" % (len(rep.vectors), m))
 
 
-def test_04_order5_disc_trivial(L, L_disc):
+def test_04_order5_disc_trivial(L):
     c, _ = L
     g = c.isometries["g"]
     o = order(g)
-    triv = disc_action_trivial(c.lattice, g, fqf=L_disc)
+    triv = disc_action_trivial(c.lattice, g)
     report("criterion-04 g has order 5 and trivial disc action",
            o == 5 and triv, "order=%d trivial=%s" % (o, triv))
 

@@ -42,12 +42,12 @@ def test_build_L_core_invariants(L, L_disc):
         assert all(isinstance(x, int) for x in v), name
 
 
-def test_build_L_isometries(L, L_disc):
+def test_build_L_isometries(L):
     from latkit.isometry import disc_action_trivial, group_closure, order
     c, _ = L
     g, h = c.isometries["g"], c.isometries["h"]
     assert order(g) == 5 and order(h) == 2
-    assert disc_action_trivial(c.lattice, g, fqf=L_disc)
+    assert disc_action_trivial(c.lattice, g)
     assert group_closure([g, h]).order == 10
     assert (h * g * h.inverse() * g).is_identity()
 
@@ -129,10 +129,11 @@ def _raise(exc):
     return fn
 
 
-def test_claim_error_is_a_failure_not_an_abort(monkeypatch):
+def test_claim_error_is_a_failure_not_an_abort(monkeypatch, L):
     monkeypatch.setattr(catalog, "order", _raise(CapExceeded("order cap")))
     builds = _counting(monkeypatch, [catalog], "build_L")
     forms = _counting(monkeypatch, [catalog, lattice], "discriminant_group")
+    factors = _counting(monkeypatch, [catalog, lattice], "invariant_factors")
     out = io.StringIO()
     assert cli.main(["repro", "--json"], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]
@@ -140,10 +141,16 @@ def test_claim_error_is_a_failure_not_an_abort(monkeypatch):
     failed = {r["id"]: r["computed"] for r in results if not r["pass"]}
     assert failed == {"g/order": "error: order cap",
                       "dih10/h-order": "error: order cap"}
-    # each construction and discriminant form is built once per run
+    # each construction is built once per run; only the Nikulin and U(2)^3
+    # forms are built, for fqf_isomorphic, and L and M_D5 get their
+    # invariant factors once each
     assert len(builds) == 1
-    assert len(forms) == 4
-    assert len({args[0].gram for args in forms}) == 4
+    assert len(forms) == 2
+    assert {args[0].gram for args in forms} == {
+        build_nikulin()[0].lattice.gram, u2_cubed().gram}
+    assert len(factors) == 2
+    assert {args[0].gram for args in factors} == {
+        L[0].lattice.gram, build_MD5(build_nikulin()[0]).lattice.gram}
 
 
 def test_filter_builds_only_what_selected_claims_need(monkeypatch):
@@ -177,19 +184,25 @@ def test_fault_fails_exactly_the_claims_on_L():
 
 
 @pytest.mark.parametrize("fault,failed", [
-    ("u2-diagonal", {"nikulin/disc-form-matches-U2-cubed"}),
-    ("h-minus-one", {"dih10/relation", "dih10/g2h-minus-on-f",
-                     "dih10/h-reflection-match", "dih10/h-invariant-is-e-complement"}),
+    ("u2-diagonal", {"nikulin/disc-form-matches-U2-cubed": "False"}),
+    ("h-minus-one", {"dih10/relation": "False", "dih10/g2h-minus-on-f": "False",
+                     "dih10/h-reflection-match": "False",
+                     "dih10/h-invariant-is-e-complement": "False"}),
+    ("g-minus-one", {"g/order": "2", "g/disc-trivial": "False",
+                     "dih10/group-order": "4", "dih10/g2h-minus-on-f": "False"}),
+    ("md5-unglued", {"md5/disc-primary": str((2,) * 8 + (5, 5)),
+                     "md5/disc-chain": str((2,) * 6 + (10, 10))}),
 ])
 def test_fault_fails_its_claim_group(fault, failed):
     # <-2>^6 has q values 3/2, so no isomorphism to the Nikulin form; -I
-    # as h commutes with g and fixes nothing
+    # as h commutes with g and fixes nothing; -I as g has order 2, moves
+    # every class of (Z/5)^4 and generates only a Klein group with h; and
+    # A4(-1)^2 + A1(-1)^8 has discriminant group (Z/2)^8 + (Z/5)^2
     out = io.StringIO()
     assert cli.main(["repro", "--json", "--inject-fault", fault], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]
     assert len(results) == 51
-    assert {r["id"] for r in results if not r["pass"]} == failed
-    assert all(r["computed"] in ("True", "False") for r in results if not r["pass"])
+    assert {r["id"]: r["computed"] for r in results if not r["pass"]} == failed
 
 
 def test_k3_commutant_fault_fails_the_quartic_moduli():

@@ -116,6 +116,10 @@ def test_parse_family_file(tmp_path):
     ("vars 0\nweights\nmono\nmap sigma\nmap iota", ":1: expected 'vars n' with n >= 1"),
     ("vars 1\nweights 0\nmono 5\nmap sigma\n1/0", ":5: bad rational '1/0'"),
     ("vars 1\nweights 0\nmono 5\nmap sigma\nw+2/0*w^2", ":5: bad rational '2/0'"),
+    ("vars 2\nweights 0 1\nmono 1 1\nmono 2 1", ":4: monomial has degree 3, the first has 2"),
+    ("weights 0 1\nvars 2", ":1: 'vars' must come before 'weights'"),
+    ("mono 1 1 1\nvars 2\nweights 0 1", ":1: 'vars' must come before 'mono'"),
+    ("vars 2\nweights 0 1\nmono 1 1\nvars 3\nmono 1 1 0", ":4: 'vars' given twice"),
 ])
 def test_parse_family_errors(text, msg):
     with pytest.raises(ParseError, match=msg):

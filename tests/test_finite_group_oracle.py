@@ -1,8 +1,9 @@
-"""The integer-table fqf_isomorphic, the generator-only group_closure and
-the generator-stacked invariant_sublattice against the Fraction and
-closure versions they replaced, kept here as oracles: the same witnesses
-(or None) and node counts on seeded forms, the same closures and
-invariant bases on Weyl groups, signed permutation groups and L's g, h.
+"""The integer-table fqf_isomorphic, the generator-only group_closure,
+the generator-stacked invariant_sublattice and disc_action_trivial on
+d G^-1 against the Fraction and closure versions they replaced, kept here
+as oracles: the same witnesses (or None) and node counts on seeded forms,
+the same closures, invariant bases and discriminant actions on Weyl
+groups, signed permutation groups and L's g, h.
 Above order 4096 the old search answered None on isomorphic forms; the
 new one must give a valid witness or CapExceeded."""
 
@@ -14,7 +15,7 @@ import pytest
 
 from fqf_ref import b_of, element_order, elements, q_of
 from latkit import lattice
-from latkit.catalog import build_nikulin, std_gram, u2_cubed
+from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.isometry import (
     CapExceeded, Isometry, IsometryError, disc_action_trivial, group_closure,
     invariant_sublattice, make_isometry,
@@ -391,9 +392,19 @@ def test_closures_and_invariants_match_oracle(L, L_disc):
         fqf = L_disc if lat == L[0].lattice else discriminant_group(lat)
         for m in want:
             ref = ref_disc_action_trivial(m, fqf)
-            assert disc_action_trivial(lat, Isometry(lat, m), fqf=fqf) == ref, label
+            assert disc_action_trivial(lat, Isometry(lat, m)) == ref, label
             trivial.add(ref)
     assert trivial == {True, False}
+
+
+def test_md5_block_swap_moves_discriminant_classes():
+    # swapping the two A4(-1) blocks of M_D5 swaps the two Z/5 factors of
+    # its discriminant group, so some class moves
+    md5 = build_MD5(build_nikulin()[0]).lattice
+    perm = list(range(4, 8)) + list(range(4)) + list(range(8, 16))
+    swap = make_isometry(md5, [[int(perm[j] == i) for j in range(16)] for i in range(16)])
+    assert ref_disc_action_trivial(swap.matrix, discriminant_group(md5)) is False
+    assert disc_action_trivial(md5, swap) is False
 
 
 def test_invariant_ranks():

@@ -1,11 +1,9 @@
 """Property-based fuzzing of the parsers and the command line on small
 generated files: ranks and variable counts up to 4, small entries, with
 zero denominators, dependent and asymmetric rows, missing or extra lines
-and stray tokens mixed in.  A parser may only return or raise ParseError
-(parse_family_file also FamilyError, for a well-formed family with mixed
-degrees); `main` may raise nothing, and its exit code must mean what
-README says (1 only from `family`, whose checks can fail on well-formed
-input)."""
+and stray tokens mixed in.  A parser may only return or raise ParseError;
+`main` may raise nothing, and its exit code must mean what README says
+(1 only from `family`, whose checks can fail on well-formed input)."""
 
 import contextlib
 import io
@@ -14,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from latkit.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from latkit.files import ParseError, parse_cyc5, parse_family_file, parse_lattice_file
-from latkit.k3fam import FamilyError
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -117,7 +114,7 @@ def test_parse_lattice_file_only_raises_parse_error(text):
 def test_parse_family_file_only_raises_parse_error(text):
     try:
         parse_family_file("<fuzz>", text=text)
-    except (ParseError, FamilyError):
+    except ParseError:
         pass
 
 

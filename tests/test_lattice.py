@@ -7,11 +7,11 @@ import pytest
 
 from fqf_ref import element_order, q_of
 from latkit import lattice
-from latkit.catalog import build_nikulin, std_gram, u2_cubed
+from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.lattice import (
     CapExceeded, FiniteQuadraticForm, GlueError, GlueVector, LatticeError, direct_sum,
-    discriminant_group, fqf_isomorphic, make_lattice, orthogonal_complement,
-    overlattice, rescale, saturation, sublattice,
+    discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
+    orthogonal_complement, overlattice, rescale, saturation, sublattice,
 )
 
 
@@ -61,6 +61,45 @@ def test_discriminant_group_standard():
     assert f.invariant_factors == (2,)
     # generator of A1*/A1 is alpha/2, of norm 1/2
     assert f.q_values == (Fraction(1, 2),)
+
+
+def _random_even_lattice(rng, n):
+    while True:
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        try:
+            return make_lattice([[2 * sum(x * y for x, y in zip(r, s)) for s in b] for r in b])
+        except LatticeError:
+            continue
+
+
+def test_invariant_factors_match_sympy_and_discriminant_group(L):
+    # seeded 2BB^T Gram matrices up to rank 10 and orthogonal sums of two
+    # of them above (generic ranks past 10 make discriminant_group's Smith
+    # form slow), negated for odd ranks; then the catalog's lattices, E8
+    # (unimodular) and rank 0
+    from sympy import Matrix
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(2026)
+    cases = []
+    for n in range(4, 17):
+        if n <= 10:
+            lat = _random_even_lattice(rng, n)
+        else:
+            k = rng.randint(4, n - 4)
+            lat = direct_sum([_random_even_lattice(rng, k), _random_even_lattice(rng, n - k)])
+        cases.append(rescale(lat, -1) if n % 2 else lat)
+    nik = build_nikulin()[0]
+    cases += [L[0].lattice, build_MD5(nik).lattice, nik.lattice, u2_cubed(), std_gram("E8")]
+    for lat in cases:
+        got = invariant_factors(lat)
+        assert got == tuple(int(x) for x in sympy_factors(Matrix(lat.gram_rows))
+                            if abs(x) > 1)
+        assert got == discriminant_group(lat).invariant_factors
+    assert invariant_factors(L[0].lattice) == (5, 5, 5, 5)
+    assert invariant_factors(std_gram("E8")) == ()
+    rank0 = make_lattice([])
+    assert invariant_factors(rank0) == discriminant_group(rank0).invariant_factors == ()
 
 
 def test_discriminant_lifts_have_right_order():
