@@ -18,7 +18,7 @@ from .isometry import (
     order,
 )
 from .shortvec import ShortVectorReport, minimum, short_vectors
-from .ratmat import hnf_rowspan, snf
+from .ratmat import snf
 
 __all__ = [
     "Cyc5",
@@ -31,7 +31,7 @@ __all__ = [
     "make_isometry", "order", "disc_action_trivial", "group_closure",
     "invariant_sublattice", "acts_as_minus_one",
     "ShortVectorReport", "short_vectors", "minimum",
-    "snf", "hnf_rowspan",
+    "snf",
 ]
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .lattice import (
     saturation, sublattice,
 )
 from .ratmat import (
-    clear_denominators, det, divide_exact, is_integral, mat_mul, mat_vec,
+    clear_denominators, det, divide_exact, mat_mul, mat_vec,
     scaled_inverse, to_int, transpose,
 )
 
@@ -371,8 +371,8 @@ def _f_rows(c):
 
 def _half_unimodular(lat, rows):
     sub = sublattice(lat, rows)
-    half = [[Fraction(x, 2) for x in row] for row in sub.gram_rows]
-    if not is_integral(half):
+    half = divide_exact(sub.gram_rows, 2)
+    if half is None:
         return "half-Gram not integral"
     half_lat = make_lattice(half)
     return (half_lat.is_even, abs(half_lat.det), half_lat.signature)
@@ -522,8 +522,7 @@ def k3fam_cases():
     fam3 = k3fam.MonomialFamily(
         num_vars=4, weights=(0, 3, 1, 2),
         monomials=((3, 0, 1, 0), (2, 2, 0, 0), (1, 0, 0, 3), (1, 1, 1, 1),
-                   (0, 3, 0, 1), (0, 1, 3, 0), (0, 0, 2, 2)),
-        coefficient_symmetry=((0, 4), (2, 5)))
+                   (0, 3, 0, 1), (0, 1, 3, 0), (0, 0, 2, 2)))
     sigma3 = k3fam.diagonal_map([one, w(3), w(1), w(2)])
     iota3 = k3fam.permutation_map([1, 0, 3, 2])
     quartic = fam3.polynomial([1, 1, 1, 1, 1, 1, 1])
@@ -559,8 +558,7 @@ def k3fam_cases():
         num_vars=5, weights=(0, 1, 2, 3, 4),
         monomials=((3, 0, 0, 0, 0), (1, 1, 0, 0, 1), (1, 0, 1, 1, 0),
                    (0, 2, 0, 1, 0), (0, 0, 1, 0, 2), (0, 1, 2, 0, 0),
-                   (0, 0, 0, 2, 1)),
-        coefficient_symmetry=((3, 4), (5, 6)))
+                   (0, 0, 0, 2, 1)))
     sigma4 = k3fam.diagonal_map([one, w(1), w(2), w(3), w(4)])
     iota4 = k3fam.permutation_map([0, 4, 3, 2, 1])
     q_sample = famQ.polynomial([1, 1, 1])
@@ -636,8 +634,7 @@ def k3fam_cases():
     fam2 = k3fam.MonomialFamily(
         num_vars=3, weights=(0, 1, 4),
         monomials=((6, 0, 0), (1, 5, 0), (1, 0, 5), (4, 1, 1), (2, 2, 2),
-                   (0, 3, 3)),
-        coefficient_symmetry=((1, 2),))
+                   (0, 3, 3)))
     sigma2 = k3fam.diagonal_map([one, w(1), w(4)])
     alpha2 = k3fam.permutation_map([0, 2, 1])
     sextic = fam2.polynomial([1, 1, 1, 1, 1, 1])

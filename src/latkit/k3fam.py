@@ -121,7 +121,6 @@ class MonomialFamily:
     num_vars: int
     weights: tuple            # exponent of w per variable, mod 5
     monomials: tuple          # exponent tuples, all of one total degree
-    coefficient_symmetry: tuple = ()  # pairs of monomial indices tied by the involution
 
     def __post_init__(self):
         degs = {sum(m) for m in self.monomials}

@@ -7,7 +7,7 @@ exact (ints and Fractions); every object is immutable after construction.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from . import ratmat
@@ -185,7 +185,8 @@ def overlattice(lat, glue):
     common denominator of the glue and W = d * glue, the glue must have
     G W divisible by d, each W_k G W_k by 2 d^2 and each W_a G W_b by d^2;
     B = H / d for the Hermite form H of [d I ; W], and the Gram matrix of
-    L' is H G H^T / d^2.
+    L' is H G H^T / d^2.  The index [L' : L] is [H Z^n : d Z^n] =
+    d^n / det H, and H is triangular with positive pivots.
     """
     n = lat.rank
     gram = lat.gram_rows
@@ -219,14 +220,8 @@ def overlattice(lat, glue):
         raise GlueError("glue vectors do not preserve the rank")
     # exact: the checks above make every pairing of L' integral
     new_lat = make_lattice(divide_exact(mat_mul(mat_mul(h, gram), transpose(h)), d * d))
-    ratio = Fraction(lat.det, new_lat.det)
-    if ratio.denominator != 1:
-        raise LatticeError("internal: determinant ratio %s not integral" % ratio)
-    idx2 = ratio.numerator
-    idx = isqrt(idx2)
-    if idx * idx != idx2:
-        raise LatticeError("internal: determinant ratio %d is not a square" % idx2)
-    return new_lat, idx, [[Fraction(x, d) for x in row] for row in h]
+    index = d ** n // prod(map(_pivot, h))
+    return new_lat, index, [[Fraction(x, d) for x in row] for row in h]
 
 
 def sublattice(lat, rows):

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over the rationals and over Z.
 
-Matrices are plain lists of lists.  Entries are ints or Fractions for the
-rational routines, and det, scaled_inverse (and inverse), rank and rref
-share one fraction-free elimination on ints; the integer normal forms
-(snf, hnf_int) insist on ints, and clear_denominators turns rational rows
-into ints over one common denominator.  Everything here is exact -- no
-floats anywhere.
+Matrices are plain lists of lists of ints or Fractions.  det,
+scaled_inverse (and inverse), rank and rref share one fraction-free
+elimination on ints, and signature and shortvec's Cholesky data share
+symmetric_elimination; the integer normal forms (snf, hnf_int) insist on
+ints, and clear_denominators turns rational rows into ints over one
+common denominator.  Everything here is exact -- no floats anywhere.
 """
 
 from fractions import Fraction
@@ -37,16 +37,6 @@ def mat_vec(a, v):
 
 def vec_dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def is_integral(x):
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, (list, tuple)):
-        return all(is_integral(y) for y in x)
-    return False
 
 
 def to_int(x):
@@ -286,17 +276,6 @@ def hnf_int(mat):
     return a[:r]
 
 
-def hnf_rowspan(mat):
-    """HNF basis of the Z-span of the (possibly rational) rows of mat.
-
-    The common denominator is cleared before the integer HNF and
-    reattached afterwards, so the returned rows Z-span exactly what the
-    input rows Z-span.
-    """
-    ints, d = clear_denominators(mat)
-    return [[Fraction(x, d) for x in row] for row in hnf_int(ints)]
-
-
 def clear_denominators(rows):
     """(int rows, d): d is the least common denominator of the entries
     (ints or Fractions), and the int rows are d times the input rows."""
@@ -321,20 +300,22 @@ def int_kernel(mat):
     return [row[k:] for row in h if not any(row[:k])]
 
 
-def signature(gram):
-    """Signature (n_plus, n_minus) of a symmetric nondegenerate matrix, by
-    fraction-free symmetric elimination on ints (Sylvester counting).
+def symmetric_elimination(gram):
+    """Fraction-free symmetric elimination of a symmetric nondegenerate
+    matrix on ints.  Returns (rows, pivots): rows[t] is pivot row t on its
+    columns t..n-1 at the moment it is the pivot row, and pivots[t] = p_t.
 
     Step t maps each later row to (p * row - row[t] * pivot row) // d on
     the columns after t, p the pivot and d the last one (Bareiss): the
-    trailing block stays d times the Schur complement, so the pivot counts
-    with the sign of p * d.  A zero pivot is first swapped with a later
-    nonzero diagonal entry, or made nonzero by e_t += e_j; both moves are
-    congruences of the trailing block, so the divisions stay exact.
+    trailing block stays d times the Schur complement, so rows[t] is
+    p_{t-1} times row t of that complement.  A zero pivot is first swapped
+    with a later nonzero diagonal entry, or made nonzero by e_t += e_j;
+    both moves are congruences of the trailing block, so the divisions
+    stay exact.
     """
     a, _ = clear_denominators(gram)
     n = len(a)
-    npos = nneg = 0
+    rows, pivots = [], []
     d = 1
     for t in range(n):
         if not a[t][t]:
@@ -352,13 +333,20 @@ def signature(gram):
                     row[t] += row[j]
         top = a[t]
         p = top[t]
-        if (p > 0) == (d > 0):
-            npos += 1
-        else:
-            nneg += 1
+        rows.append(top[t:])
+        pivots.append(p)
         for i in range(t + 1, n):
             row = a[i]
             f = row[t]
             row[t + 1:] = [(p * x - f * y) // d for x, y in zip(row[t + 1:], top[t + 1:])]
         d = p
-    return npos, nneg
+    return rows, pivots
+
+
+def signature(gram):
+    """Signature (n_plus, n_minus) of a symmetric nondegenerate matrix by
+    Sylvester counting on the pivots of symmetric_elimination: pivot t
+    counts as positive iff p_t and p_{t-1} have one sign (p_{-1} = 1)."""
+    pivots = symmetric_elimination(gram)[1]
+    npos = sum((p > 0) == (d > 0) for d, p in zip([1] + pivots, pivots))
+    return npos, len(pivots) - npos

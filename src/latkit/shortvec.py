@@ -1,10 +1,11 @@
 """Certified short-vector enumeration for definite lattices.
 
-Exact rational Cholesky decomposition followed by depth-first coordinate
-enumeration with exact interval bounds (Fincke-Pohst), each level taken in
-zig-zag order from the middle of its range (Schnorr-Euchner), at a radius
-rounded down to a multiple of the norm gcd.  No floating point: the empty
-report for a rootless lattice is an unconditional certificate.
+Exact Cholesky data from ratmat's fraction-free symmetric elimination,
+then depth-first coordinate enumeration with exact interval bounds
+(Fincke-Pohst), each level taken in zig-zag order from the middle of its
+range (Schnorr-Euchner), at a radius rounded down to a multiple of the
+norm gcd.  No floating point: the empty report for a rootless lattice is
+an unconditional certificate.
 """
 
 from collections import Counter
@@ -14,6 +15,7 @@ from math import gcd, isqrt
 
 from .isometry import CapExceeded
 from .lattice import LatticeError
+from .ratmat import symmetric_elimination
 
 # Far above the largest search in the claims, tests and benchmark
 # (L at bound 6: 295,492 nodes).
@@ -47,21 +49,19 @@ def _cholesky(lat):
     """Rational Cholesky data of lat, or of -lat when lat is negative
     definite: q[i][i] > 0 and q[i][j] (j > i) with
     norm(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2.
+    q[t][t] = p_t / p_{t-1} and q[t][j] = r_t[j] / p_t for the pivots p_t
+    and pivot rows r_t of ratmat.symmetric_elimination; all p_t > 0 means
+    signature (n, 0), and a definite form makes no pivot move.
     Returns (q, negated, g), where g = gcd(G_ii, 2 G_ij) divides every norm."""
     gram = lat.gram_rows
     n = len(gram)
-    # a definite form's diagonal has one sign; the loop rejects the rest
+    # a definite form's diagonal has one sign; the pivots reject the rest
     sign = -1 if n and gram[0][0] < 0 else 1
-    q = [[Fraction(sign * x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise LatticeError("short_vectors requires a definite lattice")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
+    rows, pivots = symmetric_elimination([[sign * x for x in row] for row in gram])
+    if any(p <= 0 for p in pivots):
+        raise LatticeError("short_vectors requires a definite lattice")
+    q = [[0] * t + [Fraction(p, d)] + [Fraction(x, p) for x in row[1:]]
+         for t, (row, p, d) in enumerate(zip(rows, pivots, [1] + pivots))]
     g = gcd(*(x if i == j else 2 * x
               for i, row in enumerate(gram) for j, x in enumerate(row)))
     return q, sign < 0, g

@@ -2,8 +2,8 @@
 Fraction implementation that latkit.cyclo.Cyc5 replaced (four Fractions on
 the power basis 1, w, w^2, w^3, products by the 4 x 4 convolution, inverse
 through the Galois conjugates), with division, the field norm and negative
-powers, and a field-generic Gauss-Jordan elimination that divides by its
-pivots.  Tests compare latkit's int Cyc5 and cyclo.rref against these; no
+powers, and a Gauss-Jordan elimination that scales each pivot row by the
+pivot's inverse.  Tests compare latkit's int Cyc5 and cyclo.rref against these; no
 code from latkit.cyclo runs here, only to_ref and from_ref read or build
 its values."""
 
@@ -186,8 +186,8 @@ def from_ref_matrix(rows):
 
 
 def ref_rref(rows, ncols):
-    """Reduced row echelon form over any exact field by Gauss-Jordan with
-    division by each pivot; Cyc5 entries are taken to RefCyc5 first.
+    """Reduced row echelon form over Q(w) by Gauss-Jordan with division by
+    each pivot; Cyc5, int and Fraction entries are taken to RefCyc5 first.
     Returns (R, pivots)."""
     a = ref_matrix(rows)
     pivots = []
@@ -197,8 +197,9 @@ def ref_rref(rows, ncols):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
+        # one inversion per pivot: each `/` would redo the three conjugates
+        inv = a[r][c].inv()
+        a[r] = [x * inv for x in a[r]]
         for i in range(len(a)):
             if i != r and a[i][c]:
                 f = a[i][c]

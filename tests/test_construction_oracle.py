@@ -18,14 +18,28 @@ from latkit.catalog import (
 from latkit.isometry import make_isometry
 from latkit.lattice import (
     GlueError, GlueVector, LatticeError, direct_sum, discriminant_group,
-    make_lattice, orthogonal_complement, overlattice, sublattice,
+    make_lattice, orthogonal_complement, overlattice, rescale, sublattice,
 )
-from latkit.ratmat import (
-    hnf_int, inverse, is_integral, mat_mul, mat_vec, to_int, transpose,
-)
+from latkit.ratmat import hnf_int, inverse, mat_mul, mat_vec, to_int, transpose
 
 
 # --- the Fraction oracles -------------------------------------------------
+
+def is_integral(x):
+    """True when every entry of x (a number or nested lists of them) is an
+    integer."""
+    if isinstance(x, (list, tuple)):
+        return all(is_integral(y) for y in x)
+    return Fraction(x).denominator == 1
+
+
+def det_index(lat, new_lat):
+    """[L' : L] from determinants: its square is det L / det L'."""
+    ratio = Fraction(lat.det, new_lat.det)
+    idx = isqrt(ratio.numerator)
+    assert ratio.denominator == 1 and idx * idx == ratio.numerator
+    return idx
+
 
 def ref_hnf_rowspan(mat):
     d = 1
@@ -66,10 +80,7 @@ def ref_overlattice(lat, glue):
         raise GlueError("glue vectors do not preserve the rank")
     new_gram = mat_mul(mat_mul(basis, lat.gram_rows), transpose(basis))
     new_lat = make_lattice(new_gram)
-    ratio = Fraction(lat.det, new_lat.det)
-    idx = isqrt(ratio.numerator)
-    assert ratio.denominator == 1 and idx * idx == ratio.numerator
-    return new_lat, idx, basis
+    return new_lat, det_index(lat, new_lat), basis
 
 
 def _ref_to_new_basis(p_inv, vec, what):
@@ -213,6 +224,28 @@ def test_nikulin_and_e8_match_fraction_oracle():
     got = overlattice(base, glue)
     assert got == ref_overlattice(base, glue)
     assert got[1] == 2 and abs(got[0].det) == 1
+
+
+def test_index_matches_determinant_ratio(L):
+    # overlattice reads the index off its Hermite pivots; check it against
+    # determinants on L, the Nikulin lattice, E8 from D8, and glues with
+    # denominators 3 and 5 in indefinite unimodular gluings
+    c, index = L
+    assert index == det_index(c.base_lattice, c.lattice) == 256
+    nik, index = build_nikulin()
+    assert index == det_index(nik.base_lattice, nik.lattice) == 2
+    a2, a4 = std_gram("A", 2), std_gram("A", 4)
+    w1 = [Fraction(x, 5) for x in (4, 3, 2, 1)]  # A4's first fundamental weight
+    cases = [
+        (_e8_from_d8(), 2),
+        ((direct_sum([a2, rescale(a2, -1)]),
+          [GlueVector([Fraction(1, 3), Fraction(2, 3)] * 2)]), 3),
+        ((direct_sum([a4, rescale(a4, -1)]), [GlueVector(w1 * 2)]), 5),
+    ]
+    for (lat, glue), want in cases:
+        new_lat, index, _ = overlattice(lat, glue)
+        assert index == det_index(lat, new_lat) == want
+        assert abs(new_lat.det) == 1 and new_lat.is_even
 
 
 def test_reflection_matches_fraction_oracle(L):

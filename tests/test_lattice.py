@@ -124,6 +124,7 @@ def test_overlattice_e8_from_d8():
     # the glue vector (1/2,...,1/2) of Z^8, expressed in the D8 basis
     lat, index, basis = overlattice(base, [_in_basis(rows, [Fraction(1, 2)] * 8)])
     assert index == 2
+    assert index * index == Fraction(base.det, lat.det)
     assert abs(lat.det) == 1
     assert lat.is_even
 

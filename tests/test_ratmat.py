@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from cholesky_ref import INDEFINITE, definite_grams
 from latkit import ratmat
 from latkit.ratmat import (
-    det, hnf_int, hnf_rowspan, identity, int_kernel, inverse, mat_mul,
-    mat_vec, rank, rref, signature, snf, transpose, MatrixError,
+    det, hnf_int, identity, int_kernel, inverse, mat_mul, mat_vec, rank,
+    rref, signature, snf, symmetric_elimination, transpose, MatrixError,
 )
 
 
@@ -95,13 +96,6 @@ def test_hnf_shape_and_span():
             assert row[c] > 0
         # HNF is a canonical form of the row span
         assert hnf_int(h + a) == h
-
-
-def test_hnf_rowspan_rational():
-    rows = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)],
-            [Fraction(1), Fraction(1)]]
-    h = hnf_rowspan(rows)
-    assert h == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
 
 
 def test_int_kernel_saturated():
@@ -221,6 +215,22 @@ def test_signature_oracle_sympy():
     assert zero_minor >= 40
     with pytest.raises(MatrixError, match="degenerate"):
         signature(_direct_sum(u, [[0]]))
+
+
+def test_signature_on_short_vector_inputs(L):
+    # the Gram matrices of the Cholesky oracle in test_shortvec, and the
+    # indefinite forms short_vectors rejects, against sympy's inertia; on
+    # a definite form no pivot move runs, so pivot t is the leading
+    # (t + 1) x (t + 1) minor
+    from sympy import Matrix
+
+    for s in definite_grams([L[0].lattice.gram_rows]) + list(INDEFINITE):
+        assert signature(s) == _sympy_inertia(s)
+    for s in definite_grams():
+        rows, pivots = symmetric_elimination(s)
+        m = Matrix(s)
+        assert pivots == [m[:k, :k].det() for k in range(1, len(s) + 1)]
+        assert [len(row) for row in rows] == list(range(len(s), 0, -1))
 
 
 def test_transpose_empty():

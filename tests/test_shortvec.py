@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import product
 from math import isqrt
 
 import pytest
 
+from cholesky_ref import INDEFINITE, definite_grams, ref_cholesky, upper
 from latkit.catalog import std_gram
 from latkit.lattice import LatticeError, make_lattice
 from latkit.ratmat import det
-from latkit.shortvec import minimum, short_vectors
+from latkit.shortvec import _cholesky, minimum, short_vectors
 
 
 def naive_pairs(gram, bound):
@@ -90,6 +92,35 @@ def test_indefinite_rejected():
         short_vectors(make_lattice([[-2, 1], [1, 2]]), 2)
     with pytest.raises(LatticeError):
         short_vectors(std_gram("U"), 0)
+
+
+def test_cholesky_matches_fraction_reference(L):
+    # the Cholesky data read off the symmetric elimination against the
+    # Fraction elimination it replaced, Fraction for Fraction, on
+    # enum-shaped and 2 B B^T lattices, E8(-1), A4(-2)^4, L and negatives
+    grams = definite_grams([L[0].lattice.gram_rows])
+    assert len(grams) == 62
+    for gram in grams:
+        q, negated, g = _cholesky(make_lattice(gram))
+        want_q, want_negated, want_g = ref_cholesky(gram)
+        assert upper(q) == upper(want_q)
+        assert all(type(x) is Fraction for row in upper(q) for x in row)
+        assert (negated, g) == (want_negated, want_g)
+        assert negated == (gram[0][0] < 0)
+
+
+def test_indefinite_forms_rejected_by_both_choleskys():
+    # the last form has a positive diagonal and a zero leading 2 x 2 minor,
+    # so the elimination takes a pivot move before it meets p_t <= 0
+    assert det([row[:2] for row in INDEFINITE[-1][:2]]) == 0
+    for gram in INDEFINITE:
+        lat = make_lattice(gram)
+        with pytest.raises(LatticeError, match="requires a definite lattice"):
+            short_vectors(lat, 4)
+        with pytest.raises(LatticeError, match="requires a definite lattice"):
+            minimum(lat)
+        with pytest.raises(LatticeError):
+            ref_cholesky(gram)
 
 
 def test_empty_report():
