@@ -16,7 +16,8 @@ def ref_cholesky(gram):
     """(q, negated, g) for the int Gram matrix of a definite lattice, by
     Fraction elimination: q[i][i] > 0 and q[i][j] (j > i) with
     norm(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2, and
-    g = gcd(G_ii, 2 G_ij).  The strict lower triangle of q is scratch."""
+    g = gcd(G_ii, 2 G_ij).  The strict lower triangle of q holds
+    intermediate values that the search never reads."""
     n = len(gram)
     sign = -1 if n and gram[0][0] < 0 else 1
     q = [[Fraction(sign * x) for x in row] for row in gram]
