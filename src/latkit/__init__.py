@@ -8,8 +8,8 @@ reproduction suite (`latkit repro`).
 
 from .cyclo import Cyc5
 from .lattice import (
-    FiniteQuadraticForm, GlueError, GlueVector, IntegralLattice, LatticeError,
-    direct_sum, discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
+    FiniteQuadraticForm, GlueError, IntegralLattice, LatticeError, direct_sum,
+    discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
     orthogonal_complement, overlattice, rescale, saturation, sublattice,
 )
 from .isometry import (
@@ -22,7 +22,7 @@ from .ratmat import snf
 
 __all__ = [
     "Cyc5",
-    "IntegralLattice", "GlueVector", "FiniteQuadraticForm",
+    "IntegralLattice", "FiniteQuadraticForm",
     "LatticeError", "GlueError",
     "make_lattice", "direct_sum", "rescale", "discriminant_group", "invariant_factors",
     "overlattice", "sublattice", "saturation", "orthogonal_complement",

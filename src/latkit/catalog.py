@@ -18,9 +18,8 @@ from .isometry import (
     make_isometry, order,
 )
 from .lattice import (
-    GlueVector, LatticeError, direct_sum, discriminant_group, fqf_isomorphic,
-    invariant_factors, make_lattice, orthogonal_complement, overlattice, rescale,
-    saturation, sublattice,
+    LatticeError, direct_sum, discriminant_group, fqf_isomorphic, invariant_factors,
+    make_lattice, orthogonal_complement, overlattice, rescale, saturation, sublattice,
 )
 from .ratmat import (
     clear_denominators, det, divide_exact, mat_mul, mat_vec,
@@ -57,10 +56,8 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class NamedConstruction:
-    name: str
     lattice: object
     base_lattice: object
-    change_of_basis: tuple   # rows: lattice basis in base coordinates
     vectors: dict            # name -> coords in the lattice basis (ints)
     base_vectors: dict       # name -> coords in the base basis (Fractions)
     isometries: dict         # name -> Isometry on the lattice basis
@@ -151,8 +148,7 @@ def build_L(nu_override=None):
     for _ in range(3):
         mus.append(mat_vec(g_base, mus[-1]))
         nus.append(mat_vec(g_base, nus[-1]))
-    lat, index, basis = overlattice(
-        base, [GlueVector([Fraction(x, s) for x in v]) for v in mus + nus])
+    lat, index, basis = overlattice(base, [[Fraction(x, s) for x in v] for v in mus + nus])
 
     h_int, d = clear_denominators(basis)
     ht = transpose(h_int)
@@ -194,10 +190,8 @@ def build_L(nu_override=None):
         vectors[name] = tuple(x // s for x in y)
 
     return NamedConstruction(
-        name="L",
         lattice=lat,
         base_lattice=base,
-        change_of_basis=tuple(tuple(r) for r in basis),
         vectors=vectors,
         base_vectors={name: tuple(Fraction(x, s) for x in v)
                       for name, v in base_vectors.items()},
@@ -225,15 +219,13 @@ def reflection_in_span(lat, span_rows):
 def build_nikulin():
     """Index-2 overlattice of A1(-1)^{+8} glued by the all-halves vector."""
     base = direct_sum([std_gram("A1", scale=-1)] * 8)
-    glue = GlueVector([Fraction(1, 2)] * 8)
-    lat, index, basis = overlattice(base, [glue])
+    glue = (Fraction(1, 2),) * 8
+    lat, index, _ = overlattice(base, [glue])
     return NamedConstruction(
-        name="Nikulin",
         lattice=lat,
         base_lattice=base,
-        change_of_basis=tuple(tuple(r) for r in basis),
         vectors={},
-        base_vectors={"glue": tuple(glue.coords)},
+        base_vectors={"glue": glue},
         isometries={},
         index=index,
     ), index
@@ -242,10 +234,8 @@ def build_nikulin():
 def build_MD5(nikulin):
     """A4(-1)^{+2} + Nikulin direct sum (rank 16), from build_nikulin()[0]."""
     lat = direct_sum([std_gram("A", 4, -1), std_gram("A", 4, -1), nikulin.lattice])
-    return NamedConstruction(
-        name="MD5", lattice=lat, base_lattice=lat,
-        change_of_basis=tuple(tuple(int(i == j) for j in range(16)) for i in range(16)),
-        vectors={}, base_vectors={}, isometries={})
+    return NamedConstruction(lattice=lat, base_lattice=lat, vectors={}, base_vectors={},
+                             isometries={})
 
 
 def u2_cubed():

@@ -12,9 +12,7 @@ import sys
 from . import catalog, k3fam, shortvec
 from .files import ParseError, parse_family_file, parse_lattice_file
 from .isometry import CapExceeded
-from .lattice import (
-    GlueVector, LatticeError, discriminant_group, make_lattice, overlattice,
-)
+from .lattice import LatticeError, discriminant_group, make_lattice, overlattice
 
 SCHEMA = 1
 
@@ -24,16 +22,14 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(payload, as_json, out):
-    if as_json:
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        _emit_text(payload, out)
-
-
-def _emit_text(payload, out):
-    print("latkit %s" % payload["command"], file=out)
-    for res in payload["results"]:
+def _emit(args, command, results, out, exit_code=EXIT_OK):
+    """Print the results as text, or with --json as one payload; returns exit_code."""
+    if args.json:
+        print(json.dumps({"schema": SCHEMA, "command": command, "results": results,
+                          "exit": exit_code}, indent=2), file=out)
+        return exit_code
+    print("latkit %s" % command, file=out)
+    for res in results:
         if "pass" in res:
             status = "ok  " if res["pass"] else "FAIL"
             print("  [%s] %s: expected %s, computed %s  (%.1f ms)"
@@ -41,18 +37,21 @@ def _emit_text(payload, out):
                      res.get("millis", 0.0)), file=out)
         else:
             print("  %s: %s" % (res["id"], res["value"]), file=out)
+    return exit_code
 
 
 def _lattice_from_file(path):
+    """(lattice, index, basis) as overlattice returns them for the file's
+    glue rows; index and basis are None when the file has none."""
     lf = parse_lattice_file(path)
     lat = make_lattice(lf.gram)
-    return lf, lat
+    if not lf.glue:
+        return lat, None, None
+    return overlattice(lat, lf.glue)
 
 
 def cmd_disc(args, out):
-    lf, lat = _lattice_from_file(args.file)
-    if lf.glue:
-        lat, _, _ = overlattice(lat, [GlueVector(v) for v in lf.glue])
+    lat, _, _ = _lattice_from_file(args.file)
     fqf = discriminant_group(lat)
     results = []
     if not fqf.invariant_factors:
@@ -65,16 +64,11 @@ def cmd_disc(args, out):
         for i, row in enumerate(fqf.b_matrix):
             results.append({"id": "disc/b[%d]" % i,
                             "value": " ".join(str(x) for x in row)})
-    payload = {"schema": SCHEMA, "command": "disc %s" % args.file,
-               "results": results, "exit": EXIT_OK}
-    _emit(payload, args.json, out)
-    return EXIT_OK
+    return _emit(args, "disc %s" % args.file, results, out)
 
 
 def cmd_shortvec(args, out):
-    lf, lat = _lattice_from_file(args.file)
-    if lf.glue:
-        lat, _, _ = overlattice(lat, [GlueVector(v) for v in lf.glue])
+    lat, _, _ = _lattice_from_file(args.file)
     rep = shortvec.short_vectors(lat, args.bound)
     results = [
         {"id": "shortvec/pairs", "value": str(rep.total_pairs)},
@@ -88,32 +82,25 @@ def cmd_shortvec(args, out):
         for v, norm in rep.vectors:
             results.append({"id": "shortvec/vector",
                             "value": "%s norm %d" % (list(v), norm)})
-    payload = {"schema": SCHEMA, "command": "shortvec %s --bound %d" % (args.file, args.bound),
-               "results": results, "exit": EXIT_OK}
-    _emit(payload, args.json, out)
-    return EXIT_OK
+    return _emit(args, "shortvec %s --bound %d" % (args.file, args.bound), results, out)
 
 
 def cmd_overlattice(args, out):
-    lf, lat = _lattice_from_file(args.file)
-    if not lf.glue:
+    lat, index, basis = _lattice_from_file(args.file)
+    if index is None:
         raise LatticeError("no glue rows in %s" % args.file)
-    lat2, index, basis = overlattice(lat, [GlueVector(v) for v in lf.glue])
-    fqf = discriminant_group(lat2)
+    fqf = discriminant_group(lat)
     results = [
         {"id": "overlattice/index", "value": str(index)},
-        {"id": "overlattice/det", "value": str(lat2.det)},
-        {"id": "overlattice/even", "value": str(lat2.is_even)},
+        {"id": "overlattice/det", "value": str(lat.det)},
+        {"id": "overlattice/even", "value": str(lat.is_even)},
         {"id": "overlattice/disc",
          "value": ",".join(str(d) for d in fqf.invariant_factors) or "trivial"},
     ]
     for row in basis:
         results.append({"id": "overlattice/basis-row",
                         "value": " ".join(str(x) for x in row)})
-    payload = {"schema": SCHEMA, "command": "overlattice %s" % args.file,
-               "results": results, "exit": EXIT_OK}
-    _emit(payload, args.json, out)
-    return EXIT_OK
+    return _emit(args, "overlattice %s" % args.file, results, out)
 
 
 def cmd_family(args, out):
@@ -133,10 +120,7 @@ def cmd_family(args, out):
                         "computed": str(dih), "pass": dih, "millis": 0.0})
         if not dih:
             exit_code = EXIT_FAIL
-    payload = {"schema": SCHEMA, "command": "family %s" % args.file,
-               "results": results, "exit": exit_code}
-    _emit(payload, args.json, out)
-    return exit_code
+    return _emit(args, "family %s" % args.file, results, out, exit_code)
 
 
 def cmd_repro(args, out):
@@ -145,10 +129,7 @@ def cmd_repro(args, out):
         raise ValueError("filter %r matches no claims" % args.filter)
     results = [c.as_dict() for c in claims]
     exit_code = EXIT_OK if all(c.passed for c in claims) else EXIT_FAIL
-    payload = {"schema": SCHEMA, "command": "repro", "results": results,
-               "exit": exit_code}
-    _emit(payload, args.json, out)
-    return exit_code
+    return _emit(args, "repro", results, out, exit_code)
 
 
 def build_parser():

@@ -8,9 +8,9 @@ row vector v the image has coordinates M . v^T.
 from dataclasses import dataclass
 from operator import mul
 
-from . import ratmat
 from .ratmat import (
-    det, identity, int_kernel, mat_mul, mat_vec, scaled_inverse, to_int, transpose,
+    det, divide_exact, identity, int_kernel, mat_mul, mat_vec, scaled_inverse, to_int,
+    transpose,
 )
 from .lattice import CapExceeded, LatticeError, sublattice
 
@@ -40,8 +40,9 @@ class Isometry:
         return Isometry(self.lattice, _product(self.matrix, tuple(zip(*other.matrix))))
 
     def inverse(self):
-        inv = ratmat.inverse(self.rows)
-        return Isometry(self.lattice, tuple(tuple(to_int(x) for x in r) for r in inv))
+        # the matrix is unimodular, so d = +-1 divides d M^-1 exactly
+        b, d = scaled_inverse(self.rows)
+        return Isometry(self.lattice, tuple(map(tuple, divide_exact(b, d))))
 
     def is_identity(self):
         n = self.lattice.rank
@@ -133,25 +134,24 @@ def invariant_sublattice(lat, gens):
     generator, so this is int_kernel of the stacked rows of g - I (in
     Hermite normal form).
 
-    Returns (lattice_or_rank0, basis_rows).
+    Returns (lattice, basis_rows), of rank 0 when nothing is fixed.
     """
-    n = lat.rank
     stacked = []
     for g in gens:
         for i, row in enumerate(g.matrix):
             moved = [x - (1 if i == j else 0) for j, x in enumerate(row)]
             if any(moved):
                 stacked.append(moved)
-    basis = int_kernel(stacked) if stacked else identity(n)
-    if not basis:
-        from .lattice import IntegralLattice
-        return IntegralLattice(()), []
+    basis = int_kernel(stacked) if stacked else identity(lat.rank)
     return sublattice(lat, basis), basis
 
 
 def acts_as_minus_one(iso, rows):
     """True iff the isometry sends every row vector to its negative."""
-    for r in rows:
+    n = iso.lattice.rank
+    for k, r in enumerate(rows):
+        if len(r) != n:
+            raise IsometryError("row %d has length %d, not the rank %d" % (k, len(r), n))
         img = mat_vec(iso.rows, list(r))
         if any(a != -b for a, b in zip(img, r)):
             return False

@@ -69,14 +69,6 @@ class IntegralLattice:
 
 
 @dataclass(frozen=True)
-class GlueVector:
-    coords: tuple  # Fractions, length = rank of the base lattice
-
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(Fraction(x) for x in coords))
-
-
-@dataclass(frozen=True)
 class FiniteQuadraticForm:
     """Discriminant group L*/L with its torsion quadratic form.
 
@@ -180,6 +172,7 @@ def discriminant_group(lat):
 def overlattice(lat, glue):
     """Adjoin glue vectors to an even lattice; returns (L', index, B).
 
+    Glue rows are rows of rationals in lat's coordinates.
     B is the change of basis: its rows express the basis of L' in the
     coordinates of the input lattice.  Everything runs on ints: with d the
     common denominator of the glue and W = d * glue, the glue must have
@@ -190,9 +183,7 @@ def overlattice(lat, glue):
     """
     n = lat.rank
     gram = lat.gram_rows
-    vecs = [list(g.coords) if isinstance(g, GlueVector) else [Fraction(x) for x in g]
-            for g in glue]
-    ws, d = clear_denominators(vecs)
+    ws, d = clear_denominators([[Fraction(x) for x in g] for g in glue])
     gws = []
     for k, w in enumerate(ws):
         if len(w) != n:
@@ -224,9 +215,19 @@ def overlattice(lat, glue):
     return new_lat, index, [[Fraction(x, d) for x in row] for row in h]
 
 
+def _rows_in(lat, rows):
+    """rows as lists, each of length lat.rank, else LatticeError."""
+    rows = [list(r) for r in rows]
+    for k, r in enumerate(rows):
+        if len(r) != lat.rank:
+            raise LatticeError("row %d has length %d, not the rank %d"
+                               % (k, len(r), lat.rank))
+    return rows
+
+
 def sublattice(lat, rows):
     """Lattice on independent rows (coordinates in lat's basis)."""
-    rows = [list(r) for r in rows]
+    rows = _rows_in(lat, rows)
     if rank(rows, lat.rank) != len(rows):
         raise LatticeError("sublattice rows are dependent")
     gram = mat_mul(mat_mul(rows, lat.gram_rows), transpose(rows))
@@ -243,7 +244,7 @@ def saturation(lat, rows):
     have the same pivot columns, so the index is the product of H's
     pivots over the product of the saturation's.
     """
-    rows = [list(r) for r in rows]
+    rows = _rows_in(lat, rows)
     n = lat.rank
     k = len(rows)
     if not rows:
@@ -265,7 +266,7 @@ def orthogonal_complement(lat, rows):
     Returns (lattice, basis_rows) with basis_rows in lat coordinates.
     The lattice has rank 0 when rows span everything.
     """
-    rows = [list(r) for r in rows]
+    rows = _rows_in(lat, rows)
     n = lat.rank
     pair = [mat_vec(lat.gram_rows, r) for r in rows]
     basis = int_kernel(pair) if pair else identity(n)
@@ -273,8 +274,6 @@ def orthogonal_complement(lat, rows):
     # exactly when their pairings leave a kernel of rank n - k
     if len(basis) != n - len(rows):
         raise LatticeError("orthogonal_complement input rows are dependent")
-    if not basis:
-        return IntegralLattice(()), []
     gram = mat_mul(mat_mul(basis, lat.gram_rows), transpose(basis))
     return make_lattice(gram), basis
 

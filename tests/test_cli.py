@@ -185,3 +185,65 @@ def test_text_json_parity(tmp_path):
     payload = json.loads(js)
     for r in payload["results"]:
         assert r["id"] in text
+
+
+def _ids_and_values(payload):
+    return [(r["id"], r["value"]) for r in payload["results"]]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # the glued lattice's form (2)^6 and its 128 half-vector pairs of norm
+    # 4; unglued A1(-1)^8 gives (2)^8 and 56 pairs
+    (["disc"], ["disc/group: 2,2,2,2,2,2", "disc/q[5]: order 2, q = 1",
+                "disc/b[0]: 0 1/2 1/2 1/2 1/2 1/2"]),
+    (["shortvec", "--bound", "4", "--count-only"],
+     ["shortvec/pairs: 192", "shortvec/counts: norm 2: 8 pairs; norm 4: 184 pairs",
+      "shortvec/convention: negated input"]),
+])
+def test_glued_file_text_and_json(tmp_path, argv, lines):
+    f = write(tmp_path, "nik.lat", NIKULIN)
+    cmd = [argv[0], f] + argv[1:]
+    code, text = run(cmd)
+    assert code == EXIT_OK
+    assert text.startswith("latkit %s %s" % (argv[0], f))
+    for line in lines:
+        assert "\n  %s\n" % line in text
+    code, js = run(cmd + ["--json"])
+    assert code == EXIT_OK
+    payload = json.loads(js)
+    assert payload["schema"] == 1 and payload["exit"] == EXIT_OK
+    got = _ids_and_values(payload)
+    for line in lines:
+        assert tuple(line.split(": ", 1)) in got
+    assert len(got) == text.count("\n") - 1
+
+
+def test_overlattice_basis_rows_are_fraction_strings(tmp_path):
+    f = write(tmp_path, "nik.lat", NIKULIN)
+    code, text = run(["overlattice", f])
+    assert code == EXIT_OK
+    assert text == (
+        "latkit overlattice %s\n" % f
+        + "  overlattice/index: 2\n  overlattice/det: 64\n"
+        + "  overlattice/even: True\n  overlattice/disc: 2,2,2,2,2,2\n"
+        + "  overlattice/basis-row: 1/2 1/2 1/2 1/2 1/2 1/2 1/2 1/2\n"
+        + "".join("  overlattice/basis-row: %s\n"
+                  % " ".join("1" if j == i else "0" for j in range(8))
+                  for i in range(1, 8)))
+    code, js = run(["overlattice", f, "--json"])
+    assert code == EXIT_OK
+    rows = [v for i, v in _ids_and_values(json.loads(js)) if i == "overlattice/basis-row"]
+    assert rows[0] == " ".join(["1/2"] * 8) and rows[1] == "0 1 0 0 0 0 0 0"
+
+
+@pytest.mark.parametrize("text, msg", [
+    (A2, "no glue rows in {f}"),
+    (A2 + "glue 1/3 1/3\n",
+     "glue vector 0 pairs non-integrally with basis vector 0 (value 1/3)"),
+])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_overlattice_input_errors(tmp_path, capsys, text, msg, flags):
+    f = write(tmp_path, "a2.lat", text)
+    code, out = run(["overlattice", f] + flags)
+    assert code == EXIT_USAGE and out == ""
+    assert capsys.readouterr().err == "error: %s\n" % msg.format(f=f)

@@ -17,7 +17,7 @@ from latkit.catalog import (
 )
 from latkit.isometry import make_isometry
 from latkit.lattice import (
-    GlueError, GlueVector, LatticeError, direct_sum, discriminant_group,
+    GlueError, LatticeError, direct_sum, discriminant_group,
     make_lattice, orthogonal_complement, overlattice, rescale, sublattice,
 )
 from latkit.ratmat import hnf_int, inverse, mat_mul, mat_vec, to_int, transpose
@@ -52,8 +52,7 @@ def ref_hnf_rowspan(mat):
 
 def ref_overlattice(lat, glue):
     n = lat.rank
-    vecs = [list(g.coords) if isinstance(g, GlueVector) else [Fraction(x) for x in g]
-            for g in glue]
+    vecs = [[Fraction(x) for x in g] for g in glue]
     for k, w in enumerate(vecs):
         if len(w) != n:
             raise GlueError("glue vector %d has wrong length" % k)
@@ -109,7 +108,7 @@ def ref_build_L(nu_override=None, glue_count=8):
     for v in (mu, nu):
         cur = v
         for _ in range(4):
-            orbit.append(GlueVector(cur))
+            orbit.append(cur)
             cur = mat_vec(g_base, cur)
     lat, index, basis = ref_overlattice(base, orbit[:glue_count])
 
@@ -162,9 +161,7 @@ def ref_build_L(nu_override=None, glue_count=8):
     vectors = {name: _ref_to_new_basis(p_inv, v, name)
                for name, v in base_vectors.items()}
     return NamedConstruction(
-        name="L", lattice=lat, base_lattice=base,
-        change_of_basis=tuple(tuple(r) for r in basis),
-        vectors=vectors, base_vectors=base_vectors,
+        lattice=lat, base_lattice=base, vectors=vectors, base_vectors=base_vectors,
         isometries={"g": g, "h": h}, index=index,
     ), index
 
@@ -198,7 +195,7 @@ def _e8_from_d8():
     rows.append([1 if j in (6, 7) else 0 for j in range(8)])
     base = sublattice(make_lattice([[int(i == j) for j in range(8)] for i in range(8)]),
                       rows)
-    glue = GlueVector(mat_vec(inverse(transpose(rows)), [Fraction(1, 2)] * 8))
+    glue = mat_vec(inverse(transpose(rows)), [Fraction(1, 2)] * 8)
     return base, [glue]
 
 
@@ -207,19 +204,26 @@ def test_L_matches_fraction_oracle(L):
     ref, ref_index = ref_build_L()
     assert index == ref_index == 256
     assert c == ref
-    for field in ("lattice", "index", "change_of_basis", "vectors", "base_vectors",
-                  "isometries"):
+    for field in ("lattice", "index", "vectors", "base_vectors", "isometries"):
         assert getattr(c, field) == getattr(ref, field), field
     assert list(c.vectors) == list(ref.vectors)
     assert all(type(x) is int for v in c.vectors.values() for x in v)
     assert all(type(x) is Fraction for v in c.base_vectors.values() for x in v)
-    assert all(type(x) is Fraction for row in c.change_of_basis for x in row)
+    # the basis build_L reads off its gluing, against the oracle's
+    glue = [c.base_vectors[v] for v in ("mu", "g1(mu)", "g2(mu)", "g3(mu)",
+                                        "nu", "g1(nu)", "g2(nu)", "g3(nu)")]
+    got = overlattice(c.base_lattice, glue)
+    assert got == ref_overlattice(c.base_lattice, glue)
+    assert got[:2] == (c.lattice, index)
+    assert all(type(x) is Fraction for row in got[2] for x in row)
 
 
 def test_nikulin_and_e8_match_fraction_oracle():
     nik, index = build_nikulin()
-    ref = ref_overlattice(nik.base_lattice, [GlueVector([Fraction(1, 2)] * 8)])
-    assert (nik.lattice, nik.index, [list(r) for r in nik.change_of_basis]) == ref
+    glue = [[Fraction(1, 2)] * 8]
+    ref = ref_overlattice(nik.base_lattice, glue)
+    assert overlattice(nik.base_lattice, glue) == ref
+    assert (nik.lattice, nik.index) == ref[:2]
     base, glue = _e8_from_d8()
     got = overlattice(base, glue)
     assert got == ref_overlattice(base, glue)
@@ -239,8 +243,8 @@ def test_index_matches_determinant_ratio(L):
     cases = [
         (_e8_from_d8(), 2),
         ((direct_sum([a2, rescale(a2, -1)]),
-          [GlueVector([Fraction(1, 3), Fraction(2, 3)] * 2)]), 3),
-        ((direct_sum([a4, rescale(a4, -1)]), [GlueVector(w1 * 2)]), 5),
+          [[Fraction(1, 3), Fraction(2, 3)] * 2]), 3),
+        ((direct_sum([a4, rescale(a4, -1)]), [w1 * 2]), 5),
     ]
     for (lat, glue), want in cases:
         new_lat, index, _ = overlattice(lat, glue)
@@ -295,7 +299,7 @@ def _isotropic_glue(rng, lat):
     for c in chosen:
         v = [sum(ci * lift[j] for ci, lift in zip(c, f.generator_lifts))
              + rng.randint(-3, 3) for j in range(lat.rank)]
-        glue.append(GlueVector(v))
+        glue.append(v)
     return glue
 
 
@@ -312,7 +316,7 @@ def _half_vector_glue(rng):
         glue.append(v)
         if len(glue) == 4:
             break
-    return lat, [GlueVector(v) for v in glue]
+    return lat, glue
 
 
 def test_random_gluings_match_fraction_oracle():
@@ -340,9 +344,9 @@ def test_glue_errors_match_fraction_oracle():
         "pairs non-integrally with basis", "has self-pairing", "pair non-integrally (",
         "has wrong length")
     cases = [
-        (a1, [GlueVector([Fraction(1, 3)])], basis),
+        (a1, [[Fraction(1, 3)]], basis),
         (a2, [[1, 0], [Fraction(1, 3), Fraction(1, 3)]], basis),
-        (make_lattice([[4]]), [GlueVector([Fraction(1, 2)])], self_),
+        (make_lattice([[4]]), [[Fraction(1, 2)]], self_),
         (a2, [[Fraction(1, 3), Fraction(2, 3)]], self_),
         (std_gram("A1", scale=-1), [[0], [Fraction(1, 2)]], self_),
         # each glue vector is fine alone; their pairing 1/2 is a multiple
@@ -351,7 +355,7 @@ def test_glue_errors_match_fraction_oracle():
         (make_lattice([[8, 0], [0, 8]]), [[Fraction(1, 2), 0], [0, Fraction(1, 2)],
                                           [Fraction(1, 4), Fraction(1, 4)]], self_),
         # wrong length, after the checks of earlier vectors
-        (a1, [GlueVector([Fraction(1, 2), Fraction(0)])], length),
+        (a1, [[Fraction(1, 2), Fraction(0)]], length),
         (a2, [[1, 0], [Fraction(1, 3)]], length),
     ]
     for lat, glue, kind in cases:

@@ -92,6 +92,16 @@ def test_acts_as_minus_one():
     assert not acts_as_minus_one(rot, [[1, 0]])
 
 
+def test_acts_as_minus_one_rejects_rows_of_the_wrong_length():
+    # zip used to pad or cut such a row: [[]] and [[1, 2]] passed on rank 3
+    lat = std_gram("A", 3)
+    minus = make_isometry(lat, [[-int(i == j) for j in range(3)] for i in range(3)])
+    for rows, bad in (([[]], "row 0 has length 0"), ([[1, 2]], "row 0 has length 2"),
+                      ([[1, 0, 0], [1, 0, 0, 7]], "row 1 has length 4")):
+        with pytest.raises(IsometryError, match=bad + ", not the rank 3"):
+            acts_as_minus_one(minus, rows)
+
+
 def test_isometries_on_different_lattices_do_not_mix():
     lat, rot = a2_rotation()
     other = make_lattice([[2]])

@@ -9,7 +9,7 @@ from fqf_ref import element_order, q_of
 from latkit import lattice
 from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.lattice import (
-    CapExceeded, FiniteQuadraticForm, GlueError, GlueVector, LatticeError, direct_sum,
+    CapExceeded, FiniteQuadraticForm, GlueError, LatticeError, direct_sum,
     discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
     orthogonal_complement, overlattice, rescale, saturation, sublattice,
 )
@@ -132,24 +132,24 @@ def test_overlattice_e8_from_d8():
 def _in_basis(rows, vec):
     # solve vec = sum c_i rows_i for the square case by brute inversion
     from latkit.ratmat import inverse, mat_vec, transpose
-    return GlueVector(mat_vec(inverse(transpose(rows)), list(vec)))
+    return mat_vec(inverse(transpose(rows)), list(vec))
 
 
 def test_overlattice_rejects_bad_glue():
     a1 = std_gram("A1")
     with pytest.raises(GlueError):
-        overlattice(a1, [GlueVector([Fraction(1, 3)])])
+        overlattice(a1, [[Fraction(1, 3)]])
     # half of the A1 generator pairs integrally but has odd self-pairing
     with pytest.raises(GlueError):
-        overlattice(make_lattice([[4]]), [GlueVector([Fraction(1, 2)])])
+        overlattice(make_lattice([[4]]), [[Fraction(1, 2)]])
     with pytest.raises(GlueError):
-        overlattice(a1, [GlueVector([Fraction(1, 2), Fraction(0)])])
+        overlattice(a1, [[Fraction(1, 2), Fraction(0)]])
 
 
 def test_overlattice_reports_offending_pair():
     a1 = std_gram("A1")
     with pytest.raises(GlueError, match="glue vector 0 pairs non-integrally"):
-        overlattice(a1, [GlueVector([Fraction(1, 4)])])
+        overlattice(a1, [[Fraction(1, 4)]])
 
 
 def test_sublattice_and_saturation():
@@ -163,6 +163,17 @@ def test_sublattice_and_saturation():
     assert idx == 2  # index of the span in Z^2
     with pytest.raises(LatticeError):
         saturation(z2, [[1, 0], [2, 0]])
+
+
+@pytest.mark.parametrize("fn", [sublattice, saturation, orthogonal_complement])
+def test_rows_of_the_wrong_length_are_rejected(fn):
+    # zip used to pad or cut such a row: saturation(A3, [[2, 0]]) gave
+    # ([[1, 0]], 2) and orthogonal_complement the complement of (1, 0, 0)
+    a3 = std_gram("A", 3)
+    for rows, bad in (([[2, 0]], "row 0 has length 2"), ([[1, 0, 0, 5]], "row 0 has length 4"),
+                      ([[1, 0, 0], [0, 1]], "row 1 has length 2")):
+        with pytest.raises(LatticeError, match=bad + ", not the rank 3"):
+            fn(a3, rows)
 
 
 def test_orthogonal_complement():
