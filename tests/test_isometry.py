@@ -93,7 +93,7 @@ def test_acts_as_minus_one():
 
 
 def test_acts_as_minus_one_rejects_rows_of_the_wrong_length():
-    # zip used to pad or cut such a row: [[]] and [[1, 2]] passed on rank 3
+    # zip would pad or cut such a row; [[]] must not count as fixed by -1
     lat = std_gram("A", 3)
     minus = make_isometry(lat, [[-int(i == j) for j in range(3)] for i in range(3)])
     for rows, bad in (([[]], "row 0 has length 0"), ([[1, 2]], "row 0 has length 2"),

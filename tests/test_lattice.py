@@ -167,8 +167,7 @@ def test_sublattice_and_saturation():
 
 @pytest.mark.parametrize("fn", [sublattice, saturation, orthogonal_complement])
 def test_rows_of_the_wrong_length_are_rejected(fn):
-    # zip used to pad or cut such a row: saturation(A3, [[2, 0]]) gave
-    # ([[1, 0]], 2) and orthogonal_complement the complement of (1, 0, 0)
+    # mat_vec's zip would pad or cut such a row and answer for another one
     a3 = std_gram("A", 3)
     for rows, bad in (([[2, 0]], "row 0 has length 2"), ([[1, 0, 0, 5]], "row 0 has length 4"),
                       ([[1, 0, 0], [0, 1]], "row 1 has length 2")):
