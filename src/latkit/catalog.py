@@ -219,13 +219,12 @@ def reflection_in_span(lat, span_rows):
 def build_nikulin():
     """Index-2 overlattice of A1(-1)^{+8} glued by the all-halves vector."""
     base = direct_sum([std_gram("A1", scale=-1)] * 8)
-    glue = (Fraction(1, 2),) * 8
-    lat, index, _ = overlattice(base, [glue])
+    lat, index, _ = overlattice(base, [[Fraction(1, 2)] * 8])
     return NamedConstruction(
         lattice=lat,
         base_lattice=base,
         vectors={},
-        base_vectors={"glue": glue},
+        base_vectors={},
         isometries={},
         index=index,
     ), index
