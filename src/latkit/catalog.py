@@ -231,10 +231,9 @@ def build_nikulin():
 
 
 def build_MD5(nikulin):
-    """A4(-1)^{+2} + Nikulin direct sum (rank 16), from build_nikulin()[0]."""
-    lat = direct_sum([std_gram("A", 4, -1), std_gram("A", 4, -1), nikulin.lattice])
-    return NamedConstruction(lattice=lat, base_lattice=lat, vectors={}, base_vectors={},
-                             isometries={})
+    """A4(-1)^{+2} + Nikulin direct sum (rank 16), from the lattice of
+    build_nikulin()[0]."""
+    return direct_sum([std_gram("A", 4, -1), std_gram("A", 4, -1), nikulin])
 
 
 def u2_cubed():
@@ -274,6 +273,9 @@ class Claim:
 
 # Negative controls, one construction corrupted each:
 #   nu-coord     nu gets a coordinate 1/3, so the gluing of L fails
+#   nu-roots     nu becomes (1,0,0,0,1,0,1,1,1,0,0,0,1,0,1,1)/2, of norm -6;
+#                L still glues (index 256) but has 40 pairs of roots, and
+#                neither E8(-2) span is half-unimodular
 #   u2-diagonal  U(2)^3 becomes <-2>^6, whose q values are 3/2, so the
 #                Nikulin form no longer matches
 #   h-minus-one  h becomes -I, which breaks the dihedral relation and
@@ -283,7 +285,7 @@ class Claim:
 #                so its discriminant group grows to (Z/2)^8 + (Z/5)^2
 #   k3-commutant the quartic's sigma gets eigenvalue 1 twice, so its
 #                commutant grows from 4 to 6 and the moduli count to 1
-FAULT_IDS = ("nu-coord", "u2-diagonal", "h-minus-one", "g-minus-one",
+FAULT_IDS = ("nu-coord", "nu-roots", "u2-diagonal", "h-minus-one", "g-minus-one",
              "md5-unglued", "k3-commutant")
 
 
@@ -301,6 +303,8 @@ def _builders(inject_fault):
     if inject_fault == "nu-coord":
         nu = list(NU_BASE)
         nu[4] = Fraction(1, 3)  # breaks integral pairing with the base
+    elif inject_fault == "nu-roots":
+        nu = [Fraction(x, 2) for x in (1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1)]
 
     def build_l(get):
         c = build_L(nu_override=nu)[0]
@@ -310,9 +314,8 @@ def _builders(inject_fault):
 
     def build_md5(get):
         nik = get("nikulin")
-        if inject_fault == "md5-unglued":
-            nik = replace(nik, lattice=nik.base_lattice)
-        return build_MD5(nik)
+        return build_MD5(nik.base_lattice if inject_fault == "md5-unglued"
+                         else nik.lattice)
 
     def build_u2(get):
         if inject_fault == "u2-diagonal":
@@ -325,7 +328,9 @@ def _builders(inject_fault):
         "md5": build_md5,
         "u2^3": build_u2,
         "factors:L": lambda get: invariant_factors(get("L").lattice),
-        "factors:md5": lambda get: invariant_factors(get("md5").lattice),
+        "factors:md5": lambda get: invariant_factors(get("md5")),
+        # one radius-2 search certifies both L/rootless and L/minimum
+        "sv:L": lambda get: shortvec.short_vectors(get("L").lattice, 3),
         "disc:nikulin": lambda get: discriminant_group(get("nikulin").lattice),
         "disc:u2^3": lambda get: discriminant_group(get("u2^3")),
     }
@@ -356,6 +361,20 @@ def _e_rows(c):
 
 def _f_rows(c):
     return [c.vectors["f%d" % i] for i in range(9, 17)]
+
+
+def _minimum_from(lat, report):
+    """shortvec.minimum(lat), read off report = short_vectors(lat, bound)
+    where it settles it.  The report lists every vector of norm <= bound,
+    so a listed vector of least norm is the minimum.  An empty report
+    leaves no norm below m = min |G_ii| (the norm of a basis vector) when
+    m <= bound + 1, so the minimum is m; otherwise search."""
+    if report.vectors:
+        return min(norm for _, norm in report.vectors)
+    m = min((abs(row[i]) for i, row in enumerate(lat.gram_rows)), default=None)
+    if m is not None and m <= report.bound + 1:
+        return m
+    return shortvec.minimum(lat)
 
 
 def _half_unimodular(lat, rows):
@@ -394,10 +413,9 @@ CLAIMS = (
           lambda L: L.base_lattice.norm_of(L.base_vectors["mu"]), ("L",)),
     Claim("L/nu-self", "L/glue-vectors", -4,
           lambda L: L.base_lattice.norm_of(L.base_vectors["nu"]), ("L",)),
-    Claim("L/rootless", "L/short-vectors", 0,
-          lambda L: len(shortvec.short_vectors(L.lattice, 3).vectors), ("L",)),
+    Claim("L/rootless", "L/short-vectors", 0, lambda sv: len(sv.vectors), ("sv:L",)),
     Claim("L/minimum", "L/short-vectors", 4,
-          lambda L: shortvec.minimum(L.lattice), ("L",)),
+          lambda L, sv: _minimum_from(L.lattice, sv), ("L", "sv:L")),
     Claim("L/mu-primitive", "L/saturation", 1,
           lambda L: saturation(L.lattice, [L.vectors["mu"]])[1], ("L",)),
     # -- the order-5 isometry g
@@ -439,7 +457,7 @@ CLAIMS = (
           lambda f1, f2: fqf_isomorphic(f1, f2) is not None,
           ("disc:nikulin", "disc:u2^3")),
     # -- M_D5
-    Claim("md5/rank", "md5", 16, lambda md5: md5.lattice.rank, ("md5",)),
+    Claim("md5/rank", "md5", 16, lambda md5: md5.rank, ("md5",)),
     Claim("md5/disc-primary", "md5/discriminant", tuple(sorted([2] * 6 + [5, 5])),
           primary_decomposition, ("factors:md5",)),
     Claim("md5/disc-chain", "md5/discriminant", (2, 2, 2, 2, 10, 10),

@@ -111,12 +111,12 @@ def test_08_nikulin():
 
 
 def test_09_md5():
-    md5 = build_MD5(build_nikulin()[0])
+    md5 = build_MD5(build_nikulin()[0].lattice)
     prim = catalog.primary_decomposition(
-        discriminant_group(md5.lattice).invariant_factors)
+        discriminant_group(md5).invariant_factors)
     report("criterion-09 rank-16 lattice with disc (Z/5)^2+(Z/2)^6",
-           md5.lattice.rank == 16 and prim == (2, 2, 2, 2, 2, 2, 5, 5),
-           "rank=%d primary=%s" % (md5.lattice.rank, prim))
+           md5.rank == 16 and prim == (2, 2, 2, 2, 2, 2, 5, 5),
+           "rank=%d primary=%s" % (md5.rank, prim))
 
 
 def test_10_families():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latkit import catalog, cli, lattice
+from latkit import catalog, cli, lattice, shortvec
 from latkit.catalog import (
     CatalogError, build_L, build_MD5, build_nikulin, primary_decomposition,
     repro_all, std_gram, u2_cubed,
@@ -72,10 +72,10 @@ def test_nikulin_and_md5():
     assert nik.lattice.is_even
     f = discriminant_group(nik.lattice)
     assert f.invariant_factors == (2,) * 6
-    md5 = build_MD5(nik)
-    assert md5.lattice.rank == 16
+    md5 = build_MD5(nik.lattice)
+    assert md5.rank == 16
     assert primary_decomposition(
-        discriminant_group(md5.lattice).invariant_factors) == (2, 2, 2, 2, 2, 2, 5, 5)
+        discriminant_group(md5).invariant_factors) == (2, 2, 2, 2, 2, 2, 5, 5)
 
 
 def test_u2_cubed():
@@ -150,7 +150,7 @@ def test_claim_error_is_a_failure_not_an_abort(monkeypatch, L):
         build_nikulin()[0].lattice.gram, u2_cubed().gram}
     assert len(factors) == 2
     assert {args[0].gram for args in factors} == {
-        L[0].lattice.gram, build_MD5(build_nikulin()[0]).lattice.gram}
+        L[0].lattice.gram, build_MD5(build_nikulin()[0].lattice).gram}
 
 
 def test_filter_builds_only_what_selected_claims_need(monkeypatch):
@@ -175,6 +175,18 @@ def test_failed_build_is_attempted_once(monkeypatch):
     assert all(c.computed == "error: broken glue" for c in claims)
 
 
+def test_one_search_certifies_rootless_and_minimum(monkeypatch):
+    # L/rootless and L/minimum read one short_vectors(L, 3) report; the
+    # minimum comes off it (empty, and min |G_ii| = 4 <= 3 + 1) with no
+    # second search
+    searches = _counting(monkeypatch, [shortvec], "short_vectors")
+    minima = _counting(monkeypatch, [shortvec], "minimum")
+    claims = repro_all(filter_tag="L/")
+    assert len(claims) == 9 and all(c.passed for c in claims)
+    assert [args[1] for args in searches] == [3]
+    assert minima == []
+
+
 def test_fault_fails_exactly_the_claims_on_L():
     claims = repro_all(inject_fault="nu-coord")
     assert len(claims) == 51
@@ -192,12 +204,17 @@ def test_fault_fails_exactly_the_claims_on_L():
                      "dih10/group-order": "4", "dih10/g2h-minus-on-f": "False"}),
     ("md5-unglued", {"md5/disc-primary": str((2,) * 8 + (5, 5)),
                      "md5/disc-chain": str((2,) * 6 + (10, 10))}),
+    ("nu-roots", {"L/nu-self": "-6", "L/rootless": "40", "L/minimum": "2",
+                  "e8/e-half-unimodular": str((False, 1, (0, 8))),
+                  "e8/f-half-unimodular": str((False, 1, (0, 8)))}),
 ])
 def test_fault_fails_its_claim_group(fault, failed):
     # <-2>^6 has q values 3/2, so no isomorphism to the Nikulin form; -I
     # as h commutes with g and fixes nothing; -I as g has order 2, moves
-    # every class of (Z/5)^4 and generates only a Klein group with h; and
-    # A4(-1)^2 + A1(-1)^8 has discriminant group (Z/2)^8 + (Z/5)^2
+    # every class of (Z/5)^4 and generates only a Klein group with h;
+    # A4(-1)^2 + A1(-1)^8 has discriminant group (Z/2)^8 + (Z/5)^2; and
+    # the nu-roots glue still gives index 256, but nu has norm -6 and L
+    # gets 40 pairs of roots, so both E8(-2) spans are odd after halving
     out = io.StringIO()
     assert cli.main(["repro", "--json", "--inject-fault", fault], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]

@@ -400,7 +400,7 @@ def test_closures_and_invariants_match_oracle(L, L_disc):
 def test_md5_block_swap_moves_discriminant_classes():
     # swapping the two A4(-1) blocks of M_D5 swaps the two Z/5 factors of
     # its discriminant group, so some class moves
-    md5 = build_MD5(build_nikulin()[0]).lattice
+    md5 = build_MD5(build_nikulin()[0].lattice)
     perm = list(range(4, 8)) + list(range(4)) + list(range(8, 16))
     swap = make_isometry(md5, [[int(perm[j] == i) for j in range(16)] for i in range(16)])
     assert ref_disc_action_trivial(swap.matrix, discriminant_group(md5)) is False

@@ -6,8 +6,9 @@ from math import isqrt
 import pytest
 
 from cholesky_ref import INDEFINITE, definite_grams, ref_cholesky, upper
-from latkit.catalog import std_gram
-from latkit.lattice import LatticeError, make_lattice
+from latkit import shortvec
+from latkit.catalog import _minimum_from, std_gram
+from latkit.lattice import LatticeError, direct_sum, make_lattice
 from latkit.ratmat import det
 from latkit.shortvec import _cholesky, minimum, short_vectors
 
@@ -162,9 +163,10 @@ def badly_reduced(rng, gram, spread):
             row[i] += k * row[j]
 
 
-def test_minimum_oracle():
-    # odd, scaled by 2, 3 and 6, negative definite, and badly reduced bases
-    # (smallest diagonal entry >= 10x the minimum) against brute force
+def minimum_oracle_cases():
+    """(gram, expected minimum or None): odd, scaled by 2, 3 and 6,
+    negative definite, and badly reduced bases (smallest diagonal entry
+    >= 10x the minimum)."""
     rng = random.Random(8)
     cases = []
     while len(cases) < 96:
@@ -176,17 +178,75 @@ def test_minimum_oracle():
     a2, a3 = [[2, -1], [-1, 2]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     for k in range(12):
         cases.append((badly_reduced(rng, a3 if k % 2 else a2, 20), 2))
-    for g, expected in cases:
+    return cases
+
+
+def brute_minimum(g, value):
+    """Whether value is the minimum of g by the box oracle: every vector up
+    to norm `value` is listed, and the least has norm `value`."""
+    pos = [[-x for x in row] for row in g] if g[0][0] < 0 else g
+    return min(norm for _, norm in naive_pairs(pos, value)) == value
+
+
+# A3 in a basis with entries up to 165,774, too large for the box oracle
+A3_HUGE = transform([[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+                    [[-113, -157, 56], [-182, -253, 90], [70, 97, -35]])
+
+
+def test_minimum_oracle():
+    # against brute force
+    for g, expected in minimum_oracle_cases():
         got = minimum(make_lattice(g))
-        pos = [[-x for x in row] for row in g] if g[0][0] < 0 else g
-        # every vector up to norm `got` is listed, and the least has norm `got`
-        assert min(norm for _, norm in naive_pairs(pos, got)) == got
+        assert brute_minimum(g, got)
         assert expected in (None, got)
-    # A3 in a basis with entries up to 165,774, too large for the box
-    # oracle; a shrinking search that does not try the middle of each
-    # range first runs past NODE_BUDGET here
-    u = [[-113, -157, 56], [-182, -253, 90], [70, 97, -35]]
-    assert minimum(make_lattice(transform(a3, u))) == 2
+    # a shrinking search that does not try the middle of each range first
+    # runs past NODE_BUDGET here
+    assert minimum(make_lattice(A3_HUGE)) == 2
+
+
+def test_minimum_read_off_a_bound_3_report(monkeypatch):
+    # repro reads L/minimum off the short_vectors(L, 3) report that
+    # L/rootless reads: the least listed norm, else m = min |G_ii| when
+    # m <= 3 + 1, else a search; each branch against shortvec.minimum and
+    # brute force, with the search taken in the last branch only
+    searches = []
+    search = shortvec.minimum
+    monkeypatch.setattr(shortvec, "minimum",
+                        lambda lat: searches.append(lat) or search(lat))
+
+    def read_off(lat):
+        before = len(searches)
+        got = _minimum_from(lat, short_vectors(lat, 3))
+        assert got == minimum(lat)
+        return got, len(searches) - before
+
+    for g, _ in minimum_oracle_cases():
+        got, searched = read_off(make_lattice(g))
+        assert brute_minimum(g, got)
+        assert searched == (got > 3 and min(abs(g[i][i]) for i in range(len(g))) > 4)
+    assert read_off(make_lattice(A3_HUGE)) == (2, 0)
+    # listed: A4(-1)^4 has 40 pairs of roots; the minimum of an orthogonal
+    # sum is the least of its summands'
+    a4 = std_gram("A", 4, -1)
+    a4_4 = direct_sum([a4] * 4)
+    assert short_vectors(a4_4, 3).counts_by_norm == ((2, 40),)
+    assert read_off(a4_4) == (2, 0) and brute_minimum(a4.gram_rows, 2)
+    # read off the diagonal: E8(-2) lists nothing up to 3, and m = 4; the
+    # box oracle runs on E8(2) in the dual basis, Gram 2 C^-1 for the
+    # Cartan matrix C, where the box at norm 3 is {-1, 0, 1}^8
+    e8 = std_gram("E8", scale=-2)
+    assert read_off(e8) == (4, 0)
+    from sympy import Matrix
+    dual = [[int(2 * x) for x in row]
+            for row in Matrix(std_gram("E8").gram_rows).inv().tolist()]
+    assert naive_pairs(dual, 3) == [] and min(dual[i][i] for i in range(8)) == 4
+    # searched: m = 6, 8 and 5 > 4 with nothing listed; the minimum lies
+    # below m on the last two, through (1, -1, 0) and (1, -1)
+    for g, want in (([[6]], 6), ([[8, 6, 0], [6, 8, 0], [0, 0, 10]], 4),
+                    ([[5, 3], [3, 5]], 4)):
+        assert read_off(make_lattice(g)) == (want, 1) and brute_minimum(g, want)
+    with pytest.raises(LatticeError):
+        _minimum_from(make_lattice([]), short_vectors(make_lattice([]), 3))
 
 
 def test_bound_between_norms():
