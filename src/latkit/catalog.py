@@ -10,6 +10,7 @@ exchanged up to sign by a dihedral group of order 10.
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import prod
 
 from . import k3fam, shortvec
 from .cyclo import Cyc5
@@ -18,11 +19,11 @@ from .isometry import (
     make_isometry, order,
 )
 from .lattice import (
-    LatticeError, direct_sum, discriminant_group, fqf_isomorphic, invariant_factors,
-    make_lattice, orthogonal_complement, overlattice, rescale, saturation, sublattice,
+    GlueError, LatticeError, direct_sum, invariant_factors, make_lattice,
+    orthogonal_complement, overlattice, rescale, saturation, sublattice,
 )
 from .ratmat import (
-    clear_denominators, det, divide_exact, mat_mul, mat_vec,
+    clear_denominators, det, divide_exact, hnf_int, mat_mul, mat_vec,
     scaled_inverse, to_int, transpose,
 )
 
@@ -217,21 +218,15 @@ def reflection_in_span(lat, span_rows):
 
 
 def build_nikulin():
-    """Index-2 overlattice of A1(-1)^{+8} glued by the all-halves vector."""
+    """Index-2 overlattice of A1(-1)^{+8} glued by the all-halves vector;
+    returns (lattice, index)."""
     base = direct_sum([std_gram("A1", scale=-1)] * 8)
     lat, index, _ = overlattice(base, [[Fraction(1, 2)] * 8])
-    return NamedConstruction(
-        lattice=lat,
-        base_lattice=base,
-        vectors={},
-        base_vectors={},
-        isometries={},
-        index=index,
-    ), index
+    return lat, index
 
 
 def build_MD5(nikulin):
-    """A4(-1)^{+2} + Nikulin direct sum (rank 16), from the lattice of
+    """A4(-1)^{+2} + Nikulin direct sum (rank 16), from the lattice
     build_nikulin()[0]."""
     return direct_sum([std_gram("A", 4, -1), std_gram("A", 4, -1), nikulin])
 
@@ -239,6 +234,48 @@ def build_MD5(nikulin):
 def u2_cubed():
     u2 = rescale(std_gram("U"), 2)
     return direct_sum([u2, u2, u2])
+
+
+# Glue rows for N + U(2)^3(-1), in halves: an N-part (coordinates in the
+# basis of build_nikulin()) then a U-part.  Row k is generator k of
+# discriminant_group(N) and its image under fqf_isomorphic's witness in
+# discriminant_group(u2_cubed()).
+NIK_U2_GLUE = tuple(tuple(Fraction(x, 2) for x in row) for row in (
+    (0, -1, 1, 0, 0, 0, 0, 0,  0, 0, 0, 0, 1, 1),
+    (0, -1, 0, 1, 0, 0, 0, 0,  0, 0, 1, 1, 0, 1),
+    (0, -1, 0, 0, 1, 0, 0, 0,  0, 1, 1, 1, 1, 0),
+    (0, -1, 0, 0, 0, 1, 0, 0,  1, 0, 1, 1, 1, 0),
+    (0, -1, 0, 0, 0, 0, 1, 0,  1, 1, 0, 0, 1, 0),
+    (0, -1, 0, 0, 0, 0, 0, 1,  1, 1, 0, 1, 0, 1),
+))
+
+
+def _span_index(rows):
+    """[Z^n + span(rows) : Z^n] for rows of n rationals: d^n / det H for
+    the Hermite form H of [d I ; d rows], d their common denominator."""
+    ws, d = clear_denominators(rows)
+    n = len(ws[0])
+    h = hnf_int([[d * (i == j) for j in range(n)] for i in range(n)] + ws)
+    return d ** n // prod(row[i] for i, row in enumerate(h))
+
+
+def _glues_unimodular(a, b, glue):
+    """Whether glue, rows (a-part, b-part) of rationals, glues a + b to an
+    even unimodular lattice whose a-parts generate a*/a and whose b-parts
+    generate b*/b.  Then the glue group G is the graph of a bijection
+    a*/a -> b*/b that negates q (Nikulin 1979, Prop. 1.6.1): its order k
+    has k^2 = |det a| |det b| and both projections are onto, so k =
+    |det a| = |det b| and both are one to one; G is isotropic, so
+    q_a(x) + q_b(y) = 0.  (An isotropic G has k^2 <= |det a| |det b|, so
+    the two onto checks already force det +-1.)"""
+    try:
+        glued = overlattice(direct_sum([a, b]), glue)[0]
+    except GlueError:
+        return False
+    n = a.rank
+    return (abs(glued.det) == 1
+            and _span_index([row[:n] for row in glue]) == abs(a.det)
+            and _span_index([row[n:] for row in glue]) == abs(b.det))
 
 
 def primary_decomposition(invariant_factors):
@@ -277,7 +314,7 @@ class Claim:
 #                L still glues (index 256) but has 40 pairs of roots, and
 #                neither E8(-2) span is half-unimodular
 #   u2-diagonal  U(2)^3 becomes <-2>^6, whose q values are 3/2, so the
-#                Nikulin form no longer matches
+#                Nikulin form no longer matches: the glue is odd on <2>^6
 #   h-minus-one  h becomes -I, which breaks the dihedral relation and
 #                fixes nothing
 #   g-minus-one  g becomes -I, of order 2, acting as -1 on L*/L = (Z/5)^4
@@ -313,9 +350,9 @@ def _builders(inject_fault):
         return c
 
     def build_md5(get):
-        nik = get("nikulin")
-        return build_MD5(nik.base_lattice if inject_fault == "md5-unglued"
-                         else nik.lattice)
+        if inject_fault == "md5-unglued":
+            return build_MD5(direct_sum([std_gram("A1", scale=-1)] * 8))
+        return build_MD5(get("nikulin")[0])
 
     def build_u2(get):
         if inject_fault == "u2-diagonal":
@@ -324,15 +361,14 @@ def _builders(inject_fault):
 
     return {
         "L": build_l,
-        "nikulin": lambda get: build_nikulin()[0],
+        "nikulin": lambda get: build_nikulin(),
         "md5": build_md5,
         "u2^3": build_u2,
         "factors:L": lambda get: invariant_factors(get("L").lattice),
         "factors:md5": lambda get: invariant_factors(get("md5")),
+        "factors:nikulin": lambda get: invariant_factors(get("nikulin")[0]),
         # one radius-2 search certifies both L/rootless and L/minimum
         "sv:L": lambda get: shortvec.short_vectors(get("L").lattice, 3),
-        "disc:nikulin": lambda get: discriminant_group(get("nikulin").lattice),
-        "disc:u2^3": lambda get: discriminant_group(get("u2^3")),
     }
 
 
@@ -450,12 +486,13 @@ CLAIMS = (
     Claim("e8/ef-index", "L/ef-span", 1,
           lambda L: abs(to_int(det(_e_rows(L) + _f_rows(L)))), ("L",)),
     # -- the Nikulin lattice
-    Claim("nikulin/index", "nikulin/gluing", 2, lambda nik: nik.index, ("nikulin",)),
+    Claim("nikulin/index", "nikulin/gluing", 2, lambda nik: nik[1], ("nikulin",)),
     Claim("nikulin/disc-group", "nikulin/discriminant", (2,) * 6,
-          lambda fqf: fqf.invariant_factors, ("disc:nikulin",)),
+          lambda factors: factors, ("factors:nikulin",)),
+    # q_N = q_U(2)^3: N + U(2)^3(-1) glues to a unimodular lattice
     Claim("nikulin/disc-form-matches-U2-cubed", "nikulin/discriminant", True,
-          lambda f1, f2: fqf_isomorphic(f1, f2) is not None,
-          ("disc:nikulin", "disc:u2^3")),
+          lambda nik, u2: _glues_unimodular(nik[0], rescale(u2, -1), NIK_U2_GLUE),
+          ("nikulin", "u2^3")),
     # -- M_D5
     Claim("md5/rank", "md5", 16, lambda md5: md5.rank, ("md5",)),
     Claim("md5/disc-primary", "md5/discriminant", tuple(sorted([2] * 6 + [5, 5])),

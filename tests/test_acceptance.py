@@ -102,8 +102,8 @@ def test_07_involution_actions(L):
 
 def test_08_nikulin():
     nik, index = build_nikulin()
-    inv = discriminant_group(nik.lattice).invariant_factors
-    wit = fqf_isomorphic(discriminant_group(nik.lattice),
+    inv = discriminant_group(nik).invariant_factors
+    wit = fqf_isomorphic(discriminant_group(nik),
                          discriminant_group(u2_cubed()))
     report("criterion-08 Nikulin lattice matches U(2)^3 discriminant form",
            index == 2 and inv == (2,) * 6 and wit is not None,
@@ -111,7 +111,7 @@ def test_08_nikulin():
 
 
 def test_09_md5():
-    md5 = build_MD5(build_nikulin()[0].lattice)
+    md5 = build_MD5(build_nikulin()[0])
     prim = catalog.primary_decomposition(
         discriminant_group(md5).invariant_factors)
     report("criterion-09 rank-16 lattice with disc (Z/5)^2+(Z/2)^6",

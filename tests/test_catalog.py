@@ -10,7 +10,9 @@ from latkit.catalog import (
     repro_all, std_gram, u2_cubed,
 )
 from latkit.isometry import CapExceeded
-from latkit.lattice import GlueError, discriminant_group
+from latkit.lattice import (
+    GlueError, direct_sum, discriminant_group, fqf_isomorphic, make_lattice, rescale,
+)
 
 
 def test_std_gram():
@@ -69,10 +71,10 @@ def test_verify_e_basis_all_pass():
 def test_nikulin_and_md5():
     nik, index = build_nikulin()
     assert index == 2
-    assert nik.lattice.is_even
-    f = discriminant_group(nik.lattice)
+    assert nik.is_even
+    f = discriminant_group(nik)
     assert f.invariant_factors == (2,) * 6
-    md5 = build_MD5(nik.lattice)
+    md5 = build_MD5(nik)
     assert md5.rank == 16
     assert primary_decomposition(
         discriminant_group(md5).invariant_factors) == (2, 2, 2, 2, 2, 2, 5, 5)
@@ -132,7 +134,8 @@ def _raise(exc):
 def test_claim_error_is_a_failure_not_an_abort(monkeypatch, L):
     monkeypatch.setattr(catalog, "order", _raise(CapExceeded("order cap")))
     builds = _counting(monkeypatch, [catalog], "build_L")
-    forms = _counting(monkeypatch, [catalog, lattice], "discriminant_group")
+    forms = _counting(monkeypatch, [lattice, cli], "discriminant_group")
+    searches = _counting(monkeypatch, [lattice], "fqf_isomorphic")
     factors = _counting(monkeypatch, [catalog, lattice], "invariant_factors")
     out = io.StringIO()
     assert cli.main(["repro", "--json"], out=out) == cli.EXIT_FAIL
@@ -141,16 +144,97 @@ def test_claim_error_is_a_failure_not_an_abort(monkeypatch, L):
     failed = {r["id"]: r["computed"] for r in results if not r["pass"]}
     assert failed == {"g/order": "error: order cap",
                       "dih10/h-order": "error: order cap"}
-    # each construction is built once per run; only the Nikulin and U(2)^3
-    # forms are built, for fqf_isomorphic, and L and M_D5 get their
+    # each construction is built once per run; no discriminant form is
+    # built or searched, and L, M_D5 and the Nikulin lattice get their
     # invariant factors once each
     assert len(builds) == 1
-    assert len(forms) == 2
-    assert {args[0].gram for args in forms} == {
-        build_nikulin()[0].lattice.gram, u2_cubed().gram}
-    assert len(factors) == 2
-    assert {args[0].gram for args in factors} == {
-        L[0].lattice.gram, build_MD5(build_nikulin()[0].lattice).gram}
+    assert forms == [] and searches == []
+    nik = build_nikulin()[0]
+    assert sorted(args[0].gram for args in factors) == sorted(
+        [L[0].lattice.gram, build_MD5(nik).gram, nik.gram])
+
+
+def test_every_named_input_is_built(monkeypatch):
+    # one full pass builds each named input exactly once, so a builder
+    # that no claim reads fails here
+    built = []
+    builders = catalog._builders
+
+    def counting(inject_fault):
+        return {name: lambda get, name=name, fn=fn: built.append(name) or fn(get)
+                for name, fn in builders(inject_fault).items()}
+
+    monkeypatch.setattr(catalog, "_builders", counting)
+    assert all(c.passed for c in repro_all())
+    assert sorted(built) == sorted(builders(None))
+
+
+def _as_form(lat, lifts):
+    """The lifts, each of order 2 in lat*/lat, as generators of a form."""
+    return lattice.FiniteQuadraticForm(
+        (2,) * len(lifts), tuple(lifts),
+        tuple(lat.norm_of(x) % 2 for x in lifts),
+        tuple(tuple(lat.pairing(x, y) % 1 for y in lifts) for x in lifts))
+
+
+def _generated_classes(lifts):
+    """The classes mod Z^n of the sums of subsets of the lifts."""
+    classes = {tuple(Fraction(0) for _ in lifts[0])}
+    for x in lifts:
+        classes |= {tuple((a + b) % 1 for a, b in zip(c, x)) for c in classes}
+    return classes
+
+
+def test_nikulin_glue_witness_against_the_form_isomorphism():
+    # NIK_U2_GLUE, read as a map from discriminant_group(N) to the U(2)^3
+    # form: each part is a class of order 2, the map keeps q and b, both
+    # sides' parts generate their whole group of order 64, so it is
+    # bijective, and the backtracking search it replaced agrees
+    nik, u2 = build_nikulin()[0], u2_cubed()
+    glue = catalog.NIK_U2_GLUE
+    n_parts = [row[:8] for row in glue]
+    u_parts = [row[8:] for row in glue]
+    for x in n_parts + u_parts:
+        assert all((2 * c).denominator == 1 for c in x)
+    f_n, f_u = _as_form(nik, n_parts), _as_form(u2, u_parts)
+    assert (f_n.q_values, f_n.b_matrix) == (f_u.q_values, f_u.b_matrix)
+    assert len(_generated_classes(n_parts)) == len(_generated_classes(u_parts)) == 64
+    disc_n, disc_u = discriminant_group(nik), discriminant_group(u2)
+    assert fqf_isomorphic(disc_n, disc_u) is not None
+    assert fqf_isomorphic(f_n, disc_n) is not None
+    assert fqf_isomorphic(f_u, disc_u) is not None
+    assert catalog._glues_unimodular(nik, rescale(u2, -1), glue)
+
+
+def test_nikulin_glue_mutants_fail():
+    nik, u2 = build_nikulin()[0], u2_cubed()
+    glue = [list(row) for row in catalog.NIK_U2_GLUE]
+    doubled = [row[:] for row in glue]
+    doubled[0][:8] = [2 * x for x in doubled[0][:8]]
+    a1_6 = direct_sum([std_gram("A1", scale=-1)] * 6)
+    for a, b, rows in [
+            (nik, rescale(u2, -1), glue[1:]),                           # one row dropped
+            (nik, rescale(u2, -1), [row[:8] + [0] * 6 for row in glue]),  # U-parts zeroed
+            (nik, rescale(u2, -1), doubled),                            # an N-part doubled
+            (nik, rescale(a1_6, -1), glue)]:                            # A1(-1)^6 for U(2)^3
+        assert catalog._glues_unimodular(a, b, rows) is False
+
+
+def test_glues_unimodular_needs_both_onto_checks():
+    # A4 + A4(-1) glued along (w, w), w the first fundamental weight, is
+    # unimodular with both parts generating Z/5
+    a4 = std_gram("A", 4)
+    w = [Fraction(x, 5) for x in (4, 3, 2, 1)]
+    assert catalog._glues_unimodular(a4, rescale(a4, -1), [w + w])
+    # <2> + <-2> glued along (1/2, 1/2) is the unimodular U, but the part
+    # generates only Z/2 of (Z/2)^2: unimodular alone is not enough, on
+    # either side of the sum
+    a = make_lattice([[2, 0], [0, -2]])
+    e8 = std_gram("E8")
+    half = [Fraction(1, 2)] * 2
+    assert abs(lattice.overlattice(direct_sum([a, e8]), [half + [0] * 8])[0].det) == 1
+    assert catalog._glues_unimodular(a, e8, [half + [0] * 8]) is False
+    assert catalog._glues_unimodular(e8, a, [[0] * 8 + half]) is False
 
 
 def test_filter_builds_only_what_selected_claims_need(monkeypatch):

@@ -220,10 +220,11 @@ def test_L_matches_fraction_oracle(L):
 
 def test_nikulin_and_e8_match_fraction_oracle():
     nik, index = build_nikulin()
+    base = direct_sum([std_gram("A1", scale=-1)] * 8)
     glue = [[Fraction(1, 2)] * 8]
-    ref = ref_overlattice(nik.base_lattice, glue)
-    assert overlattice(nik.base_lattice, glue) == ref
-    assert (nik.lattice, nik.index) == ref[:2]
+    ref = ref_overlattice(base, glue)
+    assert overlattice(base, glue) == ref
+    assert (nik, index) == ref[:2]
     base, glue = _e8_from_d8()
     got = overlattice(base, glue)
     assert got == ref_overlattice(base, glue)
@@ -237,7 +238,7 @@ def test_index_matches_determinant_ratio(L):
     c, index = L
     assert index == det_index(c.base_lattice, c.lattice) == 256
     nik, index = build_nikulin()
-    assert index == det_index(nik.base_lattice, nik.lattice) == 2
+    assert index == det_index(direct_sum([std_gram("A1", scale=-1)] * 8), nik) == 2
     a2, a4 = std_gram("A", 2), std_gram("A", 4)
     w1 = [Fraction(x, 5) for x in (4, 3, 2, 1)]  # A4's first fundamental weight
     cases = [

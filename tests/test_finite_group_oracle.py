@@ -206,7 +206,7 @@ def seeded_pairs():
     add("A4+A4/A4(-1)+A4(-1)", direct_sum([std_gram("A", 4)] * 2).gram_rows,
         direct_sum([std_gram("A", 4, -1)] * 2).gram_rows)
     add("U(2)^3/U(2)^3", u2_cubed().gram_rows, conjugate(rng, u2_cubed().gram_rows))
-    pairs.append(("nikulin/U(2)^3", discriminant_group(build_nikulin()[0].lattice),
+    pairs.append(("nikulin/U(2)^3", discriminant_group(build_nikulin()[0]),
                   discriminant_group(u2_cubed())))
     return pairs
 
@@ -279,7 +279,7 @@ def test_fqf_isomorphic_matches_fraction_search(label, f1, f2, monkeypatch):
 
 
 def test_catalog_forms_match_fraction_search(L_disc, monkeypatch):
-    nik = discriminant_group(build_nikulin()[0].lattice)
+    nik = discriminant_group(build_nikulin()[0])
     u2 = discriminant_group(u2_cubed())
     assert assert_same_search(nik, u2, monkeypatch)[2] == 265
     assert assert_same_search(L_disc, PINNED, monkeypatch)[0] is not None
@@ -400,7 +400,7 @@ def test_closures_and_invariants_match_oracle(L, L_disc):
 def test_md5_block_swap_moves_discriminant_classes():
     # swapping the two A4(-1) blocks of M_D5 swaps the two Z/5 factors of
     # its discriminant group, so some class moves
-    md5 = build_MD5(build_nikulin()[0].lattice)
+    md5 = build_MD5(build_nikulin()[0])
     perm = list(range(4, 8)) + list(range(4)) + list(range(8, 16))
     swap = make_isometry(md5, [[int(perm[j] == i) for j in range(16)] for i in range(16)])
     assert ref_disc_action_trivial(swap.matrix, discriminant_group(md5)) is False

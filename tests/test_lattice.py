@@ -90,7 +90,7 @@ def test_invariant_factors_match_sympy_and_discriminant_group(L):
             lat = direct_sum([_random_even_lattice(rng, k), _random_even_lattice(rng, n - k)])
         cases.append(rescale(lat, -1) if n % 2 else lat)
     nik = build_nikulin()[0]
-    cases += [L[0].lattice, build_MD5(nik.lattice), nik.lattice, u2_cubed(), std_gram("E8")]
+    cases += [L[0].lattice, build_MD5(nik), nik, u2_cubed(), std_gram("E8")]
     for lat in cases:
         got = invariant_factors(lat)
         assert got == tuple(int(x) for x in sympy_factors(Matrix(lat.gram_rows))
@@ -284,9 +284,10 @@ def test_fqf_witness_is_checked():
 
 
 def test_fqf_isomorphic_budget(monkeypatch):
-    # The Nikulin / U(2)^3 pair (the claim nikulin/disc-form-matches-U2-cubed)
-    # takes 265 backtracking nodes; a budget below that raises.
-    nik = discriminant_group(build_nikulin()[0].lattice)
+    # The Nikulin / U(2)^3 pair, the search that nikulin/disc-form-matches-
+    # U2-cubed ran before its glue witness, takes 265 backtracking nodes; a
+    # budget below that raises.
+    nik = discriminant_group(build_nikulin()[0])
     u2 = discriminant_group(u2_cubed())
     assert fqf_isomorphic(nik, u2) is not None
     monkeypatch.setattr(lattice, "NODE_BUDGET", 100)
