@@ -10,7 +10,6 @@ exchanged up to sign by a dihedral group of order 10.
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
 
 from . import k3fam, shortvec
 from .cyclo import Cyc5
@@ -20,10 +19,10 @@ from .isometry import (
 )
 from .lattice import (
     GlueError, LatticeError, direct_sum, invariant_factors, make_lattice,
-    orthogonal_complement, overlattice, rescale, saturation, sublattice,
+    orthogonal_complement, overlattice, rescale, saturation, span_index, sublattice,
 )
 from .ratmat import (
-    clear_denominators, det, divide_exact, hnf_int, mat_mul, mat_vec,
+    clear_denominators, det, divide_exact, mat_mul, mat_vec,
     scaled_inverse, to_int, transpose,
 )
 
@@ -250,32 +249,21 @@ NIK_U2_GLUE = tuple(tuple(Fraction(x, 2) for x in row) for row in (
 ))
 
 
-def _span_index(rows):
-    """[Z^n + span(rows) : Z^n] for rows of n rationals: d^n / det H for
-    the Hermite form H of [d I ; d rows], d their common denominator."""
-    ws, d = clear_denominators(rows)
-    n = len(ws[0])
-    h = hnf_int([[d * (i == j) for j in range(n)] for i in range(n)] + ws)
-    return d ** n // prod(row[i] for i, row in enumerate(h))
-
-
 def _glues_unimodular(a, b, glue):
     """Whether glue, rows (a-part, b-part) of rationals, glues a + b to an
-    even unimodular lattice whose a-parts generate a*/a and whose b-parts
-    generate b*/b.  Then the glue group G is the graph of a bijection
-    a*/a -> b*/b that negates q (Nikulin 1979, Prop. 1.6.1): its order k
-    has k^2 = |det a| |det b| and both projections are onto, so k =
-    |det a| = |det b| and both are one to one; G is isotropic, so
-    q_a(x) + q_b(y) = 0.  (An isotropic G has k^2 <= |det a| |det b|, so
-    the two onto checks already force det +-1.)"""
+    even lattice whose a-parts generate a*/a and whose b-parts generate
+    b*/b.  Then the glue group G is the graph of a bijection a*/a -> b*/b
+    that negates q (Nikulin 1979, Prop. 1.6.1): G is isotropic, so its
+    order k has k^2 <= |det a| |det b|, and both projections are onto, so
+    k = |det a| = |det b|, both are one to one, q_a(x) + q_b(y) = 0, and
+    the glued lattice is unimodular."""
     try:
-        glued = overlattice(direct_sum([a, b]), glue)[0]
+        overlattice(direct_sum([a, b]), glue)
     except GlueError:
         return False
     n = a.rank
-    return (abs(glued.det) == 1
-            and _span_index([row[:n] for row in glue]) == abs(a.det)
-            and _span_index([row[n:] for row in glue]) == abs(b.det))
+    return (span_index([row[:n] for row in glue]) == abs(a.det)
+            and span_index([row[n:] for row in glue]) == abs(b.det))
 
 
 def primary_decomposition(invariant_factors):

@@ -206,13 +206,25 @@ def overlattice(lat, glue):
                 raise GlueError(
                     "glue vectors %d and %d pair non-integrally (value %s)"
                     % (a, b, Fraction(p, d * d)))
-    h = hnf_int([[d if i == j else 0 for j in range(n)] for i in range(n)] + ws)
-    if len(h) != n:
-        raise GlueError("glue vectors do not preserve the rank")
+    h, index = _glue_hermite(ws, d, n)
     # exact: the checks above make every pairing of L' integral
     new_lat = make_lattice(divide_exact(mat_mul(mat_mul(h, gram), transpose(h)), d * d))
-    index = d ** n // prod(map(_pivot, h))
     return new_lat, index, [[Fraction(x, d) for x in row] for row in h]
+
+
+def _glue_hermite(ws, d, n):
+    """(H, index): the Hermite form H of [d I_n ; ws], whose rows / d span
+    Z^n + span(ws / d), and that lattice's index d^n / det H over Z^n."""
+    h = hnf_int([[d * x for x in row] for row in identity(n)] + ws)
+    if len(h) != n:
+        raise GlueError("glue vectors do not preserve the rank")
+    return h, d ** n // prod(map(_pivot, h))
+
+
+def span_index(rows):
+    """[Z^n + span(rows) : Z^n] for rows of n rationals."""
+    ws, d = clear_denominators([[Fraction(x) for x in r] for r in rows])
+    return _glue_hermite(ws, d, len(ws[0]))[1]
 
 
 def _rows_in(lat, rows):

@@ -125,36 +125,20 @@ def short_vectors(lat, bound):
         bound, tuple(found), tuple(sorted(counts.items())), negated)
 
 
-def _least_norm(q, radius, g):
-    """The least norm up to radius, or None, by one search that lowers its
-    radius to N - g at each norm N found (norms are multiples of g), so
-    it lists no vector it does not need."""
-    best, radius = None, [radius]
-    for _, norm in _search(q, radius):
-        if best is None or norm < best:
-            best, radius[0] = norm, norm - g
-    return best
-
-
 def minimum(lat):
-    """Smallest norm of a nonzero vector, by shrinking-radius searches.
+    """Smallest norm of a nonzero vector, by one shrinking-radius search.
 
-    A basis vector has norm m = min |G_ii|, so every search stays below
-    m.  On a badly reduced basis m lies far above the minimum, and a
-    search from radius m - g visits many nodes before its first cut; so
-    the searches run at radius g, 2g, 4g, ... while it is below m - g,
-    and then at m - g, and the first that finds a vector gives the
-    minimum, else m.  Raises CapExceeded past NODE_BUDGET nodes.
+    A basis vector has norm m = min |G_ii|.  The search starts at radius
+    m - g and lowers it to N - g at each norm N found (norms are multiples
+    of g), so it lists no vector it does not need.  The last N found is
+    the minimum, else m.  Raises CapExceeded past NODE_BUDGET nodes.
     """
     if lat.rank < 1:
         raise LatticeError("minimum of a rank-0 lattice")
     q, _, g = _cholesky(lat)
-    m = min(abs(row[i]) for i, row in enumerate(lat.gram_rows))
-    radius = g
-    while radius < m - g:
-        best = _least_norm(q, radius, g)
-        if best is not None:
-            return best
-        radius *= 2
-    best = _least_norm(q, m - g, g)
-    return m if best is None else best
+    best = min(abs(row[i]) for i, row in enumerate(lat.gram_rows))
+    radius = [best - g]
+    for _, norm in _search(q, radius):
+        if norm < best:
+            best, radius[0] = norm, norm - g
+    return best

@@ -112,8 +112,10 @@ def test_claim_result_serialisation():
 
 
 def _counting(monkeypatch, owners, name):
-    """Replace `name` in each owner module by one wrapper that counts calls."""
-    orig = getattr(owners[0], name)
+    """Set `name` in each owner module to one wrapper that counts calls,
+    also where the module does not import it yet, so that a later import
+    of the name is counted too."""
+    orig = next(getattr(mod, name) for mod in owners if hasattr(mod, name))
     calls = []
 
     def wrapper(*args, **kwargs):
@@ -121,7 +123,7 @@ def _counting(monkeypatch, owners, name):
         return orig(*args, **kwargs)
 
     for mod in owners:
-        monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setattr(mod, name, wrapper, raising=False)
     return calls
 
 
@@ -134,8 +136,8 @@ def _raise(exc):
 def test_claim_error_is_a_failure_not_an_abort(monkeypatch, L):
     monkeypatch.setattr(catalog, "order", _raise(CapExceeded("order cap")))
     builds = _counting(monkeypatch, [catalog], "build_L")
-    forms = _counting(monkeypatch, [lattice, cli], "discriminant_group")
-    searches = _counting(monkeypatch, [lattice], "fqf_isomorphic")
+    forms = _counting(monkeypatch, [catalog, lattice, cli], "discriminant_group")
+    searches = _counting(monkeypatch, [catalog, lattice], "fqf_isomorphic")
     factors = _counting(monkeypatch, [catalog, lattice], "invariant_factors")
     out = io.StringIO()
     assert cli.main(["repro", "--json"], out=out) == cli.EXIT_FAIL

@@ -135,6 +135,17 @@ def _in_basis(rows, vec):
     return mat_vec(inverse(transpose(rows)), list(vec))
 
 
+def test_span_index_is_the_glue_index():
+    # [Z^n + span(rows) : Z^n], the index overlattice reports
+    half = Fraction(1, 2)
+    assert lattice.span_index([[half] * 8]) == 2
+    assert lattice.span_index([[half, 0], [0, half], [half, half]]) == 4
+    assert lattice.span_index([[Fraction(1, 3), Fraction(2, 3)], [1, 0]]) == 3
+    assert lattice.span_index([[1, 2], [3, 4]]) == 1
+    a1_8 = direct_sum([std_gram("A1", scale=-1)] * 8)
+    assert overlattice(a1_8, [[half] * 8])[1] == 2
+
+
 def test_overlattice_rejects_bad_glue():
     a1 = std_gram("A1")
     with pytest.raises(GlueError):

@@ -204,37 +204,15 @@ def test_minimum_oracle():
     assert minimum(make_lattice(A3_HUGE)) == 2
 
 
-def test_minimum_doubles_its_radius(monkeypatch, L):
-    # the searches start at radius g and double while below m - g, so the
-    # badly reduced A3 basis (m = 21,142) is settled by the first search,
-    # at radius 2, in a few hundred nodes rather than the 13,501 of one
-    # search from m - g; on L, m - g = 2 and the one search is unchanged
-    radii, nodes = [], [0]
-    search, range_for = shortvec._search, shortvec._range_for
-
-    def counting_range(center, radius2):
-        lo, hi = range_for(center, radius2)
-        nodes[0] += hi - lo + 1
-        return lo, hi
-
+def test_minimum_searches_L_once(monkeypatch, L):
+    # on L, m = min |G_ii| = 4 and g = 2, so minimum is one search at
+    # radius m - g = 2
+    radii = []
+    search = shortvec._search
     monkeypatch.setattr(shortvec, "_search",
                         lambda q, radius: radii.append(radius[0]) or search(q, radius))
-    monkeypatch.setattr(shortvec, "_range_for", counting_range)
-    assert minimum(make_lattice(A3_HUGE)) == 2
-    assert radii == [2] and nodes[0] <= 1_100
-    radii.clear()
     assert minimum(L[0].lattice) == 4
     assert radii == [2]
-    # an empty search doubles the radius (g = 2 below): the reduced form
-    # [[6, -3], [-3, 20]] in a basis with m = 20 has its minimum 6 found
-    # at radius 8, and [[30, 1], [1, 30]] has no vector below m = 30 at
-    # radii 2, 4, 8, 16, nor at the last, m - g = 28
-    radii.clear()
-    assert minimum(make_lattice([[20, 17], [17, 20]])) == 6
-    assert radii == [2, 4, 8]
-    radii.clear()
-    assert minimum(make_lattice([[30, 1], [1, 30]])) == 30
-    assert radii == [2, 4, 8, 16, 28]
 
 
 def test_minimum_read_off_a_bound_3_report(monkeypatch):
