@@ -6,7 +6,7 @@ Polynomials are dicts {exponent tuple: Cyc5 coefficient}; projective maps
 are square matrices over Q(w), and every linear solve is a cyclo.rref.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
 
@@ -158,11 +158,16 @@ def is_invariant_family(family):
 @dataclass(frozen=True)
 class ProjectiveMap:
     matrix: tuple  # tuple of tuples of Cyc5
+    # per row, the (j, x) pairs of its nonzero entries in column order
+    nonzeros: tuple = field(compare=False, repr=False)
 
     def __init__(self, rows):
-        mat = tuple(tuple(x if isinstance(x, Cyc5) else Cyc5.one() * x for x in r)
-                    for r in rows)
-        object.__setattr__(self, "matrix", mat)
+        # ints and Fractions coerce as summands, with no Cyc5 product
+        mat = tuple(tuple(x if isinstance(x, Cyc5) else _ZERO + x for x in r) for r in rows)
+        if not mat or any(len(r) != len(mat) for r in mat):
+            raise FamilyError("projective map rows of lengths %s are not a nonempty square"
+                              % [len(r) for r in mat])
+        _set_map(self, mat, tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in mat))
 
     @property
     def size(self):
@@ -173,17 +178,22 @@ class ProjectiveMap:
         return [list(r) for r in self.matrix]
 
     def __mul__(self, other):
-        """Matrix product over Q(w).  Terms with a zero factor are skipped, so a
-        diagonal or permutation factor costs n^2 Cyc5 products, not n^3."""
+        """Matrix product over Q(w) on the nonzero entries alone: one Cyc5
+        product per pair (a_ik, b_kj) of nonzeros, summed over k in increasing
+        order, so a diagonal or permutation factor costs n products."""
         if other.size != self.size:
             raise FamilyError("projective maps of sizes %d and %d" % (self.size, other.size))
-        b, zero = other.matrix, Cyc5.zero()
-        out = []
-        for row in self.matrix:
-            nz = [(k, x) for k, x in enumerate(row) if x]
-            out.append([sum((x * b[k][j] for k, x in nz if b[k][j]), zero)
-                        for j in range(len(b))])
-        return ProjectiveMap(out)
+        n, b = self.size, other.nonzeros
+        mat, nzs = [], []
+        for nz in self.nonzeros:
+            row = [_ZERO] * n
+            for k, x in nz:
+                for j, y in b[k]:
+                    acc = row[j]
+                    row[j] = x * y if acc is _ZERO else acc + x * y
+            mat.append(tuple(row))
+            nzs.append(tuple((j, x) for j, x in enumerate(row) if x is not _ZERO and x))
+        return _set_map(object.__new__(ProjectiveMap), tuple(mat), tuple(nzs))
 
     def inverse(self):
         n = self.size
@@ -196,11 +206,13 @@ class ProjectiveMap:
 
     def is_scalar(self):
         d = self.matrix[0][0]
-        return bool(d) and all(x == d if i == j else not x
-                               for i, r in enumerate(self.matrix) for j, x in enumerate(r))
+        return all(len(nz) == 1 and nz[0][0] == i and nz[0][1] == d
+                   for i, nz in enumerate(self.nonzeros))
 
     def power(self, k):
         """self^k (k >= 0) by repeated squaring: sigma^5 = sigma (sigma^2)^2."""
+        if k < 0:
+            raise FamilyError("negative power %d of a projective map" % k)
         out, base = None, self
         while k:
             if k & 1:
@@ -211,9 +223,18 @@ class ProjectiveMap:
         return diagonal_map([Cyc5.one()] * self.size) if out is None else out
 
 
+_ZERO = Cyc5.zero()
+
+
+def _set_map(m, matrix, nonzeros):
+    object.__setattr__(m, "matrix", matrix)
+    object.__setattr__(m, "nonzeros", nonzeros)
+    return m
+
+
 def diagonal_map(entries):
     n = len(entries)
-    return ProjectiveMap([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return ProjectiveMap([[entries[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
 
 
 def permutation_map(images, signs=None):

@@ -7,6 +7,7 @@ import pytest
 from cyclo_ref import (
     RefCyc5, from_ref_matrix, ref_kernel, ref_matrix, ref_rref,
 )
+from k3fam_ref import dense_product
 from latkit import k3fam
 from latkit.isometry import CapExceeded
 from latkit.cyclo import Cyc5
@@ -423,6 +424,103 @@ def test_power_is_repeated_product():
     for a in (dense, diagonal_map([w(1), -w(3), one]), permutation_map([2, 0, 1], [1, -1, 1])):
         for k in range(12):
             assert a.power(k) == ProjectiveMap(from_ref_matrix(ref_power(ref_matrix(a.rows), k)))
+
+
+def test_power_refuses_negative_exponents():
+    # k >>= 1 stays at -1, so a negative k used to loop for ever
+    rng = random.Random(89)
+    for a in (permutation_map([1, 0]), ProjectiveMap(_rand_cyc_matrix(rng, 3, False))):
+        t0 = time.perf_counter()
+        for k in (-1, -2, -10):
+            with pytest.raises(FamilyError, match="negative power"):
+                a.power(k)
+        assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0]],          # ragged
+    [[1], [0, 1]],
+    [[1, 0]],               # not square
+    [[1, 0], [0, 1], [1, 1]],
+    [],                     # empty
+    [[]],
+])
+def test_malformed_maps_are_refused(rows):
+    with pytest.raises(FamilyError, match="not a nonempty square"):
+        ProjectiveMap(rows)
+
+
+def _rand_sparse_map(rng, n, density):
+    """A random n x n map whose entries are nonzero with probability density,
+    or, for density None, a monomial map (one nonzero per row and column)."""
+    if density is None:
+        return permutation_map(rng.sample(range(n), n),
+                               [_rand_cyc(rng, False) or one for _ in range(n)])
+    return ProjectiveMap([[_rand_cyc(rng, rng.random() < 0.5) if rng.random() < density
+                           else 0 for _ in range(n)] for _ in range(n)])
+
+
+def test_product_matches_dense_reference():
+    # every pairing of fully dense, half, sparse, all-zero and monomial
+    # factors, n = 1..8: the same entries as the dense product, and an
+    # index that lists exactly the nonzero entries in column order
+    rng = random.Random(83)
+    densities = (1.0, 0.5, 0.2, 0.0, None)
+    for n in range(1, 9):
+        for da in densities:
+            for db in densities:
+                a, b = _rand_sparse_map(rng, n, da), _rand_sparse_map(rng, n, db)
+                ab = a * b
+                assert ab.matrix == dense_product(a.matrix, b.matrix)
+                assert ab.nonzeros == ProjectiveMap(ab.matrix).nonzeros
+                assert ab == ProjectiveMap(ab.rows) and hash(ab) == hash(ProjectiveMap(ab.rows))
+    # a sum that cancels to zero leaves the index
+    ab = ProjectiveMap([[1, 1], [0, 1]]) * ProjectiveMap([[1, 0], [-1, 1]])
+    assert ab.matrix == dense_product(((one, one), (0, one)), ((one, 0), (-one, one)))
+    assert ab.nonzeros == (((1, one),), ((0, -one), (1, one)))
+    assert not ab.matrix[0][0]
+
+
+def test_is_scalar_matches_reference():
+    # d I, d I with one entry changed, and d I with one row's d moved
+    rng = random.Random(101)
+    seen = set()
+    for case in range(300):
+        n = rng.randint(1, 5)
+        d = _rand_cyc(rng, case % 2 == 0) if case % 7 else Cyc5.zero()
+        rows = [[d if i == j else Cyc5.zero() for j in range(n)] for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if case % 3 == 1:
+            rows[i][j] = _rand_cyc(rng, False)
+        elif case % 3 == 2:
+            rows[i][i], rows[i][j] = Cyc5.zero(), d
+        want = ref_is_scalar(ref_matrix(rows))
+        assert ProjectiveMap(rows).is_scalar() == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_monomial_products_make_one_cyc5_product_per_row(monkeypatch):
+    rng = random.Random(97)
+    n = 8
+    diag = [diagonal_map([rng.choice(TEN_ROOTS) for _ in range(n)]) for _ in range(2)]
+    perm = [permutation_map(rng.sample(range(n), n), rng.sample(TEN_ROOTS, n)) for _ in range(2)]
+    calls, real_mul = [], Cyc5.__mul__
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(Cyc5, "__mul__", counting_mul)
+    for a, b in (diag, perm):
+        calls.clear()
+        ab = a * b
+        assert len(calls) == n
+        assert ab.matrix == dense_product(a.matrix, b.matrix)
+    # int entries are coerced with no product at all
+    calls.clear()
+    diagonal_map([1] * n), ProjectiveMap([[1, 0], [0, -2]]).is_scalar()
+    assert calls == []
 
 
 def test_dihedral_in_pgl_matches_reference():
