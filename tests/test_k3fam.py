@@ -519,7 +519,8 @@ def test_monomial_products_make_one_cyc5_product_per_row(monkeypatch):
         assert ab.matrix == dense_product(a.matrix, b.matrix)
     # int entries are coerced with no product at all
     calls.clear()
-    diagonal_map([1] * n), ProjectiveMap([[1, 0], [0, -2]]).is_scalar()
+    diagonal_map([1] * n)
+    ProjectiveMap([[1, 0], [0, Fraction(-2, 3)]])
     assert calls == []
 
 
