@@ -7,8 +7,9 @@ are square matrices over Q(w), and every linear solve is a cyclo.rref.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
+from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from . import cyclo
 from .cyclo import Cyc5
@@ -180,19 +181,25 @@ class ProjectiveMap:
     def __mul__(self, other):
         """Matrix product over Q(w) on the nonzero entries alone: one Cyc5
         product per pair (a_ik, b_kj) of nonzeros, summed over k in increasing
-        order, so a diagonal or permutation factor costs n products."""
+        order, so a diagonal or permutation factor costs n products.  Each
+        row's index lists the columns written, less any sum that cancelled."""
         if other.size != self.size:
             raise FamilyError("projective maps of sizes %d and %d" % (self.size, other.size))
         n, b = self.size, other.nonzeros
         mat, nzs = [], []
         for nz in self.nonzeros:
-            row = [_ZERO] * n
+            row, cols = [_ZERO] * n, []
             for k, x in nz:
                 for j, y in b[k]:
                     acc = row[j]
-                    row[j] = x * y if acc is _ZERO else acc + x * y
+                    if acc is _ZERO:
+                        row[j] = x * y
+                        cols.append(j)
+                    else:
+                        row[j] = acc + x * y
             mat.append(tuple(row))
-            nzs.append(tuple((j, x) for j, x in enumerate(row) if x is not _ZERO and x))
+            cols.sort()
+            nzs.append(tuple([(j, row[j]) for j in cols if row[j]]))
         return _set_map(object.__new__(ProjectiveMap), tuple(mat), tuple(nzs))
 
     def inverse(self):
@@ -241,9 +248,9 @@ def permutation_map(images, signs=None):
     """Map sending coordinate i to +-coordinate images[i]."""
     n = len(images)
     signs = signs or [1] * n
-    rows = [[Cyc5.zero()] * n for _ in range(n)]
+    rows = [[_ZERO] * n for _ in range(n)]
     for i, (img, s) in enumerate(zip(images, signs)):
-        rows[i][img] = Cyc5.one() * s
+        rows[i][img] = _ZERO + s
     return ProjectiveMap(rows)
 
 
@@ -402,26 +409,61 @@ def plane_fixed_count(polys, plane_rows):
     return poly_total_degree(res)
 
 
+# _SHIFTS[k][i][r] = (i - rk) mod 5: w^rk moves the coefficient of w^(i - rk) to w^i
+_SHIFTS = [[[(i - r * k) % 5 for r in range(5)] for i in range(5)] for k in range(5)]
+
+
+def _multiplicities(diagonals, n):
+    """The multiplicities d of the eigenvalues lambda = e w^-k (e = 1, -1
+    and k = 0 .. 4, in that order) of an n x n map with sigma^10 = I, from
+    the diagonals of sigma^0 .. sigma^9.
+
+    Each trace t_j = tr(sigma^j) is summed as int numerators on 1, w, w^2,
+    w^3 over den, the lcm of all entries' denominators.  Then
+    10 d = sum_j t_j e^j w^jk = sum_{r<5} s_r w^rk with
+    s_r = e^r (t_r + e t_{r+5}), since w^5 = 1.  With w^4 as a fifth
+    coefficient, multiplying by w^rk is a cyclic shift of five ints
+    (_SHIFTS), and the sum is rational exactly when its w^1 .. w^4 entries
+    are equal.  Raises FamilyError unless each d is a nonnegative integer
+    and they sum to n."""
+    den = lcm(*(x.d for diagonal in diagonals for x in diagonal))
+    numerators = ([x.n if x.d == den else [c * (den // x.d) for c in x.n] for x in diagonal]
+                  for diagonal in diagonals)
+    t = [[sum(col) for col in zip(*rows)] for rows in numerators]
+    q, dims = 10 * den, []
+    for e in (1, -1):
+        s0, s1, s2, s3, s4 = ([(a + e * b) * e ** r for a, b in zip(t[r], t[r + 5])] + [0]
+                              for r in range(5))
+        for shift in _SHIFTS:
+            c = [s0[i0] + s1[i1] + s2[i2] + s3[i3] + s4[i4] for i0, i1, i2, i3, i4 in shift]
+            if not c[1] == c[2] == c[3] == c[4]:
+                raise FamilyError("eigenvalue multiplicity %r of a map with sigma^10 = I is not "
+                                  "rational" % Cyc5([Fraction(x - c[4], q) for x in c[:4]]))
+            dims.append(c[0] - c[1])
+    if sum(dims) != n * q or any(d < 0 or d % q for d in dims):
+        raise FamilyError("eigenvalue multiplicities %s of a map with sigma^10 = I"
+                          % [Fraction(d, q) for d in dims])
+    return [d // q for d in dims]
+
+
 def commutant_dim(sigma):
     """Dimension over Q(w) of {X : X sigma = sigma X}.
 
     If sigma^10 = I, sigma is diagonalizable over Q(w) with eigenvalues among
     the ten lambda = +-w^k (x^10 - 1 is separable) of multiplicities
     d = (1/10) sum_{j<10} tr(sigma^j) lambda^-j (the character projection
-    for Z/10), and the dimension is sum d^2: ten map products, no solve.
+    for Z/10), and the dimension is sum d^2: nine map products for
+    sigma^2 .. sigma^10, then int sums of the traces' numerators over one
+    denominator (_multiplicities), with no solve and no Cyc5 product.
     Otherwise it is the nullity of X -> X sigma - sigma X, a solve on n^2
     unknowns that raises CapExceeded past COMMUTANT_UNKNOWN_BUDGET of them.
     """
     n = sigma.size
-    powers = list(accumulate([sigma] * 10, ProjectiveMap.__mul__, initial=sigma.power(0)))
+    powers = [sigma.power(0)] + list(accumulate([sigma] * 9, ProjectiveMap.__mul__,
+                                                initial=sigma))
     if powers[10] == powers[0]:
-        traces = [sum((p.matrix[i][i] for i in range(n)), Cyc5.zero()) for p in powers[:10]]
-        # 10 d = sum_j tr(sigma^j) x^j at x = 1 / lambda, by Horner's rule
-        dims = [reduce(lambda acc, t: acc * x + t, traces[::-1]).rational_value() / 10
-                for x in (Cyc5.omega(k) * s for s in (1, -1) for k in range(5))]
-        if sum(dims) != n or any(d < 0 or d.denominator != 1 for d in dims):
-            raise FamilyError("eigenvalue multiplicities %s of a map with sigma^10 = I" % dims)
-        return int(sum(d * d for d in dims))
+        diagonals = [[p.matrix[i][i] for i in range(n)] for p in powers[:10]]
+        return sum(d * d for d in _multiplicities(diagonals, n))
     if n * n > COMMUTANT_UNKNOWN_BUDGET:
         raise CapExceeded("commutant solve past %d unknowns" % COMMUTANT_UNKNOWN_BUDGET)
     m = sigma.matrix

@@ -7,7 +7,7 @@ import pytest
 from cyclo_ref import (
     RefCyc5, from_ref_matrix, ref_kernel, ref_matrix, ref_rref,
 )
-from k3fam_ref import dense_product
+from k3fam_ref import dense_product, horner_multiplicities
 from latkit import k3fam
 from latkit.isometry import CapExceeded
 from latkit.cyclo import Cyc5
@@ -249,25 +249,30 @@ def test_inverse_and_commutant_match_reference():
     assert singular >= 8
 
 
-def test_commutant_dim_of_conjugated_diagonals():
-    # P D P^-1 with repeated eigenvalues in D, drawn from all ten +-w^k:
-    # commutants of every size, of dimension the sum of the squared
-    # eigenvalue multiplicities
+def _conjugated_diagonals():
+    """40 pairs (P D P^-1, eigenvalues of D), D with repeated eigenvalues
+    drawn from all ten +-w^k."""
     rng = random.Random(43)
-    done = 0
-    while done < 40:
+    out = []
+    while len(out) < 40:
         n = rng.randint(2, 6)
-        p = ProjectiveMap(_rand_cyc_matrix(rng, n, done % 2 == 0))
+        p = ProjectiveMap(_rand_cyc_matrix(rng, n, len(out) % 2 == 0))
         if len(ref_rref(p.rows, n)[1]) < n:
             continue
         values = rng.sample([w(k) * s for k in range(5) for s in (1, -1)], rng.randint(1, 4))
         eig = [rng.choice(values) for _ in range(n)]
-        sigma = p * diagonal_map(eig) * p.inverse()
+        out.append((p * diagonal_map(eig) * p.inverse(), eig))
+    return out
+
+
+def test_commutant_dim_of_conjugated_diagonals():
+    # P D P^-1: commutants of every size, of dimension the sum of the
+    # squared eigenvalue multiplicities
+    for sigma, eig in _conjugated_diagonals():
         expected = sum(1 for x in eig for y in eig if x == y)
         assert commutant_dim(sigma) == expected
-        if n <= 3:
+        if sigma.size <= 3:
             assert ref_commutant_dim(sigma.rows) == expected
-        done += 1
 
 
 TEN_ROOTS = [w(k) * s for s in (1, -1) for k in range(5)]
@@ -281,9 +286,9 @@ def _partitions(n, most):
             yield [first] + rest
 
 
-def test_commutant_dim_of_diagonal_roots_of_unity():
-    # the multiplicity formula sum d^2: every map for n <= 2, and for each
-    # n <= 8 every multiplicity pattern on randomly chosen eigenvalues
+def _root_of_unity_diagonals():
+    """Eigenvalue lists: every one for n <= 2, and for each n <= 8 every
+    multiplicity pattern on randomly chosen eigenvalues among the +-w^k."""
     rng = random.Random(67)
     maps = [[x] for x in TEN_ROOTS] + [[x, y] for x in TEN_ROOTS for y in TEN_ROOTS]
     for n in range(1, 9):
@@ -291,6 +296,12 @@ def test_commutant_dim_of_diagonal_roots_of_unity():
             eig = [x for d, x in zip(parts, rng.sample(TEN_ROOTS, len(parts))) for _ in range(d)]
             rng.shuffle(eig)
             maps.append(eig)
+    return maps
+
+
+def test_commutant_dim_of_diagonal_roots_of_unity():
+    # the multiplicity formula sum d^2
+    maps = _root_of_unity_diagonals()
     for eig in maps:
         assert commutant_dim(diagonal_map(eig)) == sum(eig.count(x) ** 2 for x in set(eig))
     assert len(maps) == 110 + 66
@@ -319,6 +330,87 @@ def test_commutant_dim_of_monomial_maps_matches_reference():
             assert commutant_dim(a) == ref_commutant_dim(a.rows)
             seen[k] = seen.get(k, 0) + 1
     assert any(10 % k for k in seen)
+
+
+def _ten_multiplicities(sigma):
+    n = sigma.size
+    powers = [sigma.power(j) for j in range(10)]
+    return k3fam._multiplicities([[p.matrix[i][i] for i in range(n)] for p in powers], n)
+
+
+def _monomial_maps_of_orders_dividing_ten():
+    """Six permutation maps, n <= 6 and signs +-w^k, of each order 2, 5, 10."""
+    rng = random.Random(107)
+    seen = {2: [], 5: [], 10: []}
+    while min(len(v) for v in seen.values()) < 6:
+        n = rng.randint(1, 6)
+        a = permutation_map(rng.sample(range(n), n), [rng.choice(TEN_ROOTS) for _ in range(n)])
+        orders = [k for k in (1, 2, 5, 10) if a.power(k) == a.power(0)]
+        if orders and orders[0] in seen and len(seen[orders[0]]) < 6:
+            seen[orders[0]].append(a)
+    return [a for maps in seen.values() for a in maps]
+
+
+def test_multiplicities_match_horner_reference():
+    # the int helper against the Horner evaluation in Q(w), all ten
+    # multiplicities in lambda order: diagonal maps, conjugated diagonals
+    # (whose diagonal entries have denominators above 1) and monomial maps
+    diagonal = [diagonal_map(eig) for eig in _root_of_unity_diagonals()]
+    conjugated = [sigma for sigma, _ in _conjugated_diagonals()]
+    monomial = _monomial_maps_of_orders_dividing_ten()
+    assert any(x.d > 1 for sigma in conjugated for row in sigma.matrix for x in row)
+    for sigma in diagonal + conjugated + monomial:
+        got = _ten_multiplicities(sigma)
+        assert got == horner_multiplicities(sigma.matrix)
+        assert sum(got) == sigma.size and all(isinstance(d, int) for d in got)
+    assert (len(diagonal), len(conjugated), len(monomial)) == (176, 40, 18)
+
+
+def test_multiplicities_refuse_impossible_traces():
+    zero, half = Cyc5.zero(), one * Fraction(1, 2)
+    identity = [[one, one]] * 10
+    assert k3fam._multiplicities(identity, 2) == [2] + [0] * 9
+    # 10 d = w^k at every lambda: not rational, whichever power of w it is
+    with pytest.raises(FamilyError, match=r"multiplicity 1/10\*w of a map .* not rational"):
+        k3fam._multiplicities([[w(1)]] + [[zero]] * 9, 1)
+    for k in (2, 3, 4):
+        with pytest.raises(FamilyError, match="not rational"):
+            k3fam._multiplicities([[w(k)]] + [[zero]] * 9, 1)
+    # the traces of I_2 read as a 3 x 3 map: they do not sum to n
+    with pytest.raises(FamilyError, match=r"multiplicities \[Fraction\(2, 1\), Fraction\(0, 1\)"):
+        k3fam._multiplicities(identity, 3)
+    # 2 [lambda = 1] - [lambda = w]: sums to n = 1 with a negative d
+    with pytest.raises(FamilyError, match=r"Fraction\(-1, 1\)"):
+        k3fam._multiplicities([[one * 2 - w(j)] for j in range(10)], 1)
+    # half [lambda = 1] + half [lambda = -1], as entries over den 2
+    with pytest.raises(FamilyError, match=r"\[Fraction\(1, 2\), .*, Fraction\(1, 2\),"):
+        k3fam._multiplicities([[half, half * (-1) ** j] for j in range(10)], 1)
+
+
+def test_commutant_dim_and_permutation_map_make_no_extra_products(monkeypatch):
+    # the nine products sigma^2 .. sigma^10 of a diagonal map make n Cyc5
+    # products each, and the multiplicities none
+    rng = random.Random(103)
+    n = 8
+    eig = [rng.choice(TEN_ROOTS) for _ in range(n)]
+    sigma = diagonal_map(eig)
+    calls, real_mul = [], Cyc5.__mul__
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(Cyc5, "__mul__", counting_mul)
+    assert commutant_dim(sigma) == sum(eig.count(x) ** 2 for x in set(eig))
+    assert len(calls) == 9 * n
+    # permutation maps coerce their signs as summands
+    calls.clear()
+    perms = [permutation_map(rng.sample(range(n), n), rng.sample(TEN_ROOTS, n)),
+             permutation_map([1, 0, 3, 2]),
+             permutation_map([1, 0], [Fraction(1, 2), -3])]
+    assert calls == []
+    assert perms[2] == ProjectiveMap([[0, Fraction(1, 2)], [-3, 0]])
+    assert perms[1].nonzeros == (((1, one),), ((0, one),), ((3, one),), ((2, one),))
 
 
 def test_commutant_dim_solves_only_when_sigma_to_the_tenth_is_not_one(monkeypatch):
