@@ -6,7 +6,6 @@ row vector v the image has coordinates M . v^T.
 """
 
 from dataclasses import dataclass
-from operator import mul
 
 from .ratmat import (
     det, divide_exact, identity, int_kernel, mat_mul, mat_vec, scaled_inverse, to_int,
@@ -19,10 +18,20 @@ class IsometryError(LatticeError):
     pass
 
 
-def _product(a, b_cols):
-    """The int matrix product a b as a tuple of tuples, from the rows of a
-    and the columns of b."""
-    return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
+def _product(a, b):
+    """The product a b of square int matrices as a tuple of tuples: row i
+    adds x times row k of b for each nonzero x = a[i][k], over the
+    nonzeros of that row."""
+    b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * len(row)
+        for x, nonzeros in zip(row, b):
+            if x:
+                for j, y in nonzeros:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -37,7 +46,7 @@ class Isometry:
     def __mul__(self, other):
         if other.lattice != self.lattice:
             raise IsometryError("isometries live on different lattices")
-        return Isometry(self.lattice, _product(self.matrix, tuple(zip(*other.matrix))))
+        return Isometry(self.lattice, _product(self.matrix, other.matrix))
 
     def inverse(self):
         # the matrix is unimodular, so d = +-1 divides d M^-1 exactly
@@ -108,7 +117,6 @@ def group_closure(gens, cap=10000):
     for g in gens:
         if g.lattice != lat:
             raise IsometryError("generators live on different lattices")
-    cols = [tuple(zip(*g.matrix)) for g in gens]
     n = lat.rank
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     seen = {ident}
@@ -116,8 +124,8 @@ def group_closure(gens, cap=10000):
     while frontier:
         new = []
         for m in frontier:
-            for g_cols in cols:
-                prod = _product(m, g_cols)
+            for g in gens:
+                prod = _product(m, g.matrix)
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:

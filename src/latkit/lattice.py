@@ -5,7 +5,7 @@ Vectors are rows of coordinates in the lattice basis.  All arithmetic is
 exact (ints and Fractions); every object is immutable after construction.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
@@ -38,6 +38,8 @@ NODE_BUDGET = 50_000
 @dataclass(frozen=True)
 class IntegralLattice:
     gram: tuple  # tuple of tuples of ints
+    # det of the Gram matrix (1 at rank 0), set by make_lattice, direct_sum, rescale
+    det: int = field(compare=False, repr=False)
 
     @property
     def rank(self):
@@ -46,10 +48,6 @@ class IntegralLattice:
     @property
     def gram_rows(self):
         return [list(row) for row in self.gram]
-
-    @property
-    def det(self):
-        return det(self.gram_rows)
 
     @property
     def signature(self):
@@ -102,29 +100,30 @@ def make_lattice(gram):
         for j in range(n):
             if rows[i][j] != rows[j][i]:
                 raise LatticeError("Gram matrix must be symmetric")
-    if n > 0 and det(rows) == 0:
+    d = det(rows) if n > 0 else 1
+    if d == 0:
         raise LatticeError("Gram matrix is degenerate")
-    return IntegralLattice(tuple(tuple(row) for row in rows))
+    return IntegralLattice(tuple(tuple(row) for row in rows), d)
 
 
 def direct_sum(lattices):
+    """The orthogonal sum; its det is the product of the parts' dets."""
     n = sum(lat.rank for lat in lattices)
-    gram = [[0] * n for _ in range(n)]
+    gram = []
     off = 0
     for lat in lattices:
-        r = lat.rank
-        for i in range(r):
-            for j in range(r):
-                gram[off + i][off + j] = lat.gram[i][j]
-        off += r
-    return make_lattice(gram)
+        gram += [(0,) * off + row + (0,) * (n - off - lat.rank) for row in lat.gram]
+        off += lat.rank
+    return IntegralLattice(tuple(gram), prod(lat.det for lat in lattices))
 
 
 def rescale(lat, s):
+    """L(s), the Gram matrix times s; its det is s^rank det L."""
     s = int(s)
     if s == 0:
         raise LatticeError("rescale by 0")
-    return make_lattice([[x * s for x in row] for row in lat.gram_rows])
+    return IntegralLattice(tuple(tuple(x * s for x in row) for row in lat.gram),
+                           s ** lat.rank * lat.det)
 
 
 def invariant_factors(lat):

@@ -1,7 +1,9 @@
 """Exact dense linear algebra over the rationals and over Z.
 
-Matrices are plain lists of lists of ints or Fractions.  det,
-scaled_inverse (and inverse), rank and rref share one fraction-free
+Matrices are plain lists of lists of ints or Fractions.  mat_mul,
+mat_vec and vec_dot are sums of map(mul, ...), so ints give ints and
+Fractions Fractions, and to_int returns an int before any other check.
+det, scaled_inverse (and inverse), rank and rref share one fraction-free
 elimination on ints, and signature and shortvec's Cholesky data share
 symmetric_elimination; the integer normal forms (snf, hnf_int) insist on
 ints, and clear_denominators turns rational rows into ints over one
@@ -10,6 +12,7 @@ common denominator.  Everything here is exact -- no floats anywhere.
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 class MatrixError(ValueError):
@@ -27,19 +30,21 @@ def transpose(a):
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise MatrixError("dimension mismatch in mat_mul")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    bt = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def vec_dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def to_int(x):
+    if type(x) is int:
+        return x
     if isinstance(x, (list, tuple)):
         return [to_int(y) for y in x]
     if isinstance(x, Fraction):
@@ -47,7 +52,7 @@ def to_int(x):
             raise MatrixError("non-integer entry %s" % x)
         return x.numerator
     if isinstance(x, int):
-        return x
+        return int(x)
     raise MatrixError("non-integer entry %r" % (x,))
 
 

@@ -17,14 +17,14 @@ from fqf_ref import b_of, element_order, elements, q_of
 from latkit import lattice
 from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.isometry import (
-    CapExceeded, Isometry, IsometryError, disc_action_trivial, group_closure,
+    CapExceeded, Isometry, IsometryError, _product, disc_action_trivial, group_closure,
     invariant_sublattice, make_isometry,
 )
 from latkit.lattice import (
     FiniteQuadraticForm, direct_sum, discriminant_group, fqf_isomorphic,
     make_lattice, rescale,
 )
-from latkit.ratmat import det, identity, int_kernel, mat_mul, transpose
+from latkit.ratmat import det, identity, int_kernel, inverse, mat_mul, transpose
 
 
 # --- the oracles ----------------------------------------------------------
@@ -430,10 +430,36 @@ def test_infinite_group_hits_cap():
 
 
 def test_product_matches_mat_mul(L):
+    # the product over nonzero entries against the dense mat_mul: every
+    # pair of elements of <g, h>, and the whole closure against the dense
+    # oracle's
+    lat = L[0].lattice
     g, h = L[0].isometries["g"], L[0].isometries["h"]
-    for a, b in ((g, h), (h, g), (g, g)):
-        prod = a * b
-        assert isinstance(prod, Isometry)
-        assert prod.rows == mat_mul(a.rows, b.rows)
+    closure = group_closure([g, h])
+    assert closure.elements == ref_group_closure([g, h])
+    elements = [Isometry(lat, m) for m in closure.elements]
+    for a in elements:
+        for b in elements:
+            prod = a * b
+            assert isinstance(prod, Isometry)
+            assert prod.rows == mat_mul(a.rows, b.rows)
     with pytest.raises(IsometryError):
         g * make_isometry(make_lattice([[2]]), [[1]])
+
+
+def test_sparse_product_on_zero_rows_and_cancelling_entries():
+    # random unimodular U against U^-1 (every off-diagonal entry cancels),
+    # and both against copies with zeroed rows and columns
+    rng = random.Random(37)
+    for case in range(120):
+        n = rng.randint(1, 9)
+        u = unimodular(rng, n)
+        u_inv = [[int(x) for x in row] for row in inverse(u)]
+        assert _product(u, u_inv) == tuple(map(tuple, identity(n)))
+        holed = [row if rng.random() < 0.6 else [0] * n for row in u]
+        holed = [[x if j % 3 != case % 3 else 0 for j, x in enumerate(row)]
+                 for row in holed]
+        for a, b in ((u, u_inv), (holed, u), (u_inv, holed), (holed, holed)):
+            got = _product(a, b)
+            assert [list(row) for row in got] == mat_mul(a, b)
+            assert all(type(x) is int for row in got for x in row)

@@ -108,3 +108,10 @@ def test_isometries_on_different_lattices_do_not_mix():
     one = make_isometry(other, [[1]])
     with pytest.raises(IsometryError):
         rot * one
+
+
+def test_bool_matrix_entries_become_ints():
+    a2 = std_gram("A", 2)
+    swap = make_isometry(a2, [[False, True], [True, False]])
+    assert swap == make_isometry(a2, [[0, 1], [1, 0]])
+    assert all(type(x) is int for row in swap.matrix for x in row)

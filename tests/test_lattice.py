@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from fqf_ref import element_order, q_of
-from latkit import lattice
+from latkit import lattice, ratmat
 from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.lattice import (
     CapExceeded, FiniteQuadraticForm, GlueError, LatticeError, direct_sum,
@@ -16,14 +16,15 @@ from latkit.lattice import (
 
 
 def test_make_lattice_validation():
-    with pytest.raises(LatticeError):
-        make_lattice([[1, 2], [3]])
-    with pytest.raises(LatticeError):
-        make_lattice([[1, 2], [0, 1]])
-    with pytest.raises(LatticeError):
-        make_lattice([[Fraction(1, 2)]])
-    with pytest.raises(LatticeError):
-        make_lattice([[1, 2], [2, 4]])
+    for gram, msg in (([[1, 2], [3]], "Gram matrix must be square"),
+                      ([[1, 2], [0, 1]], "Gram matrix must be symmetric"),
+                      ([[Fraction(1, 2)]], "Gram matrix must be integral: non-integer entry 1/2"),
+                      ([[1.5]], "Gram matrix must be integral: non-integer entry 1.5"),
+                      ([[1, 2], [2, 4]], "Gram matrix is degenerate"),
+                      ([[0]], "Gram matrix is degenerate")):
+        with pytest.raises(LatticeError) as err:
+            make_lattice(gram)
+        assert type(err.value) is LatticeError and str(err.value) == msg
 
 
 def test_basic_invariants():
@@ -324,3 +325,41 @@ def test_L_discriminant_form_pinned_up_to_isomorphism(L_disc):
     b_other = tuple(tuple(q_other[i] if i == j else 0 for j in range(4)) for i in range(4))
     other = FiniteQuadraticForm((5, 5, 5, 5), (), q_other, b_other)
     assert fqf_isomorphic(L_disc, other) is None
+
+
+def _assert_same_lattice(a, b):
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_stored_det_is_the_gram_det(L):
+    # make_lattice stores the det it computes; direct_sum and rescale
+    # derive theirs from their parts, and every one must be det(gram)
+    u2 = rescale(std_gram("U"), 2)
+    lats = [L[0].lattice, build_nikulin()[0], build_MD5(build_nikulin()[0]), u2_cubed(),
+            rescale(L[0].lattice, -1), rescale(std_gram("E8"), 3), rescale(u2, -1),
+            direct_sum([]), make_lattice([])]
+    rng = random.Random(31)
+    for _ in range(40):
+        blocks = []
+        for _ in range(rng.randint(1, 4)):
+            n = rng.randint(1, 4)
+            sym = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            sym = [[sym[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            if ratmat.det(sym) == 0:
+                sym = [[2 * (i == j) for j in range(n)] for i in range(n)]
+            blocks.append(rescale(make_lattice(sym), rng.choice((-3, -1, 1, 2))))
+        lats.append(direct_sum(blocks))
+    for lat in lats:
+        assert lat.det == ratmat.det(lat.gram_rows) and type(lat.det) is int
+        _assert_same_lattice(lat, make_lattice(lat.gram))
+    empty = direct_sum([])
+    assert empty.rank == 0 and empty.det == 1
+    _assert_same_lattice(empty, make_lattice([]))
+    assert repr(empty) == "IntegralLattice(gram=())"
+
+
+def test_bool_entries_become_ints():
+    lat = make_lattice([[True, False], [False, True]])
+    _assert_same_lattice(lat, make_lattice([[1, 0], [0, 1]]))
+    assert repr(lat) == "IntegralLattice(gram=((1, 0), (0, 1)))"
+    assert all(type(x) is int for row in lat.gram for x in row)

@@ -303,3 +303,83 @@ def test_elimination_oracle_sympy():
                 inverse(a)
         else:
             assert inverse(a) == [[from_sympy(x) for x in s.inv().row(i)] for i in range(n)]
+
+
+def _rand_entries(rng, n, m, kind):
+    """An n x m matrix of ints, Fractions or (kind "mixed") both."""
+    def entry():
+        x = rng.randint(-9, 9)
+        if kind == "int" or kind == "mixed" and rng.random() < 0.5:
+            return x
+        return Fraction(x, rng.randint(1, 6))
+    return [[entry() for _ in range(m)] for _ in range(n)]
+
+
+def _product_type(u, v):
+    # the type of the termwise products summed from 0: int unless some
+    # term is a Fraction
+    return type(sum(x * y for x, y in zip(u, v)))
+
+
+def test_products_oracle_sympy():
+    # mat_mul, mat_vec and vec_dot against sympy on int, Fraction and mixed
+    # entries, with 0 rows on the left and 0 columns on the right; ints
+    # must give ints and any Fraction term a Fraction
+    from sympy import Matrix, Rational
+
+    def to_sympy(a, n, m):
+        return Matrix(n, m, [Rational(Fraction(x).numerator, Fraction(x).denominator)
+                             for row in a for x in row])
+
+    def from_sympy(x):
+        return Fraction(int(x.p), int(x.q))
+
+    rng = random.Random(29)
+    for case in range(240):
+        kind = ("int", "fraction", "mixed")[case % 3]
+        n, k, m = rng.randint(0, 5), rng.randint(1, 5), rng.randint(0, 5)
+        a, b = _rand_entries(rng, n, k, kind), _rand_entries(rng, k, m, kind)
+        v = _rand_entries(rng, 1, k, kind)[0]
+        got = mat_mul(a, b)
+        want = (to_sympy(a, n, k) * to_sympy(b, k, m)).tolist()
+        assert got == [[from_sympy(x) for x in row] for row in want]
+        assert len(got) == n and all(len(row) == m for row in got)
+        cols = transpose(b)
+        for row, got_row in zip(a, got):
+            assert [type(x) for x in got_row] == [_product_type(row, c) for c in cols]
+        got_v = mat_vec(a, v)
+        want_v = to_sympy(a, n, k) * to_sympy([v], 1, k).T
+        assert got_v == [from_sympy(want_v[i, 0]) for i in range(n)]
+        assert [type(x) for x in got_v] == [_product_type(row, v) for row in a]
+        u = _rand_entries(rng, 1, k, kind)[0]
+        dot = ratmat.vec_dot(u, v)
+        assert dot == from_sympy((to_sympy([u], 1, k) * to_sympy([v], 1, k).T)[0, 0])
+        assert type(dot) is _product_type(u, v)
+        if kind == "int":
+            assert all(type(x) is int for x in sum(got, []) + got_v + [dot])
+    assert ratmat.vec_dot([], []) == 0 and type(ratmat.vec_dot([], [])) is int
+    assert mat_vec([], [1, 2]) == []
+
+
+def test_mat_mul_dimension_mismatch():
+    for a, b in (([[1, 2]], [[1, 2]]), ([[1]], [[1], [2]]),
+                 ([[Fraction(1, 2)] * 3], [[1]] * 2)):
+        with pytest.raises(MatrixError, match="dimension mismatch in mat_mul"):
+            mat_mul(a, b)
+
+
+def test_to_int_cases():
+    to_int = ratmat.to_int
+    assert to_int(7) == 7 and to_int(-(10 ** 30)) == -(10 ** 30)
+    for b in (True, False):
+        assert to_int(b) == int(b) and type(to_int(b)) is int
+    assert to_int(Fraction(-6, 3)) == -2 and type(to_int(Fraction(4, 2))) is int
+    nested = to_int([[1, Fraction(2)], (True, [Fraction(-9, 3)])])
+    assert nested == [[1, 2], [1, [-3]]]
+    assert type(nested[1][0]) is int
+    for x, msg in ((Fraction(1, 2), "non-integer entry 1/2"),
+                   (1.0, "non-integer entry 1.0"),
+                   ("3", "non-integer entry '3'")):
+        with pytest.raises(MatrixError) as err:
+            to_int(x)
+        assert str(err.value) == msg
