@@ -8,12 +8,12 @@ reproduction suite (`latkit repro`).
 
 from .cyclo import Cyc5
 from .lattice import (
-    FiniteQuadraticForm, GlueError, IntegralLattice, LatticeError, direct_sum,
-    discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
+    CapExceeded, FiniteQuadraticForm, GlueError, IntegralLattice, LatticeError,
+    direct_sum, discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
     orthogonal_complement, overlattice, rescale, saturation, sublattice,
 )
 from .isometry import (
-    CapExceeded, GroupClosure, Isometry, IsometryError, acts_as_minus_one,
+    GroupClosure, Isometry, IsometryError, acts_as_minus_one,
     disc_action_trivial, group_closure, invariant_sublattice, make_isometry,
     order,
 )

@@ -11,8 +11,9 @@ import sys
 
 from . import catalog, k3fam, shortvec
 from .files import ParseError, parse_family_file, parse_lattice_file
-from .isometry import CapExceeded
-from .lattice import LatticeError, discriminant_group, make_lattice, overlattice
+from .lattice import (
+    CapExceeded, LatticeError, discriminant_group, invariant_factors, make_lattice, overlattice,
+)
 
 SCHEMA = 1
 
@@ -89,13 +90,12 @@ def cmd_overlattice(args, out):
     lat, index, basis = _lattice_from_file(args.file)
     if index is None:
         raise LatticeError("no glue rows in %s" % args.file)
-    fqf = discriminant_group(lat)
     results = [
         {"id": "overlattice/index", "value": str(index)},
         {"id": "overlattice/det", "value": str(lat.det)},
         {"id": "overlattice/even", "value": str(lat.is_even)},
         {"id": "overlattice/disc",
-         "value": ",".join(str(d) for d in fqf.invariant_factors) or "trivial"},
+         "value": ",".join(str(d) for d in invariant_factors(lat)) or "trivial"},
     ]
     for row in basis:
         results.append({"id": "overlattice/basis-row",
@@ -179,7 +179,7 @@ def main(argv=None, out=None):
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args, out)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

@@ -13,7 +13,7 @@ from math import lcm
 
 from . import cyclo
 from .cyclo import Cyc5
-from .isometry import CapExceeded
+from .lattice import CapExceeded
 
 # Cofactor terms one resultant determinant may expand before CapExceeded;
 # the largest in repro (5 x 5) expands 19.

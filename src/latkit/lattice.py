@@ -13,7 +13,7 @@ from operator import mul
 from . import ratmat
 from .ratmat import (
     clear_denominators, det, divide_exact, hnf_int, identity, int_kernel,
-    inverse, mat_mul, mat_vec, rank, signature, snf, to_int, transpose, vec_dot,
+    inverse, mat_mul, mat_vec, signature, snf, to_int, transpose, vec_dot,
 )
 
 
@@ -51,8 +51,6 @@ class IntegralLattice:
 
     @property
     def signature(self):
-        if self.rank == 0:
-            return (0, 0)
         return signature(self.gram_rows)
 
     @property
@@ -144,11 +142,9 @@ def discriminant_group(lat):
     The invariant factors are canonical; the generators are not.  They
     follow from the U that snf returns, so the lifts, q_values and
     b_matrix are fixed only up to isomorphism of the form (compare forms
-    with fqf_isomorphic).
+    with fqf_isomorphic).  q is the diagonal of the lifts' pairings mod 2.
     """
     n = lat.rank
-    if n == 0:
-        return FiniteQuadraticForm((), (), (), ())
     g = lat.gram_rows
     u, d, v = snf(g)
     ginv = inverse(g)
@@ -163,8 +159,9 @@ def discriminant_group(lat):
         lift = mat_vec(ginv, col)
         factors.append(di)
         lifts.append(tuple(lift))
-    qs = tuple(lat.norm_of(x) % 2 for x in lifts)
-    bm = tuple(tuple(lat.pairing(x, y) % 1 for y in lifts) for x in lifts)
+    pairs = [[lat.pairing(x, y) for y in lifts] for x in lifts]
+    qs = tuple(row[i] % 2 for i, row in enumerate(pairs))
+    bm = tuple(tuple(p % 1 for p in row) for row in pairs)
     return FiniteQuadraticForm(tuple(factors), tuple(lifts), qs, bm)
 
 
@@ -176,9 +173,9 @@ def overlattice(lat, glue):
     coordinates of the input lattice.  Everything runs on ints: with d the
     common denominator of the glue and W = d * glue, the glue must have
     G W divisible by d, each W_k G W_k by 2 d^2 and each W_a G W_b by d^2;
-    B = H / d for the Hermite form H of [d I ; W], and the Gram matrix of
-    L' is H G H^T / d^2.  The index [L' : L] is [H Z^n : d Z^n] =
-    d^n / det H, and H is triangular with positive pivots.
+    B = H / d for the Hermite form H of [d I ; W], and L' is built as is
+    on H G H^T / d^2, with det L / index^2 as its det.  The index
+    [L' : L] = [H Z^n : d Z^n] = d^n / det H, H triangular, positive pivots.
     """
     n = lat.rank
     gram = lat.gram_rows
@@ -207,7 +204,8 @@ def overlattice(lat, glue):
                     % (a, b, Fraction(p, d * d)))
     h, index = _glue_hermite(ws, d, n)
     # exact: the checks above make every pairing of L' integral
-    new_lat = make_lattice(divide_exact(mat_mul(mat_mul(h, gram), transpose(h)), d * d))
+    new_gram = divide_exact(mat_mul(mat_mul(h, gram), transpose(h)), d * d)
+    new_lat = IntegralLattice(tuple(map(tuple, new_gram)), lat.det // index ** 2)
     return new_lat, index, [[Fraction(x, d) for x in row] for row in h]
 
 
@@ -215,8 +213,6 @@ def _glue_hermite(ws, d, n):
     """(H, index): the Hermite form H of [d I_n ; ws], whose rows / d span
     Z^n + span(ws / d), and that lattice's index d^n / det H over Z^n."""
     h = hnf_int([[d * x for x in row] for row in identity(n)] + ws)
-    if len(h) != n:
-        raise GlueError("glue vectors do not preserve the rank")
     return h, d ** n // prod(map(_pivot, h))
 
 
@@ -237,12 +233,12 @@ def _rows_in(lat, rows):
 
 
 def sublattice(lat, rows):
-    """Lattice on independent rows (coordinates in lat's basis)."""
+    """Lattice on integer rows in lat's basis; its det rejects dependent rows."""
     rows = _rows_in(lat, rows)
-    if rank(rows, lat.rank) != len(rows):
-        raise LatticeError("sublattice rows are dependent")
-    gram = mat_mul(mat_mul(rows, lat.gram_rows), transpose(rows))
-    return make_lattice(gram)
+    try:
+        return make_lattice(mat_mul(mat_mul(rows, lat.gram_rows), transpose(rows)))
+    except LatticeError as e:
+        raise LatticeError("sublattice rows are dependent or degenerate: %s" % e) from None
 
 
 def saturation(lat, rows):

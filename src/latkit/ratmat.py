@@ -218,8 +218,6 @@ def snf(mat):
                         dirty = True
             if dirty:
                 continue
-            if any(a[i][t] for i in range(t + 1, n)):
-                continue
             # enforce pivot | remaining block
             offender = None
             for i in range(t + 1, n):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .isometry import CapExceeded
-from .lattice import LatticeError
+from .lattice import CapExceeded, LatticeError
 from .ratmat import symmetric_elimination
 
 # Far above the largest search in the claims, tests and benchmark

@@ -317,3 +317,17 @@ def test_k3_commutant_fault_fails_the_quartic_moduli():
     assert len(results) == 51
     assert [(r["id"], r["computed"]) for r in results if not r["pass"]] == [
         ("k3/quartic-p3/moduli", "1")]
+
+
+def test_one_repro_pass_runs_at_most_29_eliminations(monkeypatch):
+    # sublattice, overlattice, reflection_in_span and _half_unimodular
+    # reuse the dets they already have: 40 fraction-free eliminations per
+    # pass before, 29 now
+    from latkit import ratmat
+    calls = []
+    elim = ratmat._fraction_free
+    monkeypatch.setattr(ratmat, "_fraction_free",
+                        lambda *a, **k: calls.append(1) or elim(*a, **k))
+    results = repro_all()
+    assert len(results) == 51 and all(c.passed for c in results)
+    assert 0 < len(calls) <= 29

@@ -247,3 +247,21 @@ def test_overlattice_input_errors(tmp_path, capsys, text, msg, flags):
     code, out = run(["overlattice", f] + flags)
     assert code == EXIT_USAGE and out == ""
     assert capsys.readouterr().err == "error: %s\n" % msg.format(f=f)
+
+
+@pytest.mark.parametrize("argv", [["disc"], ["shortvec", "--bound", "2"], ["overlattice"],
+                                  ["family"]])
+def test_a_directory_path_is_an_input_error(tmp_path, capsys, argv):
+    code, text = run(argv[:1] + [str(tmp_path)] + argv[1:])
+    assert code == EXIT_USAGE and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
+def test_cap_exceeded_is_one_class():
+    import latkit
+    from latkit import cli, isometry, k3fam, lattice
+    assert (latkit.CapExceeded is lattice.CapExceeded is isometry.CapExceeded
+            is shortvec.CapExceeded is k3fam.CapExceeded is cli.CapExceeded)
+    assert "CapExceeded" in latkit.__all__

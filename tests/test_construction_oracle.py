@@ -20,7 +20,10 @@ from latkit.lattice import (
     GlueError, LatticeError, direct_sum, discriminant_group,
     make_lattice, orthogonal_complement, overlattice, rescale, sublattice,
 )
-from latkit.ratmat import hnf_int, inverse, mat_mul, mat_vec, to_int, transpose
+from latkit.ratmat import (
+    det, divide_exact, hnf_int, inverse, mat_mul, mat_vec, scaled_inverse, to_int,
+    transpose,
+)
 
 
 # --- the Fraction oracles -------------------------------------------------
@@ -397,3 +400,120 @@ def test_build_L_errors_match_fraction_oracle(monkeypatch):
         ref_build_L()
     assert (str(got.value) == str(want.value)
             == "h does not extend integrally to the overlattice")
+
+
+# --- the certificate's short cuts against the routes they replaced --------
+
+def complement_basis_reflection(lat, span_rows):
+    """The reflection as C diag(-1, .., 1) C^-1 on ints, C the columns of
+    span_rows and an orthogonal complement basis (its earlier route)."""
+    comp, comp_rows = orthogonal_complement(lat, span_rows)
+    k = len(span_rows)
+    cols = transpose(list(span_rows) + list(comp_rows))
+    inv, e = scaled_inverse(cols)
+    signed = [[-x if j < k else x for j, x in enumerate(row)] for row in cols]
+    m = divide_exact(mat_mul(signed, inv), e)
+    if m is None:
+        raise CatalogError("reflection is not integral on the lattice")
+    return m
+
+
+def _random_definite_lattice(rng, n):
+    """B B^T for a random nonsingular B, doubled half of the time."""
+    while True:
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        s = rng.choice((1, 2))
+        g = [[s * sum(x * y for x, y in zip(r, t)) for t in b] for r in b]
+        try:
+            return make_lattice(g)
+        except LatticeError:
+            continue
+
+
+def test_reflection_matches_the_complement_basis_route(L):
+    c, _ = L
+    for rows in ([c.vectors["e%d" % i] for i in range(1, 9)],
+                 [c.vectors["f%d" % i] for i in range(9, 17)]):
+        assert reflection_in_span(c.lattice, rows) == complement_basis_reflection(c.lattice, rows)
+    g, h = c.isometries["g"], c.isometries["h"]
+    # h negates the e-span; its conjugate g h g^-1 = g^2 h negates the f-span
+    assert reflection_in_span(c.lattice, [c.vectors["e%d" % i] for i in range(1, 9)]) == h.rows
+    assert (reflection_in_span(c.lattice, [c.vectors["f%d" % i] for i in range(9, 17)])
+            == (g * g * h).rows)
+    rng = random.Random(2207)
+    outcomes = set()
+    for _ in range(120):
+        lat = _random_definite_lattice(rng, rng.randint(2, 6))
+        k = rng.randint(1, lat.rank - 1)
+        rows = [[rng.randint(-2, 2) for _ in range(lat.rank)] for _ in range(k)]
+        want = _outcome(complement_basis_reflection, lat, rows)
+        got = _outcome(reflection_in_span, lat, rows)
+        if type(want) is tuple and "dependent" in want[1]:
+            assert got == (LatticeError, "reflection span rows are dependent or degenerate")
+            outcomes.add("dependent")
+        else:
+            assert got == want
+            outcomes.add("integral" if type(got) is list else "not integral")
+            if type(got) is list:
+                make_isometry(lat, got)
+                assert mat_mul(got, got) == [[int(i == j) for j in range(lat.rank)]
+                                             for i in range(lat.rank)]
+    assert outcomes == {"integral", "not integral", "dependent"}
+
+
+def test_reflection_edge_spans():
+    u = std_gram("U")
+    with pytest.raises(LatticeError) as err:
+        reflection_in_span(u, [[1, 0]])  # isotropic: a degenerate span
+    assert type(err.value) is LatticeError
+    a2 = std_gram("A", 2)
+    assert reflection_in_span(a2, []) == [[1, 0], [0, 1]]
+    assert reflection_in_span(a2, [[1, 0]]) == [[-1, 1], [0, 1]]
+    with pytest.raises(LatticeError, match="length"):
+        reflection_in_span(a2, [[1, 0, 0]])
+
+
+def test_overlattice_det_is_det_over_index_squared():
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(25):
+        lat = _random_even_lattice(rng, rng.randint(1, 6))
+        cases.append((lat, _isotropic_glue(rng, lat)))
+    cases += [_half_vector_glue(rng) for _ in range(25)]
+    for lat, glue in cases:
+        new_lat, index, _ = overlattice(lat, glue)
+        assert new_lat.det == det(new_lat.gram_rows) == lat.det // index ** 2
+        assert new_lat == make_lattice(new_lat.gram)
+        assert all(type(x) is int for row in new_lat.gram for x in row)
+    c, _ = build_L()
+    assert c.lattice.det == det(c.lattice.gram_rows) == 5 ** 4
+
+
+def make_lattice_half_unimodular(lat, rows):
+    """_half_unimodular through a second lattice built on the halved Gram."""
+    half = divide_exact(sublattice(lat, rows).gram_rows, 2)
+    if half is None:
+        return "half-Gram not integral"
+    half_lat = make_lattice(half)
+    return (half_lat.is_even, abs(half_lat.det), half_lat.signature)
+
+
+def test_half_unimodular_matches_the_make_lattice_route(L):
+    c, _ = L
+    for rows in ([c.vectors["e%d" % i] for i in range(1, 9)],
+                 [c.vectors["f%d" % i] for i in range(9, 17)]):
+        assert (catalog._half_unimodular(c.lattice, rows)
+                == make_lattice_half_unimodular(c.lattice, rows) == (True, 1, (0, 8)))
+    rng = random.Random(2208)
+    seen = set()
+    for _ in range(80):
+        lat = _random_definite_lattice(rng, rng.randint(2, 6))
+        if rng.random() < 0.3:
+            lat = rescale(lat, -1)
+        rows = [[rng.randint(-2, 2) for _ in range(lat.rank)]
+                for _ in range(rng.randint(1, lat.rank))]
+        want = _outcome(make_lattice_half_unimodular, lat, rows)
+        assert _outcome(catalog._half_unimodular, lat, rows) == want
+        seen.add(want if type(want) is str else want[0])
+    # non-integral halves, even and odd halves, and dependent rows
+    assert seen == {"half-Gram not integral", True, False, LatticeError}

@@ -363,3 +363,48 @@ def test_bool_entries_become_ints():
     _assert_same_lattice(lat, make_lattice([[1, 0], [0, 1]]))
     assert repr(lat) == "IntegralLattice(gram=((1, 0), (0, 1)))"
     assert all(type(x) is int for row in lat.gram for x in row)
+
+
+def test_sublattice_rejects_dependent_rows_and_degenerate_spans():
+    z3 = make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    u = std_gram("U")
+    for lat, rows in ((z3, [[1, 2, 3], [2, 4, 6]]),
+                      (z3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),
+                      (z3, [[0, 0, 0]]),
+                      (u, [[1, 0]]),      # isotropic, so its span is degenerate
+                      (u, [[0, 3]]),
+                      (direct_sum([u, u]), [[1, 0, 0, 0], [0, 0, 1, 0]])):
+        with pytest.raises(LatticeError) as err:
+            sublattice(lat, rows)
+        assert type(err.value) is LatticeError
+        assert str(err.value).startswith("sublattice rows are dependent or degenerate")
+    # a non-isotropic row of U and an independent pair span lattices
+    assert sublattice(u, [[1, 1]]).gram == ((2,),)
+    assert sublattice(u, [[1, 1], [1, -1]]).det == -4
+    assert sublattice(z3, []).rank == 0 and sublattice(z3, []).signature == (0, 0)
+
+
+def test_discriminant_q_and_b_are_the_lift_pairings():
+    rng = random.Random(2209)
+    lattices = [std_gram("A", 4), std_gram("A", 1), std_gram("U"), u2_cubed(),
+                build_nikulin()[0], build_MD5(build_nikulin()[0])]
+    for _ in range(40):
+        lat = _random_even_lattice(rng, rng.randint(1, 8))
+        lattices.append(rescale(lat, -1) if rng.random() < 0.3 else lat)
+    lattices.append(direct_sum([lattices[-1], rescale(u2_cubed(), 3)]))
+    nontrivial = 0
+    for lat in lattices:
+        f = discriminant_group(lat)
+        lifts = f.generator_lifts
+        assert f.q_values == tuple(lat.pairing(x, x) % 2 for x in lifts)
+        assert f.b_matrix == tuple(tuple(lat.pairing(x, y) % 1 for y in lifts)
+                                   for x in lifts)
+        # the pairing itself, summed entry by entry from the Gram matrix
+        for x in lifts:
+            for y in lifts:
+                assert lat.pairing(x, y) == sum(x[i] * lat.gram[i][j] * y[j]
+                                                for i in range(lat.rank)
+                                                for j in range(lat.rank))
+        nontrivial += len(lifts) > 1
+    assert nontrivial >= 10
+    assert discriminant_group(make_lattice([])) == FiniteQuadraticForm((), (), (), ())
