@@ -3,7 +3,7 @@
 Matrices are plain lists of lists of ints or Fractions.  mat_mul,
 mat_vec and vec_dot are sums of map(mul, ...), so ints give ints and
 Fractions Fractions, and to_int returns an int before any other check.
-det, scaled_inverse (and inverse), rank and rref share one fraction-free
+det, scaled_inverse (and inverse) and rref share one fraction-free
 elimination on ints, and signature and shortvec's Cholesky data share
 symmetric_elimination; the integer normal forms (snf, hnf_int) insist on
 ints, and clear_denominators turns rational rows into ints over one
@@ -141,10 +141,6 @@ def rref(rows, ncols):
     red, pivots, d, _, _ = _fraction_free(rows, ncols)
     zero = Fraction(0)
     return [[Fraction(x, d) if x else zero for x in row] for row in red], pivots
-
-
-def rank(rows, ncols):
-    return len(_fraction_free(rows, ncols, above=False)[1])
 
 
 # --- integer normal forms -------------------------------------------------
@@ -329,7 +325,7 @@ def symmetric_elimination(gram):
             else:
                 j = next((i for i in range(t + 1, n) if a[t][i]), None)
                 if j is None:
-                    raise MatrixError("degenerate form in signature()")
+                    raise MatrixError("degenerate symmetric form")
                 # e_t += e_j makes the diagonal entry 2*a[t][j] != 0
                 a[t] = [x + y for x, y in zip(a[t], a[j])]
                 for row in a:

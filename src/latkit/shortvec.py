@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .lattice import CapExceeded, LatticeError
-from .ratmat import symmetric_elimination
+from .ratmat import MatrixError, symmetric_elimination
 
 # Far above the largest search in the claims, tests and benchmark
 # (L at bound 6: 295,492 nodes).
@@ -50,15 +50,24 @@ def _cholesky(lat):
     norm(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2.
     q[t][t] = p_t / p_{t-1} and q[t][j] = r_t[j] / p_t for the pivots p_t
     and pivot rows r_t of ratmat.symmetric_elimination; all p_t > 0 means
-    signature (n, 0), and a definite form makes no pivot move.
+    signature (n, 0), and a definite form makes no pivot move, so p_t is
+    the leading t+1 minor and the last pivot must be +-lat.det: a Gram
+    matrix that does not match lat's det (a basis that spans a sublattice)
+    raises LatticeError, as does a degenerate one.
     Returns (q, negated, g), where g = gcd(G_ii, 2 G_ij) divides every norm."""
     gram = lat.gram_rows
     n = len(gram)
     # a definite form's diagonal has one sign; the pivots reject the rest
     sign = -1 if n and gram[0][0] < 0 else 1
-    rows, pivots = symmetric_elimination([[sign * x for x in row] for row in gram])
+    try:
+        rows, pivots = symmetric_elimination([[sign * x for x in row] for row in gram])
+    except MatrixError as e:
+        raise LatticeError("short_vectors requires a nondegenerate lattice: %s" % e) from None
     if any(p <= 0 for p in pivots):
         raise LatticeError("short_vectors requires a definite lattice")
+    if pivots and pivots[-1] != sign ** n * lat.det:
+        raise LatticeError("Gram matrix has det %d, not the lattice's det %d"
+                           % (sign ** n * pivots[-1], lat.det))
     q = [[0] * t + [Fraction(p, d)] + [Fraction(x, p) for x in row[1:]]
          for t, (row, p, d) in enumerate(zip(rows, pivots, [1] + pivots))]
     g = gcd(*(x if i == j else 2 * x

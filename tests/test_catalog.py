@@ -11,7 +11,8 @@ from latkit.catalog import (
 )
 from latkit.isometry import CapExceeded
 from latkit.lattice import (
-    GlueError, direct_sum, discriminant_group, fqf_isomorphic, make_lattice, rescale,
+    GlueError, IntegralLattice, direct_sum, discriminant_group, fqf_isomorphic,
+    make_lattice, rescale,
 )
 
 
@@ -262,15 +263,60 @@ def test_failed_build_is_attempted_once(monkeypatch):
 
 
 def test_one_search_certifies_rootless_and_minimum(monkeypatch):
-    # L/rootless and L/minimum read one short_vectors(L, 3) report; the
-    # minimum comes off it (empty, and min |G_ii| = 4 <= 3 + 1) with no
-    # second search
+    # L/rootless and L/minimum read one radius-2 report, short_vectors at
+    # bound 3 on L in the stored basis L_SV_BASIS (same det, same norms);
+    # the minimum comes off it (empty, and min |G_ii| = 4 <= 3 + 1 in L's
+    # own basis) with no second search
     searches = _counting(monkeypatch, [shortvec], "short_vectors")
     minima = _counting(monkeypatch, [shortvec], "minimum")
     claims = repro_all(filter_tag="L/")
     assert len(claims) == 9 and all(c.passed for c in claims)
     assert [args[1] for args in searches] == [3]
+    assert searches[0][0].det == build_L()[0].lattice.det
     assert minima == []
+
+
+def _in_basis(lat, rows):
+    """lat with the basis rows (coordinates in lat's basis), its Gram
+    matrix computed by sympy."""
+    from sympy import Matrix
+
+    p = Matrix(rows)
+    gram = p * Matrix(lat.gram_rows) * p.T
+    return IntegralLattice(
+        tuple(tuple(int(x) for x in gram.row(i)) for i in range(gram.rows)), lat.det)
+
+
+def test_stored_search_basis_spans_L(L):
+    # |det P| = 1 and every row of norm -4, by sympy
+    from sympy import Matrix
+
+    lat = L[0].lattice
+    p = Matrix(catalog.L_SV_BASIS)
+    assert p.shape == (16, 16) and abs(p.det()) == 1
+    reduced = _in_basis(lat, catalog.L_SV_BASIS)
+    assert [reduced.gram[i][i] for i in range(16)] == [-4] * 16
+    # bound 4 lists the 1,320 pairs of L; mapped back by v -> vP with the
+    # first nonzero coordinate positive, they are L's own report
+    found = []
+    for v, norm in shortvec.short_vectors(reduced, 4).vectors:
+        w = [sum(x * row[j] for x, row in zip(v, catalog.L_SV_BASIS)) for j in range(16)]
+        if next(x for x in w if x) < 0:
+            w = [-x for x in w]
+        found.append((tuple(w), norm))
+    assert len(found) == 1320
+    assert sorted(found) == list(shortvec.short_vectors(lat, 4).vectors)
+
+
+def test_stored_search_basis_halves_the_search(L, monkeypatch):
+    # a stale basis that is no faster than L's own fails here, not only
+    # in the benchmark: 426 range computations against 1,348
+    lat = L[0].lattice
+    calls = _counting(monkeypatch, [shortvec], "_range_for")
+    assert shortvec.short_vectors(lat, 3).vectors == ()
+    own = len(calls)
+    assert shortvec.short_vectors(_in_basis(lat, catalog.L_SV_BASIS), 3).vectors == ()
+    assert 2 * (len(calls) - own) < own
 
 
 def test_fault_fails_exactly_the_claims_on_L():
@@ -293,6 +339,9 @@ def test_fault_fails_exactly_the_claims_on_L():
     ("nu-roots", {"L/nu-self": "-6", "L/rootless": "40", "L/minimum": "2",
                   "e8/e-half-unimodular": str((False, 1, (0, 8))),
                   "e8/f-half-unimodular": str((False, 1, (0, 8)))}),
+    ("sv-basis", dict.fromkeys(
+        ("L/rootless", "L/minimum"),
+        "error: Gram matrix has det 2500, not the lattice's det 625")),
 ])
 def test_fault_fails_its_claim_group(fault, failed):
     # <-2>^6 has q values 3/2, so no isomorphism to the Nikulin form; -I
@@ -300,7 +349,9 @@ def test_fault_fails_its_claim_group(fault, failed):
     # every class of (Z/5)^4 and generates only a Klein group with h;
     # A4(-1)^2 + A1(-1)^8 has discriminant group (Z/2)^8 + (Z/5)^2; and
     # the nu-roots glue still gives index 256, but nu has norm -6 and L
-    # gets 40 pairs of roots, so both E8(-2) spans are odd after halving
+    # gets 40 pairs of roots, so both E8(-2) spans are odd after halving;
+    # a doubled row of L_SV_BASIS spans an index-2 sublattice, of det
+    # 4 * 625, which the search refuses
     out = io.StringIO()
     assert cli.main(["repro", "--json", "--inject-fault", fault], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]
