@@ -5,6 +5,10 @@ The rank-16 lattice L is glued from four copies of A4(-2) by the orbit of
 two half-integral vectors under the order-5 isometry, then certified to be
 even, rootless, of discriminant (Z/5)^4, and spanned by two E8(-2) copies
 exchanged up to sign by a dihedral group of order 10.
+
+The harness is two tables: BUILDERS maps each named input a claim needs
+(L, the Nikulin lattice, the k3 family cases, ...) to its builder, and
+FAULTS maps each negative-control id to the builders it swaps in.
 """
 
 import time
@@ -328,25 +332,13 @@ class Claim:
     needs: tuple = ()
 
 
-# Negative controls, one construction corrupted each:
-#   nu-coord     nu gets a coordinate 1/3, so the gluing of L fails
-#   nu-roots     nu becomes (1,0,0,0,1,0,1,1,1,0,0,0,1,0,1,1)/2, of norm -6;
-#                L still glues (index 256) but has 40 pairs of roots, and
-#                neither E8(-2) span is half-unimodular
-#   u2-diagonal  U(2)^3 becomes <-2>^6, whose q values are 3/2, so the
-#                Nikulin form no longer matches: the glue is odd on <2>^6
-#   h-minus-one  h becomes -I, which breaks the dihedral relation and
-#                fixes nothing
-#   g-minus-one  g becomes -I, of order 2, acting as -1 on L*/L = (Z/5)^4
-#   md5-unglued  M_D5 is built on A1(-1)^8 instead of the Nikulin lattice,
-#                so its discriminant group grows to (Z/2)^8 + (Z/5)^2
-#   k3-commutant the quartic's sigma gets eigenvalue 1 twice, so its
-#                commutant grows from 4 to 6 and the moduli count to 1
-#   sv-basis     row 0 of L_SV_BASIS is doubled, so the rows span a
-#                sublattice of index 2 and the search of sv:L refuses
-#                its Gram matrix, of det 4 det L
-FAULT_IDS = ("nu-coord", "nu-roots", "u2-diagonal", "h-minus-one", "g-minus-one",
-             "md5-unglued", "k3-commutant", "sv-basis")
+def _search_in_basis(lat, basis):
+    """short_vectors(lat, 3) on lat written in the basis whose rows are
+    `basis` (coordinates in lat's basis), so the vectors it lists are in
+    those coordinates; shortvec refuses a Gram matrix whose det is not
+    lat's."""
+    gram = mat_mul(mat_mul(basis, lat.gram), transpose(basis))
+    return shortvec.short_vectors(IntegralLattice(tuple(map(tuple, gram)), lat.det), 3)
 
 
 def _minus_one_as(c, name):
@@ -355,73 +347,71 @@ def _minus_one_as(c, name):
     return replace(c, isometries={**c.isometries, name: minus})
 
 
-def _builders(inject_fault):
-    """The named inputs; a builder gets the others through get(name).
-    Functions are looked up when a builder runs, not bound at import, so
-    that patching a module function (as tests and tracers do) takes effect."""
-    nu = None
-    if inject_fault == "nu-coord":
-        nu = list(NU_BASE)
-        nu[4] = Fraction(1, 3)  # breaks integral pairing with the base
-    elif inject_fault == "nu-roots":
-        nu = [Fraction(x, 2) for x in (1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1)]
+# The named inputs; a builder gets the others through get(name).
+# Functions are looked up when a builder runs, not bound at import, so
+# that patching a module function (as tests and tracers do) takes effect.
+BUILDERS = {
+    "L": lambda get: build_L()[0],
+    "nikulin": lambda get: build_nikulin(),
+    "md5": lambda get: build_MD5(get("nikulin")[0]),
+    "u2^3": lambda get: u2_cubed(),
+    "factors:L": lambda get: invariant_factors(get("L").lattice),
+    "factors:md5": lambda get: invariant_factors(get("md5")),
+    "factors:nikulin": lambda get: invariant_factors(get("nikulin")[0]),
+    # one radius-2 search certifies both L/rootless and L/minimum
+    "sv:L": lambda get: _search_in_basis(get("L").lattice, L_SV_BASIS),
+    "k3": lambda get: k3fam_cases(),
+}
 
-    def build_l(get):
-        c = build_L(nu_override=nu)[0]
-        if inject_fault in ("g-minus-one", "h-minus-one"):
-            return _minus_one_as(c, inject_fault[0])
-        return c
-
-    def build_md5(get):
-        if inject_fault == "md5-unglued":
-            return build_MD5(direct_sum([std_gram("A1", scale=-1)] * 8))
-        return build_MD5(get("nikulin")[0])
-
-    def build_u2(get):
-        if inject_fault == "u2-diagonal":
-            return direct_sum([std_gram("A1", scale=-1)] * 6)
-        return u2_cubed()
-
-    def build_sv(get):
-        # one radius-2 search certifies both L/rootless and L/minimum; it
-        # runs in L_SV_BASIS, so its vectors are in those coordinates
-        lat = get("L").lattice
-        basis = list(L_SV_BASIS)
-        if inject_fault == "sv-basis":
-            basis[0] = [2 * x for x in basis[0]]
-        gram = mat_mul(mat_mul(basis, lat.gram), transpose(basis))
-        return shortvec.short_vectors(
-            IntegralLattice(tuple(map(tuple, gram)), lat.det), 3)
-
-    return {
-        "L": build_l,
-        "nikulin": lambda get: build_nikulin(),
-        "md5": build_md5,
-        "u2^3": build_u2,
-        "factors:L": lambda get: invariant_factors(get("L").lattice),
-        "factors:md5": lambda get: invariant_factors(get("md5")),
-        "factors:nikulin": lambda get: invariant_factors(get("nikulin")[0]),
-        "sv:L": build_sv,
-    }
+# Negative controls: each fault id maps to the builders that replace those
+# of BUILDERS, so that one construction is corrupted.
+FAULTS = {
+    # nu gets a coordinate 1/3, so the gluing of L fails
+    "nu-coord": {"L": lambda get: build_L(
+        nu_override=NU_BASE[:4] + (Fraction(1, 3),) + NU_BASE[5:])[0]},
+    # nu of norm -6: L still glues, with 40 pairs of roots and odd E8(-2) halves
+    "nu-roots": {"L": lambda get: build_L(nu_override=tuple(
+        Fraction(x, 2) for x in (1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1)))[0]},
+    # U(2)^3 becomes <-2>^6, whose q values 3/2 no longer match the Nikulin form
+    "u2-diagonal": {"u2^3": lambda get: direct_sum([std_gram("A1", scale=-1)] * 6)},
+    # h becomes -I, which breaks the dihedral relation and fixes nothing
+    "h-minus-one": {"L": lambda get: _minus_one_as(build_L()[0], "h")},
+    # g becomes -I, of order 2, acting as -1 on L*/L = (Z/5)^4
+    "g-minus-one": {"L": lambda get: _minus_one_as(build_L()[0], "g")},
+    # M_D5 on A1(-1)^8, not the Nikulin lattice: disc group (Z/2)^8 + (Z/5)^2
+    "md5-unglued": {"md5": lambda get: build_MD5(
+        direct_sum([std_gram("A1", scale=-1)] * 8))},
+    # the quartic's commutant_of is diag(1, 1, w, w^2): commutant 6, moduli count 1
+    "k3-commutant": {"k3": lambda get: [
+        dict(case, commutant_of=k3fam.diagonal_map([1, 1, Cyc5.omega(1), Cyc5.omega(2)]))
+        if case["name"] == "quartic-p3" else case for case in k3fam_cases()]},
+    # row 0 of L_SV_BASIS doubled: det 4 det L, which the search of sv:L refuses
+    "sv-basis": {"sv:L": lambda get: _search_in_basis(
+        get("L").lattice, (tuple(2 * x for x in L_SV_BASIS[0]),) + L_SV_BASIS[1:])},
+}
+FAULT_IDS = tuple(FAULTS)
 
 
-def _lazy(builders):
+class _Lazy:
     """get(name) builds a named input once, on first use.  A build that
-    raises is not retried: every later get(name) raises its error again."""
-    built = {}
+    raises is not retried: every later get(name) raises its error again.
+    The instance is its own get, so unlike a closure that calls itself it
+    is in no reference cycle, and what a run built is freed when the run
+    ends, not at the next garbage collection."""
 
-    def get(name):
-        if name not in built:
+    def __init__(self, builders):
+        self.builders, self.built = builders, {}
+
+    def __call__(self, name):
+        if name not in self.built:
             try:
-                built[name] = builders[name](get), None
+                self.built[name] = self.builders[name](self), None
             except Exception as exc:
-                built[name] = None, exc
-        value, exc = built[name]
+                self.built[name] = None, exc
+        value, exc = self.built[name]
         if exc is not None:
             raise exc
         return value
-
-    return get
 
 
 def _e_rows(c):
@@ -536,14 +526,13 @@ CLAIMS = (
 )
 
 
-def _k3_claims(inject_fault=None):
-    """Claims on the four projective families.  Their ids and expected
-    values come from k3fam_cases(), so the cases are built on every run
-    (about 0.3 ms, whatever the filter) rather than at import."""
+def _k3_claims(cases):
+    """Claims on the four projective families, one group per case of
+    cases = get("k3").  Their ids and expected values come from the cases,
+    so "k3" is built on every run (about 0.3 ms, whatever the filter)
+    rather than at import."""
     claims = []
-    for case in k3fam_cases():
-        if inject_fault == "k3-commutant" and case["name"] == "quartic-p3":
-            case["commutant_of"] = k3fam.diagonal_map([1, 1, Cyc5.omega(1), Cyc5.omega(2)])
+    for case in cases:
         pre = "k3/%s" % case["name"]
         for label, fam, want_w in case["families"]:
             claims.append(Claim("%s/invariant-%s" % (pre, label), "%s/family" % pre,
@@ -565,18 +554,20 @@ def _k3_claims(inject_fault=None):
 def repro_all(filter_tag=None, inject_fault=None):
     """Run every claim; returns an ordered list of ClaimResults.
 
-    filter_tag restricts to claims whose id starts with the tag; an input
-    that no selected claim needs is never built.  inject_fault deliberately
-    corrupts a construction so the harness can be seen to fail (negative
+    The claims read their inputs from the builders of BUILDERS, each built
+    at most once; filter_tag restricts to claims whose id starts with the
+    tag, and an input that no selected claim needs is never built.
+    inject_fault, an id of FAULTS, swaps in that fault's builders, which
+    corrupt a construction so the harness can be seen to fail (negative
     control).  An Exception raised by a claim, or by the build of one of
     its inputs, fails that claim with computed value "error: ...".
     """
-    if inject_fault is not None and inject_fault not in FAULT_IDS:
+    if inject_fault is not None and inject_fault not in FAULTS:
         raise ValueError("unknown fault id %r (known: %s)"
                          % (inject_fault, ", ".join(FAULT_IDS)))
-    get = _lazy(_builders(inject_fault))
+    get = _Lazy({**BUILDERS, **FAULTS.get(inject_fault, {})})
     results = []
-    for claim in CLAIMS + tuple(_k3_claims(inject_fault)):
+    for claim in CLAIMS + tuple(_k3_claims(get("k3"))):
         if filter_tag and not claim.id.startswith(filter_tag):
             continue
         t0 = time.perf_counter()

@@ -1,6 +1,9 @@
+import gc
 import io
 import json
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,9 @@ from latkit.lattice import (
     GlueError, IntegralLattice, direct_sum, discriminant_group, fqf_isomorphic,
     make_lattice, rescale,
 )
+
+# the number of claims in one full repro pass
+REPRO_CLAIMS = 51
 
 
 def test_std_gram():
@@ -137,20 +143,22 @@ def _raise(exc):
 def test_claim_error_is_a_failure_not_an_abort(monkeypatch, L):
     monkeypatch.setattr(catalog, "order", _raise(CapExceeded("order cap")))
     builds = _counting(monkeypatch, [catalog], "build_L")
+    niks = _counting(monkeypatch, [catalog], "build_nikulin")
+    md5s = _counting(monkeypatch, [catalog], "build_MD5")
     forms = _counting(monkeypatch, [catalog, lattice, cli], "discriminant_group")
     searches = _counting(monkeypatch, [catalog, lattice], "fqf_isomorphic")
     factors = _counting(monkeypatch, [catalog, lattice], "invariant_factors")
     out = io.StringIO()
     assert cli.main(["repro", "--json"], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]
-    assert len(results) == 51
+    assert len(results) == REPRO_CLAIMS
     failed = {r["id"]: r["computed"] for r in results if not r["pass"]}
     assert failed == {"g/order": "error: order cap",
                       "dih10/h-order": "error: order cap"}
-    # each construction is built once per run; no discriminant form is
-    # built or searched, and L, M_D5 and the Nikulin lattice get their
-    # invariant factors once each
-    assert len(builds) == 1
+    # each construction is built once per run, through the module name
+    # that tracers patch; no discriminant form is built or searched, and
+    # L, M_D5 and the Nikulin lattice get their invariant factors once each
+    assert len(builds) == len(niks) == len(md5s) == 1
     assert forms == [] and searches == []
     nik = build_nikulin()[0]
     assert sorted(args[0].gram for args in factors) == sorted(
@@ -161,15 +169,12 @@ def test_every_named_input_is_built(monkeypatch):
     # one full pass builds each named input exactly once, so a builder
     # that no claim reads fails here
     built = []
-    builders = catalog._builders
-
-    def counting(inject_fault):
-        return {name: lambda get, name=name, fn=fn: built.append(name) or fn(get)
-                for name, fn in builders(inject_fault).items()}
-
-    monkeypatch.setattr(catalog, "_builders", counting)
+    builders = catalog.BUILDERS
+    monkeypatch.setattr(catalog, "BUILDERS", {
+        name: lambda get, name=name, fn=fn: built.append(name) or fn(get)
+        for name, fn in builders.items()})
     assert all(c.passed for c in repro_all())
-    assert sorted(built) == sorted(builders(None))
+    assert sorted(built) == sorted(builders)
 
 
 def _as_form(lat, lifts):
@@ -262,6 +267,26 @@ def test_failed_build_is_attempted_once(monkeypatch):
     assert all(c.computed == "error: broken glue" for c in claims)
 
 
+def test_a_run_frees_what_it_built_without_the_cycle_collector(monkeypatch):
+    # the lazy inputs are in no reference cycle, so a run's constructions
+    # (and the k3 cases) do not pile up in peak memory between collections
+    refs = []
+    build = catalog.BUILDERS["L"]
+
+    def watched(get):
+        c = build(get)
+        refs.append(weakref.ref(c))
+        return c
+
+    monkeypatch.setitem(catalog.BUILDERS, "L", watched)
+    gc.disable()
+    try:
+        assert [c.passed for c in repro_all(filter_tag="L/index")] == [True]
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+
+
 def test_one_search_certifies_rootless_and_minimum(monkeypatch):
     # L/rootless and L/minimum read one radius-2 report, short_vectors at
     # bound 3 on L in the stored basis L_SV_BASIS (same det, same norms);
@@ -321,13 +346,15 @@ def test_stored_search_basis_halves_the_search(L, monkeypatch):
 
 def test_fault_fails_exactly_the_claims_on_L():
     claims = repro_all(inject_fault="nu-coord")
-    assert len(claims) == 51
+    assert len(claims) == REPRO_CLAIMS
     for c in claims:
         on_L = c.id.split("/")[0] in ("L", "g", "dih10", "e8")
         assert c.passed != on_L, c.id
 
 
-@pytest.mark.parametrize("fault,failed", [
+# the failing set of each fault, beside nu-coord (every claim on L) and
+# k3-commutant (the quartic's moduli count), which have tests of their own
+FAULT_FAILURES = [
     ("u2-diagonal", {"nikulin/disc-form-matches-U2-cubed": "False"}),
     ("h-minus-one", {"dih10/relation": "False", "dih10/g2h-minus-on-f": "False",
                      "dih10/h-reflection-match": "False",
@@ -342,7 +369,10 @@ def test_fault_fails_exactly_the_claims_on_L():
     ("sv-basis", dict.fromkeys(
         ("L/rootless", "L/minimum"),
         "error: Gram matrix has det 2500, not the lattice's det 625")),
-])
+]
+
+
+@pytest.mark.parametrize("fault,failed", FAULT_FAILURES)
 def test_fault_fails_its_claim_group(fault, failed):
     # <-2>^6 has q values 3/2, so no isomorphism to the Nikulin form; -I
     # as h commutes with g and fixes nothing; -I as g has order 2, moves
@@ -355,7 +385,7 @@ def test_fault_fails_its_claim_group(fault, failed):
     out = io.StringIO()
     assert cli.main(["repro", "--json", "--inject-fault", fault], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]
-    assert len(results) == 51
+    assert len(results) == REPRO_CLAIMS
     assert {r["id"]: r["computed"] for r in results if not r["pass"]} == failed
 
 
@@ -365,9 +395,25 @@ def test_k3_commutant_fault_fails_the_quartic_moduli():
     out = io.StringIO()
     assert cli.main(["repro", "--json", "--inject-fault", "k3-commutant"], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]
-    assert len(results) == 51
+    assert len(results) == REPRO_CLAIMS
     assert [(r["id"], r["computed"]) for r in results if not r["pass"]] == [
         ("k3/quartic-p3/moduli", "1")]
+
+
+def test_every_fault_has_a_pinned_control():
+    # a fault replaces builders of named inputs (a misspelt name would add
+    # a builder that nothing reads), and each fault's failing set is pinned
+    for fault, overrides in catalog.FAULTS.items():
+        assert overrides and set(overrides) <= set(catalog.BUILDERS), fault
+    pinned = {fault for fault, _ in FAULT_FAILURES} | {"nu-coord", "k3-commutant"}
+    assert set(catalog.FAULT_IDS) == pinned
+
+
+def test_readme_names_every_fault_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [f for f in catalog.FAULT_IDS if f not in readme] == []
+    first = [readme.index(f) for f in catalog.FAULT_IDS]
+    assert first == sorted(first)
 
 
 def test_one_repro_pass_runs_at_most_29_eliminations(monkeypatch):
@@ -380,5 +426,5 @@ def test_one_repro_pass_runs_at_most_29_eliminations(monkeypatch):
     monkeypatch.setattr(ratmat, "_fraction_free",
                         lambda *a, **k: calls.append(1) or elim(*a, **k))
     results = repro_all()
-    assert len(results) == 51 and all(c.passed for c in results)
+    assert len(results) == REPRO_CLAIMS and all(c.passed for c in results)
     assert 0 < len(calls) <= 29
