@@ -74,18 +74,13 @@ class NamedConstruction:
 _E8_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
-def std_gram(family, n=None, scale=1):
-    """Cartan-convention lattices: A_n, E8, U, A1; scaled by `scale`."""
-    scale = int(scale)
-    if scale == 0:
-        raise CatalogError("scale must be nonzero")
+def std_gram(family, n=None):
+    """Cartan-convention lattices: A_n, E8, U (scale with lattice.rescale)."""
     if family == "A":
         if n is None or n < 1:
             raise CatalogError("A_n needs n >= 1")
         g = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
               for j in range(n)] for i in range(n)]
-    elif family == "A1":
-        g = [[2]]
     elif family == "U":
         g = [[0, 1], [1, 0]]
     elif family == "E8":
@@ -94,7 +89,7 @@ def std_gram(family, n=None, scale=1):
             g[a - 1][b - 1] = g[b - 1][a - 1] = -1
     else:
         raise CatalogError("unsupported family %r" % (family,))
-    return make_lattice([[x * scale for x in row] for row in g])
+    return make_lattice(g)
 
 
 # --- the overlattice L ----------------------------------------------------
@@ -145,7 +140,7 @@ def build_L(nu_override=None):
     P m H^T / d, and the named vectors are kept as ints V over the common
     denominator s of mu and nu (s = 2), with coordinates P V / s in L.
     """
-    base = direct_sum([std_gram("A", 4, -2)] * 4)
+    base = direct_sum([rescale(std_gram("A", 4), -2)] * 4)
     g_base = _block_diag([_gamma4()] * 4)
     nu = nu_override if nu_override is not None else NU_BASE
     (mu, nu), s = clear_denominators([MU_BASE, nu])
@@ -255,7 +250,7 @@ def reflection_in_span(lat, span_rows):
 def build_nikulin():
     """Index-2 overlattice of A1(-1)^{+8} glued by the all-halves vector;
     returns (lattice, index)."""
-    base = direct_sum([std_gram("A1", scale=-1)] * 8)
+    base = direct_sum([rescale(std_gram("A", 1), -1)] * 8)
     lat, index, _ = overlattice(base, [[Fraction(1, 2)] * 8])
     return lat, index
 
@@ -263,7 +258,7 @@ def build_nikulin():
 def build_MD5(nikulin):
     """A4(-1)^{+2} + Nikulin direct sum (rank 16), from the lattice
     build_nikulin()[0]."""
-    return direct_sum([std_gram("A", 4, -1), std_gram("A", 4, -1), nikulin])
+    return direct_sum([rescale(std_gram("A", 4), -1)] * 2 + [nikulin])
 
 
 def u2_cubed():
@@ -373,14 +368,14 @@ FAULTS = {
     "nu-roots": {"L": lambda get: build_L(nu_override=tuple(
         Fraction(x, 2) for x in (1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1)))[0]},
     # U(2)^3 becomes <-2>^6, whose q values 3/2 no longer match the Nikulin form
-    "u2-diagonal": {"u2^3": lambda get: direct_sum([std_gram("A1", scale=-1)] * 6)},
+    "u2-diagonal": {"u2^3": lambda get: direct_sum([rescale(std_gram("A", 1), -1)] * 6)},
     # h becomes -I, which breaks the dihedral relation and fixes nothing
     "h-minus-one": {"L": lambda get: _minus_one_as(build_L()[0], "h")},
     # g becomes -I, of order 2, acting as -1 on L*/L = (Z/5)^4
     "g-minus-one": {"L": lambda get: _minus_one_as(build_L()[0], "g")},
     # M_D5 on A1(-1)^8, not the Nikulin lattice: disc group (Z/2)^8 + (Z/5)^2
     "md5-unglued": {"md5": lambda get: build_MD5(
-        direct_sum([std_gram("A1", scale=-1)] * 8))},
+        direct_sum([rescale(std_gram("A", 1), -1)] * 8))},
     # the quartic's commutant_of is diag(1, 1, w, w^2): commutant 6, moduli count 1
     "k3-commutant": {"k3": lambda get: [
         dict(case, commutant_of=k3fam.diagonal_map([1, 1, Cyc5.omega(1), Cyc5.omega(2)]))

@@ -11,7 +11,7 @@ common denominator.  Everything here is exact -- no floats anywhere.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -150,87 +150,54 @@ def _swap_cols(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
+def _hermite_blocks(a, w):
+    """The row Hermite form of [a | w], split back into its two blocks."""
+    k = len(a[0]) if a else 0
+    h = hnf_int([row + x for row, x in zip(a, w)])
+    return [row[:k] for row in h], [row[k:] for row in h]
+
+
+def _is_diagonal(a):
+    return not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+
+
 def snf(mat):
     """Smith normal form.  Returns (U, D, V) with D = U * mat * V,
-    U and V unimodular, D diagonal with nonnegative d1 | d2 | ...
+    U and V unimodular, D diagonal with d1 | d2 | ... >= 0, zeros last.
 
-    The elimination starts from the row Hermite form of [mat | I]: its
-    left block H = W mat has small entries, and its right block W is the
-    unimodular start for U.  Reducing H instead of mat keeps the entries
-    of U and V from exploding (Kannan-Bachem 1979; Cohen, A Course in
-    Computational Algebraic Number Theory, section 2.4).
-
-    Pivot choice: smallest absolute value, ties by lowest (row, col).
+    Every reduction is a row Hermite form (Kannan-Bachem 1979; Cohen, A
+    Course in Computational Algebraic Number Theory, section 2.4): that of
+    [A | U] does the row moves, that of [A^T | V^T] the column moves, and
+    the two alternate until A is diagonal.  Hermite forms keep their
+    entries reduced, so U and V stay small.  Then each diagonal pair
+    d_i, d_j (i < j) with d_i not dividing d_j becomes gcd, lcm by one
+    2 x 2 unimodular step on rows i, j of U and columns i, j of V.
     """
     a = [list(map(to_int, row)) for row in mat]
     n = len(a)
     m = len(a[0]) if a else 0
-    hw = hnf_int([row + e for row, e in zip(a, identity(n))])
-    a = [row[:m] for row in hw]
-    u = [row[m:] for row in hw]
     v = identity(m)
-    t = 0
-    while t < min(n, m):
-        # locate pivot
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
-        if j0 != t:
-            _swap_cols(a, t, j0)
-            _swap_cols(v, t, j0)
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            if dirty:
+    a, u = _hermite_blocks(a, identity(n))
+    while not _is_diagonal(a):
+        a, v = map(transpose, _hermite_blocks(transpose(a), transpose(v)))
+        if not _is_diagonal(a):
+            a, u = _hermite_blocks(a, u)
+    k = min(n, m)
+    for i in range(k):
+        for j in range(i + 1, k):
+            x, y = a[i][i], a[j][j]
+            g = gcd(x, y)
+            if g == x:
                 continue
-            # clear row t
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(n):
-                        a[i][j] -= q * a[i][t]
-                    for i in range(m):
-                        v[i][j] -= q * v[i][t]
-                    if a[t][j]:
-                        _swap_cols(a, t, j)
-                        _swap_cols(v, t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # enforce pivot | remaining block
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
+            # s x + t y = g from the inverse of x / g mod y / g
+            p, q = x // g, y // g
+            s = pow(p, -1, q)
+            t = (1 - s * p) // q
+            u[i], u[j] = ([s * e + t * f for e, f in zip(u[i], u[j])],
+                          [p * f - q * e for e, f in zip(u[i], u[j])])
+            for row in v:
+                row[i], row[j] = row[i] + row[j], s * p * row[j] - t * q * row[i]
+            a[i][i], a[j][j] = g, p * y
     return u, a, v
 
 
@@ -294,9 +261,8 @@ def int_kernel(mat):
     a = [list(map(to_int, row)) for row in mat]
     if not a:
         return []
-    k, m = len(a), len(a[0])
-    h = hnf_int([col + e for col, e in zip(transpose(a), identity(m))])
-    return [row[k:] for row in h if not any(row[:k])]
+    h, w = _hermite_blocks(transpose(a), identity(len(a[0])))
+    return [x for row, x in zip(h, w) if not any(row)]
 
 
 def symmetric_elimination(gram):

@@ -114,7 +114,12 @@ def _search(q, radius):
                 yield tuple(x), int(norm)
         x[i] = 0
 
-    return descend(n - 1, Fraction(radius[0]), radius[0])
+    try:
+        yield from descend(n - 1, Fraction(radius[0]), radius[0])
+    finally:
+        # descend refers to itself; dropping it frees the search's data at
+        # once instead of at the next cyclic collection
+        del descend
 
 
 def short_vectors(lat, bound):

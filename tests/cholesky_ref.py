@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 from latkit.catalog import std_gram
-from latkit.lattice import LatticeError, direct_sum
+from latkit.lattice import LatticeError, direct_sum, rescale
 from latkit.ratmat import det
 
 
@@ -64,8 +64,8 @@ def definite_grams(extra=()):
         g = [[2 * sum(x * y for x, y in zip(bi, bj)) for bj in b] for bi in b]
         if det(g):
             grams.append(g)
-    grams.append(std_gram("E8", scale=-1).gram_rows)
-    grams.append(direct_sum([std_gram("A", 4, -2)] * 4).gram_rows)
+    grams.append(rescale(std_gram("E8"), -1).gram_rows)
+    grams.append(direct_sum([rescale(std_gram("A", 4), -2)] * 4).gram_rows)
     grams.extend(extra)
     return [h for g in grams for h in (g, [[-x for x in row] for row in g])]
 

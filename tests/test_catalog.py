@@ -26,13 +26,11 @@ def test_std_gram():
     assert std_gram("A", 4).det == 5
     assert abs(std_gram("E8").det) == 1
     assert std_gram("U").det == -1
-    assert std_gram("A1", scale=-1).gram == ((-2,),)
+    assert rescale(std_gram("A", 1), -1).gram == ((-2,),)
     with pytest.raises(CatalogError):
         std_gram("B", 2)
     with pytest.raises(CatalogError):
         std_gram("A")
-    with pytest.raises(CatalogError):
-        std_gram("A1", scale=0)
 
 
 def test_build_L_core_invariants(L, L_disc):
@@ -219,7 +217,7 @@ def test_nikulin_glue_mutants_fail():
     glue = [list(row) for row in catalog.NIK_U2_GLUE]
     doubled = [row[:] for row in glue]
     doubled[0][:8] = [2 * x for x in doubled[0][:8]]
-    a1_6 = direct_sum([std_gram("A1", scale=-1)] * 6)
+    a1_6 = direct_sum([rescale(std_gram("A", 1), -1)] * 6)
     for a, b, rows in [
             (nik, rescale(u2, -1), glue[1:]),                           # one row dropped
             (nik, rescale(u2, -1), [row[:8] + [0] * 6 for row in glue]),  # U-parts zeroed

@@ -102,7 +102,7 @@ def _ref_conjugate_isometry(lat, p, p_inv, m, what):
 def ref_build_L(nu_override=None, glue_count=8):
     """The Fraction build_L; glue_count < 8 glues only the first vectors
     of the orbit, to reach the membership error."""
-    base = direct_sum([std_gram("A", 4, -2)] * 4)
+    base = direct_sum([rescale(std_gram("A", 4), -2)] * 4)
     g_base = catalog._block_diag([catalog._gamma4()] * 4)
     mu = list(catalog.MU_BASE)
     nu = list(nu_override if nu_override is not None else catalog.NU_BASE)
@@ -223,7 +223,7 @@ def test_L_matches_fraction_oracle(L):
 
 def test_nikulin_and_e8_match_fraction_oracle():
     nik, index = build_nikulin()
-    base = direct_sum([std_gram("A1", scale=-1)] * 8)
+    base = direct_sum([rescale(std_gram("A", 1), -1)] * 8)
     glue = [[Fraction(1, 2)] * 8]
     ref = ref_overlattice(base, glue)
     assert overlattice(base, glue) == ref
@@ -241,7 +241,7 @@ def test_index_matches_determinant_ratio(L):
     c, index = L
     assert index == det_index(c.base_lattice, c.lattice) == 256
     nik, index = build_nikulin()
-    assert index == det_index(direct_sum([std_gram("A1", scale=-1)] * 8), nik) == 2
+    assert index == det_index(direct_sum([rescale(std_gram("A", 1), -1)] * 8), nik) == 2
     a2, a4 = std_gram("A", 2), std_gram("A", 4)
     w1 = [Fraction(x, 5) for x in (4, 3, 2, 1)]  # A4's first fundamental weight
     cases = [
@@ -311,7 +311,7 @@ def _half_vector_glue(rng):
     """A sum of A_n(-2) and up to four half-vectors v / 2 with v in {0, 1}^n,
     kept only when the gluing conditions hold for the set so far."""
     ranks = [rng.randint(1, 5) for _ in range(rng.randint(2, 4))]
-    lat = direct_sum([std_gram("A", r, -2) for r in ranks])
+    lat = direct_sum([rescale(std_gram("A", r), -2) for r in ranks])
     glue = []
     for _ in range(40):
         v = [Fraction(rng.randint(0, 1), 2) for _ in range(lat.rank)]
@@ -342,7 +342,7 @@ def test_random_gluings_match_fraction_oracle():
 # --- failing inputs: the same error text ----------------------------------
 
 def test_glue_errors_match_fraction_oracle():
-    a1 = std_gram("A1")
+    a1 = std_gram("A", 1)
     a2 = std_gram("A", 2)
     basis, self_, mutual, length = (
         "pairs non-integrally with basis", "has self-pairing", "pair non-integrally (",
@@ -352,7 +352,7 @@ def test_glue_errors_match_fraction_oracle():
         (a2, [[1, 0], [Fraction(1, 3), Fraction(1, 3)]], basis),
         (make_lattice([[4]]), [[Fraction(1, 2)]], self_),
         (a2, [[Fraction(1, 3), Fraction(2, 3)]], self_),
-        (std_gram("A1", scale=-1), [[0], [Fraction(1, 2)]], self_),
+        (rescale(std_gram("A", 1), -1), [[0], [Fraction(1, 2)]], self_),
         # each glue vector is fine alone; their pairing 1/2 is a multiple
         # of 1/d but not an integer
         (make_lattice([[8, 2], [2, 8]]), [[Fraction(1, 2), 0], [0, Fraction(1, 2)]], mutual),

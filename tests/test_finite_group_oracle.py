@@ -193,7 +193,7 @@ def seeded_pairs():
                 break
         add("2BB^T/unrelated/%d" % t, g, h)
     roots = [std_gram("A", 2), std_gram("A", 4), std_gram("A", 6),
-             rescale(std_gram("A", 2), 2), std_gram("A1"), std_gram("A", 3)]
+             rescale(std_gram("A", 2), 2), std_gram("A", 1), std_gram("A", 3)]
     for t in range(16):
         g = direct_sum(rng.sample(roots, rng.choice((1, 2, 3)))).gram_rows
         if t % 2:
@@ -201,10 +201,10 @@ def seeded_pairs():
         else:
             add("roots/conjugate/%d" % t, g, conjugate(rng, g))
     a4 = std_gram("A", 4).gram_rows
-    a4m = std_gram("A", 4, -1).gram_rows
+    a4m = rescale(std_gram("A", 4), -1).gram_rows
     add("A4/A4(-1)", a4, a4m)
     add("A4+A4/A4(-1)+A4(-1)", direct_sum([std_gram("A", 4)] * 2).gram_rows,
-        direct_sum([std_gram("A", 4, -1)] * 2).gram_rows)
+        direct_sum([rescale(std_gram("A", 4), -1)] * 2).gram_rows)
     add("U(2)^3/U(2)^3", u2_cubed().gram_rows, conjugate(rng, u2_cubed().gram_rows))
     pairs.append(("nikulin/U(2)^3", discriminant_group(build_nikulin()[0]),
                   discriminant_group(u2_cubed())))

@@ -35,7 +35,7 @@ def test_basic_invariants():
     u = std_gram("U")
     assert u.signature == (1, 1)
     assert 0 not in u.signature
-    assert std_gram("A", 2, -1).signature == (0, 2)
+    assert rescale(std_gram("A", 2), -1).signature == (0, 2)
 
 
 def test_pairing_and_norm():
@@ -46,7 +46,7 @@ def test_pairing_and_norm():
 
 
 def test_direct_sum_and_rescale():
-    a1 = std_gram("A1")
+    a1 = std_gram("A", 1)
     s = direct_sum([a1, a1, a1])
     assert s.rank == 3 and s.det == 8
     assert rescale(a1, -2).gram == ((-4,),)
@@ -143,12 +143,12 @@ def test_span_index_is_the_glue_index():
     assert lattice.span_index([[half, 0], [0, half], [half, half]]) == 4
     assert lattice.span_index([[Fraction(1, 3), Fraction(2, 3)], [1, 0]]) == 3
     assert lattice.span_index([[1, 2], [3, 4]]) == 1
-    a1_8 = direct_sum([std_gram("A1", scale=-1)] * 8)
+    a1_8 = direct_sum([rescale(std_gram("A", 1), -1)] * 8)
     assert overlattice(a1_8, [[half] * 8])[1] == 2
 
 
 def test_overlattice_rejects_bad_glue():
-    a1 = std_gram("A1")
+    a1 = std_gram("A", 1)
     with pytest.raises(GlueError):
         overlattice(a1, [[Fraction(1, 3)]])
     # half of the A1 generator pairs integrally but has odd self-pairing
@@ -159,7 +159,7 @@ def test_overlattice_rejects_bad_glue():
 
 
 def test_overlattice_reports_offending_pair():
-    a1 = std_gram("A1")
+    a1 = std_gram("A", 1)
     with pytest.raises(GlueError, match="glue vector 0 pairs non-integrally"):
         overlattice(a1, [[Fraction(1, 4)]])
 
@@ -275,8 +275,8 @@ def test_orthogonal_complement_rejects_non_integer_rows():
 
 
 def test_fqf_isomorphic_positive_and_negative():
-    f_a1 = discriminant_group(std_gram("A1"))
-    f_a1_neg = discriminant_group(std_gram("A1", scale=-1))
+    f_a1 = discriminant_group(std_gram("A", 1))
+    f_a1_neg = discriminant_group(rescale(std_gram("A", 1), -1))
     # q = 1/2 vs q = 3/2 in Q/2Z: not isomorphic
     assert fqf_isomorphic(f_a1, f_a1_neg) is None
     assert fqf_isomorphic(f_a1, f_a1) is not None

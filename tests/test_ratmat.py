@@ -52,9 +52,16 @@ def _rank_deficient(rng, n, m, r):
     return mat_mul(rand_mat(rng, n, r, -2, 2), rand_mat(rng, r, m, -2, 2))
 
 
+def _diag(*d):
+    return [[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]
+
+
 def test_snf_round_trip_random():
     # 500 small matrices, then 60 up to 20 x 20, rectangular, a third of
-    # them rank-deficient; the invariant factors are checked against sympy
+    # them rank-deficient, then diagonal inputs with negative entries, zeros
+    # between nonzeros and non-dividing pairs, which reach the 2 x 2 gcd
+    # step, and a zero row and a zero column; the invariant factors are
+    # checked against sympy
     from sympy import Matrix
     from sympy.matrices.normalforms import invariant_factors
 
@@ -67,6 +74,8 @@ def test_snf_round_trip_random():
             cases.append(_rank_deficient(rng, n, m, rng.randint(1, min(n, m))))
         else:
             cases.append(rand_mat(rng, n, m, -3, 3))
+    cases += [_diag(6, 4), _diag(0, 3), _diag(-3), _diag(6, -4, 0, 9),
+              [[0, 0, 0], [4, 6, 2]], [[0, 2], [0, 3]]]
     for a in cases:
         n, m = len(a), len(a[0])
         u, d, v = snf(a)
@@ -239,8 +248,8 @@ def test_transpose_empty():
 
 
 def test_snf_transforms_stay_small_on_L(L):
-    # Reducing the Hermite form of [G | I] keeps U and V small; reducing G
-    # itself gave entries of 33,044 (U) and 71,385 (V) bits on this matrix.
+    # Alternating Hermite forms keep U and V small (6 bits here); a pivot
+    # loop on G itself gave entries of 33,044 (U) and 71,385 (V) bits.
     g = L[0].lattice.gram_rows
     u, d, v = snf(g)
     assert mat_mul(mat_mul(u, g), v) == d

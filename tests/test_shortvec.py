@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ import pytest
 from cholesky_ref import INDEFINITE, definite_grams, ref_cholesky, upper
 from latkit import shortvec
 from latkit.catalog import _minimum_from, std_gram
-from latkit.lattice import IntegralLattice, LatticeError, direct_sum, make_lattice
+from latkit.lattice import IntegralLattice, LatticeError, direct_sum, make_lattice, rescale
 from latkit.ratmat import det, mat_mul, transpose
 from latkit.shortvec import _cholesky, minimum, short_vectors
 
@@ -74,7 +75,7 @@ def test_e8_root_count():
 
 
 def test_negative_definite_convention():
-    rep = short_vectors(std_gram("A", 2, -1), 2)
+    rep = short_vectors(rescale(std_gram("A", 2), -1), 2)
     assert rep.negated
     assert rep.counts_by_norm == ((2, 3),)
 
@@ -128,10 +129,10 @@ def test_hand_built_lattices_checked_against_their_det():
     # the last Cholesky pivot is the det of the (negated) Gram matrix, so
     # a det that does not match, or a degenerate Gram matrix from a
     # repeated basis row, raises LatticeError from both searches
-    a2, e8 = std_gram("A", 2), std_gram("E8", scale=-1)
+    a2, e8 = std_gram("A", 2), rescale(std_gram("E8"), -1)
     assert short_vectors(IntegralLattice(a2.gram, 3), 2).total_pairs == 3
-    assert short_vectors(IntegralLattice(std_gram("A", 3, -1).gram, -4), 2).negated
-    for lat, det_given in ((a2, 5), (e8, -1), (std_gram("A", 3, -1), 4)):
+    assert short_vectors(IntegralLattice(rescale(std_gram("A", 3), -1).gram, -4), 2).negated
+    for lat, det_given in ((a2, 5), (e8, -1), (rescale(std_gram("A", 3), -1), 4)):
         bad = IntegralLattice(lat.gram, det_given)
         for search in (lambda x: short_vectors(x, 2), minimum):
             with pytest.raises(LatticeError, match="not the lattice's det %d" % det_given):
@@ -154,7 +155,7 @@ def test_empty_report():
 def test_minimum():
     assert minimum(std_gram("A", 2)) == 2
     assert minimum(make_lattice([[6]])) == 6
-    assert minimum(std_gram("E8", scale=-2)) == 4
+    assert minimum(rescale(std_gram("E8"), -2)) == 4
     with pytest.raises(LatticeError):
         minimum(make_lattice([]))
 
@@ -258,14 +259,14 @@ def test_minimum_read_off_a_bound_3_report(monkeypatch):
     assert read_off(make_lattice(A3_HUGE)) == (2, 0)
     # listed: A4(-1)^4 has 40 pairs of roots; the minimum of an orthogonal
     # sum is the least of its summands'
-    a4 = std_gram("A", 4, -1)
+    a4 = rescale(std_gram("A", 4), -1)
     a4_4 = direct_sum([a4] * 4)
     assert short_vectors(a4_4, 3).counts_by_norm == ((2, 40),)
     assert read_off(a4_4) == (2, 0) and brute_minimum(a4.gram_rows, 2)
     # read off the diagonal: E8(-2) lists nothing up to 3, and m = 4; the
     # box oracle runs on E8(2) in the dual basis, Gram 2 C^-1 for the
     # Cartan matrix C, where the box at norm 3 is {-1, 0, 1}^8
-    e8 = std_gram("E8", scale=-2)
+    e8 = rescale(std_gram("E8"), -2)
     assert read_off(e8) == (4, 0)
     from sympy import Matrix
     dual = [[int(2 * x) for x in row]
@@ -298,3 +299,17 @@ def test_bound_between_norms():
         rep = short_vectors(make_lattice(g), bound)
         assert rep.bound == bound
         assert list(rep.vectors) == naive_pairs(g, bound)
+
+
+def test_search_leaves_no_reference_cycle(L):
+    # the recursive search holds its Cholesky data; with the cycle
+    # collector off, nothing of a search may be left for it to find
+    lat = L[0].lattice
+    gc.collect()
+    gc.disable()
+    try:
+        short_vectors(lat, 3)
+        minimum(lat)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
