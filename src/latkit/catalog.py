@@ -22,13 +22,13 @@ from .isometry import (
     make_isometry, order,
 )
 from .lattice import (
-    GlueError, IntegralLattice, LatticeError, _rows_in, direct_sum, invariant_factors,
+    GlueError, LatticeError, _in_basis, _rows_in, direct_sum, invariant_factors,
     make_lattice, orthogonal_complement, overlattice, rescale, saturation, span_index,
     sublattice,
 )
 from .ratmat import (
     MatrixError, clear_denominators, det, divide_exact, identity, mat_mul, mat_vec,
-    scaled_inverse, to_int, transpose,
+    scaled_inverse, transpose,
 )
 
 
@@ -230,7 +230,8 @@ def reflection_in_span(lat, span_rows):
     """The map acting as -1 on the rows S and +1 on their orthogonal
     complement, I - 2 S^T (S G S^T)^-1 S G, as integer matrix rows: with
     (B, e) the scaled inverse of S G S^T, (e I - 2 S^T B S G) / e on ints.
-    Non-integral: CatalogError; dependent or degenerate rows: LatticeError."""
+    Non-integral reflection: CatalogError; non-integer, dependent or
+    degenerate rows: LatticeError."""
     s = _rows_in(lat, span_rows)
     if not s:
         return identity(lat.rank)
@@ -332,8 +333,7 @@ def _search_in_basis(lat, basis):
     `basis` (coordinates in lat's basis), so the vectors it lists are in
     those coordinates; shortvec refuses a Gram matrix whose det is not
     lat's."""
-    gram = mat_mul(mat_mul(basis, lat.gram), transpose(basis))
-    return shortvec.short_vectors(IntegralLattice(tuple(map(tuple, gram)), lat.det), 3)
+    return shortvec.short_vectors(_in_basis(lat, basis), 3)
 
 
 def _minus_one_as(c, name):
@@ -503,7 +503,7 @@ CLAIMS = (
     Claim("e8/ef-det", "L/ef-span", 5 ** 4,
           lambda L: abs(sublattice(L.lattice, _e_rows(L) + _f_rows(L)).det), ("L",)),
     Claim("e8/ef-index", "L/ef-span", 1,
-          lambda L: abs(to_int(det(_e_rows(L) + _f_rows(L)))), ("L",)),
+          lambda L: abs(det(_e_rows(L) + _f_rows(L))), ("L",)),
     # -- the Nikulin lattice
     Claim("nikulin/index", "nikulin/gluing", 2, lambda nik: nik[1], ("nikulin",)),
     Claim("nikulin/disc-group", "nikulin/discriminant", (2,) * 6,

@@ -5,8 +5,9 @@ Vectors are rows of coordinates in the lattice basis.  All arithmetic is
 exact (ints and Fractions); every object is immutable after construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -38,8 +39,12 @@ NODE_BUDGET = 50_000
 @dataclass(frozen=True)
 class IntegralLattice:
     gram: tuple  # tuple of tuples of ints
-    # det of the Gram matrix (1 at rank 0), set by make_lattice, direct_sum, rescale
-    det: int = field(compare=False, repr=False)
+
+    @cached_property
+    def det(self):
+        """det of the Gram matrix (1 at rank 0), computed on first read
+        unless the lattice was built by _with_det."""
+        return det(self.gram_rows) if self.gram else 1
 
     @property
     def rank(self):
@@ -83,6 +88,14 @@ class FiniteQuadraticForm:
         return prod(self.invariant_factors)
 
 
+def _with_det(gram, d):
+    """IntegralLattice on gram (int tuples) with its det d already known:
+    the one route that stores a det instead of computing it."""
+    lat = IntegralLattice(gram)
+    lat.__dict__["det"] = d  # where cached_property keeps its value
+    return lat
+
+
 def make_lattice(gram):
     """Validate and build an integral lattice from a Gram matrix."""
     rows = [list(row) for row in gram]
@@ -101,7 +114,7 @@ def make_lattice(gram):
     d = det(rows) if n > 0 else 1
     if d == 0:
         raise LatticeError("Gram matrix is degenerate")
-    return IntegralLattice(tuple(tuple(row) for row in rows), d)
+    return _with_det(tuple(tuple(row) for row in rows), d)
 
 
 def direct_sum(lattices):
@@ -112,16 +125,19 @@ def direct_sum(lattices):
     for lat in lattices:
         gram += [(0,) * off + row + (0,) * (n - off - lat.rank) for row in lat.gram]
         off += lat.rank
-    return IntegralLattice(tuple(gram), prod(lat.det for lat in lattices))
+    return _with_det(tuple(gram), prod(lat.det for lat in lattices))
 
 
 def rescale(lat, s):
-    """L(s), the Gram matrix times s; its det is s^rank det L."""
-    s = int(s)
+    """L(s), the Gram matrix times the integer s; its det is s^rank det L."""
+    try:
+        s = to_int(s)
+    except ratmat.MatrixError:
+        raise LatticeError("rescale by non-integer %s" % (s,)) from None
     if s == 0:
         raise LatticeError("rescale by 0")
-    return IntegralLattice(tuple(tuple(x * s for x in row) for row in lat.gram),
-                           s ** lat.rank * lat.det)
+    return _with_det(tuple(tuple(x * s for x in row) for row in lat.gram),
+                     s ** lat.rank * lat.det)
 
 
 def invariant_factors(lat):
@@ -205,7 +221,7 @@ def overlattice(lat, glue):
     h, index = _glue_hermite(ws, d, n)
     # exact: the checks above make every pairing of L' integral
     new_gram = divide_exact(mat_mul(mat_mul(h, gram), transpose(h)), d * d)
-    new_lat = IntegralLattice(tuple(map(tuple, new_gram)), lat.det // index ** 2)
+    new_lat = _with_det(tuple(map(tuple, new_gram)), lat.det // index ** 2)
     return new_lat, index, [[Fraction(x, d) for x in row] for row in h]
 
 
@@ -223,13 +239,25 @@ def span_index(rows):
 
 
 def _rows_in(lat, rows):
-    """rows as lists, each of length lat.rank, else LatticeError."""
+    """rows as int lists, each of length lat.rank, else LatticeError."""
     rows = [list(r) for r in rows]
     for k, r in enumerate(rows):
         if len(r) != lat.rank:
             raise LatticeError("row %d has length %d, not the rank %d"
                                % (k, len(r), lat.rank))
-    return rows
+    try:
+        return [to_int(r) for r in rows]
+    except ratmat.MatrixError as e:
+        raise LatticeError("rows must be integral: %s" % e) from None
+
+
+def _in_basis(lat, rows):
+    """lat written in the basis whose rows are `rows` (int coordinates in
+    lat's basis): the Gram matrix R G R^T, stored with lat's det.  That det
+    is right only when |det R| = 1; shortvec._cholesky's last-pivot check
+    refuses the Gram matrix of any other basis."""
+    gram = mat_mul(mat_mul(rows, lat.gram), transpose(rows))
+    return _with_det(tuple(map(tuple, gram)), lat.det)
 
 
 def sublattice(lat, rows):

@@ -14,7 +14,7 @@ from latkit.catalog import (
 )
 from latkit.isometry import CapExceeded
 from latkit.lattice import (
-    GlueError, IntegralLattice, direct_sum, discriminant_group, fqf_isomorphic,
+    GlueError, direct_sum, discriminant_group, fqf_isomorphic,
     make_lattice, rescale,
 )
 
@@ -301,12 +301,12 @@ def test_one_search_certifies_rootless_and_minimum(monkeypatch):
 
 def _in_basis(lat, rows):
     """lat with the basis rows (coordinates in lat's basis), its Gram
-    matrix computed by sympy."""
+    matrix computed by sympy and stored with lat's det."""
     from sympy import Matrix
 
     p = Matrix(rows)
     gram = p * Matrix(lat.gram_rows) * p.T
-    return IntegralLattice(
+    return lattice._with_det(
         tuple(tuple(int(x) for x in gram.row(i)) for i in range(gram.rows)), lat.det)
 
 

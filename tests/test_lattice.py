@@ -1,13 +1,17 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from fqf_ref import element_order, q_of
 from latkit import lattice, ratmat
-from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
+from latkit.catalog import (
+    build_L, build_MD5, build_nikulin, reflection_in_span, repro_all, std_gram, u2_cubed,
+)
 from latkit.lattice import (
     CapExceeded, FiniteQuadraticForm, GlueError, LatticeError, direct_sum,
     discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
@@ -52,6 +56,49 @@ def test_direct_sum_and_rescale():
     assert rescale(a1, -2).gram == ((-4,),)
     with pytest.raises(LatticeError):
         rescale(a1, 0)
+    # the scale is an integer, never truncated: 5/2 and 2.7 are not 2
+    for bad in (Fraction(5, 2), 2.7, Fraction(1, 2)):
+        with pytest.raises(LatticeError, match="rescale by non-integer %s" % bad):
+            rescale(a1, bad)
+    assert rescale(a1, True) == a1 and rescale(a1, Fraction(6, 2)) == rescale(a1, 3)
+
+
+def test_det_is_computed_or_derived_never_passed():
+    with pytest.raises(TypeError):
+        lattice.IntegralLattice(((8,),), 5)
+    # a lattice built from its Gram matrix alone computes its det on first
+    # read, so gluing [1/2] into (8) gives (2) with det 8 / 2^2
+    glued, index, _ = overlattice(lattice.IntegralLattice(((8,),)), [[Fraction(1, 2)]])
+    assert glued.gram == ((2,),) and index == 2 and glued.det == 2
+
+
+def test_every_known_det_is_the_gram_det(monkeypatch):
+    # each det stored by the private route in one repro pass and in the
+    # fixtures of test_stored_det_is_the_gram_det equals det(gram): this
+    # checks make_lattice's own det, direct_sum's product, rescale's
+    # s^rank det, overlattice's det / index^2 and _in_basis's det
+    stored = []
+    with_det = lattice._with_det
+
+    def recording(gram, d):
+        stored.append((sys._getframe(1).f_code.co_name, gram, d))
+        return with_det(gram, d)
+
+    monkeypatch.setattr(lattice, "_with_det", recording)
+    assert all(c.passed for c in repro_all())
+    _fixture_lattices(build_L()[0].lattice)
+    assert {name for name, _, _ in stored} == {
+        "make_lattice", "direct_sum", "rescale", "overlattice", "_in_basis"}
+    for name, gram, d in stored:
+        assert d == (ratmat.det([list(row) for row in gram]) if gram else 1), name
+
+
+def test_known_det_route_stays_in_lattice():
+    # _with_det stores a det it does not compute, so only lattice.py,
+    # where each stored det is derived, may call it
+    src = Path(lattice.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "_with_det" in p.read_text()] == [
+        "lattice.py"]
 
 
 def test_discriminant_group_standard():
@@ -269,6 +316,18 @@ def test_dependent_rows_rejected():
             orthogonal_complement(lat, rows)
 
 
+@pytest.mark.parametrize("fn", [sublattice, saturation, orthogonal_complement,
+                                reflection_in_span])
+def test_non_integer_rows_are_rejected(fn):
+    # [1/2] is not in the lattice (4), though its Gram matrix (1) is integral
+    for lat, rows, bad in ((make_lattice([[4]]), [[Fraction(1, 2)]], "1/2"),
+                           (std_gram("A", 2), [[1, 0], [0, 1.5]], "1.5")):
+        with pytest.raises(LatticeError) as err:
+            fn(lat, rows)
+        assert type(err.value) is LatticeError
+        assert str(err.value) == "rows must be integral: non-integer entry " + bad
+
+
 def test_orthogonal_complement_rejects_non_integer_rows():
     with pytest.raises(ValueError):
         orthogonal_complement(std_gram("A", 2), [[Fraction(1, 2), 0]])
@@ -331,12 +390,12 @@ def _assert_same_lattice(a, b):
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
-def test_stored_det_is_the_gram_det(L):
-    # make_lattice stores the det it computes; direct_sum and rescale
-    # derive theirs from their parts, and every one must be det(gram)
+def _fixture_lattices(l_lat):
+    """L (given), the catalog lattices, rescalings and 40 seeded direct
+    sums of rescaled random blocks, with the empty lattice both ways."""
     u2 = rescale(std_gram("U"), 2)
-    lats = [L[0].lattice, build_nikulin()[0], build_MD5(build_nikulin()[0]), u2_cubed(),
-            rescale(L[0].lattice, -1), rescale(std_gram("E8"), 3), rescale(u2, -1),
+    lats = [l_lat, build_nikulin()[0], build_MD5(build_nikulin()[0]), u2_cubed(),
+            rescale(l_lat, -1), rescale(std_gram("E8"), 3), rescale(u2, -1),
             direct_sum([]), make_lattice([])]
     rng = random.Random(31)
     for _ in range(40):
@@ -349,7 +408,13 @@ def test_stored_det_is_the_gram_det(L):
                 sym = [[2 * (i == j) for j in range(n)] for i in range(n)]
             blocks.append(rescale(make_lattice(sym), rng.choice((-3, -1, 1, 2))))
         lats.append(direct_sum(blocks))
-    for lat in lats:
+    return lats
+
+
+def test_stored_det_is_the_gram_det(L):
+    # make_lattice stores the det it computes; direct_sum and rescale
+    # derive theirs from their parts, and every one must be det(gram)
+    for lat in _fixture_lattices(L[0].lattice):
         assert lat.det == ratmat.det(lat.gram_rows) and type(lat.det) is int
         _assert_same_lattice(lat, make_lattice(lat.gram))
     empty = direct_sum([])

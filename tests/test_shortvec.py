@@ -9,7 +9,7 @@ import pytest
 from cholesky_ref import INDEFINITE, definite_grams, ref_cholesky, upper
 from latkit import shortvec
 from latkit.catalog import _minimum_from, std_gram
-from latkit.lattice import IntegralLattice, LatticeError, direct_sum, make_lattice, rescale
+from latkit.lattice import LatticeError, _with_det, direct_sum, make_lattice, rescale
 from latkit.ratmat import det, mat_mul, transpose
 from latkit.shortvec import _cholesky, minimum, short_vectors
 
@@ -128,18 +128,19 @@ def test_indefinite_forms_rejected_by_both_choleskys():
 def test_hand_built_lattices_checked_against_their_det():
     # the last Cholesky pivot is the det of the (negated) Gram matrix, so
     # a det that does not match, or a degenerate Gram matrix from a
-    # repeated basis row, raises LatticeError from both searches
+    # repeated basis row, raises LatticeError from both searches; the
+    # lattices are built by lattice's private known-det route
     a2, e8 = std_gram("A", 2), rescale(std_gram("E8"), -1)
-    assert short_vectors(IntegralLattice(a2.gram, 3), 2).total_pairs == 3
-    assert short_vectors(IntegralLattice(rescale(std_gram("A", 3), -1).gram, -4), 2).negated
+    assert short_vectors(_with_det(a2.gram, 3), 2).total_pairs == 3
+    assert short_vectors(_with_det(rescale(std_gram("A", 3), -1).gram, -4), 2).negated
     for lat, det_given in ((a2, 5), (e8, -1), (rescale(std_gram("A", 3), -1), 4)):
-        bad = IntegralLattice(lat.gram, det_given)
+        bad = _with_det(lat.gram, det_given)
         for search in (lambda x: short_vectors(x, 2), minimum):
             with pytest.raises(LatticeError, match="not the lattice's det %d" % det_given):
                 search(bad)
     rows = [[1] + [0] * 7] * 2 + [[int(i == j) for j in range(8)] for i in range(1, 7)]
     gram = mat_mul(mat_mul(rows, e8.gram_rows), transpose(rows))
-    dup = IntegralLattice(tuple(map(tuple, gram)), e8.det)
+    dup = _with_det(tuple(map(tuple, gram)), e8.det)
     for search in (lambda x: short_vectors(x, 2), minimum):
         with pytest.raises(LatticeError, match="nondegenerate lattice: degenerate symmetric form"):
             search(dup)
