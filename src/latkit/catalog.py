@@ -235,7 +235,7 @@ def reflection_in_span(lat, span_rows):
     s = _rows_in(lat, span_rows)
     if not s:
         return identity(lat.rank)
-    sg = mat_mul(s, lat.gram_rows)
+    sg = mat_mul(s, lat.gram)
     try:
         b, e = scaled_inverse(mat_mul(sg, transpose(s)))
     except MatrixError:
@@ -425,7 +425,7 @@ def _minimum_from(lat, report):
     m <= bound + 1, so the minimum is m; otherwise search."""
     if report.vectors:
         return min(norm for _, norm in report.vectors)
-    m = min((abs(row[i]) for i, row in enumerate(lat.gram_rows)), default=None)
+    m = min((abs(row[i]) for i, row in enumerate(lat.gram)), default=None)
     if m is not None and m <= report.bound + 1:
         return m
     return shortvec.minimum(lat)
@@ -434,7 +434,7 @@ def _minimum_from(lat, report):
 def _half_unimodular(lat, rows):
     """Halving the Gram matrix divides its det by 2^rank, keeps the signature."""
     sub = sublattice(lat, rows)
-    half = divide_exact(sub.gram_rows, 2)
+    half = divide_exact(sub.gram, 2)
     if half is None:
         return "half-Gram not integral"
     return (all(row[i] % 2 == 0 for i, row in enumerate(half)),
@@ -491,7 +491,8 @@ CLAIMS = (
           lambda L: acts_as_minus_one(L.isometries["h"], _e_rows(L)), ("L",)),
     Claim("dih10/g2h-minus-on-f", "involution-h", True, _g2h_minus_on_f, ("L",)),
     Claim("dih10/h-reflection-match", "involution-h", True,
-          lambda L: reflection_in_span(L.lattice, _e_rows(L)) == L.isometries["h"].rows,
+          lambda L: (tuple(map(tuple, reflection_in_span(L.lattice, _e_rows(L))))
+                     == L.isometries["h"].matrix),
           ("L",)),
     Claim("dih10/h-invariant-is-e-complement", "involution-h", True,
           _h_invariant_matches, ("L",)),

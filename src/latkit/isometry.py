@@ -8,14 +8,19 @@ row vector v the image has coordinates M . v^T.
 from dataclasses import dataclass
 
 from .ratmat import (
-    det, divide_exact, identity, int_kernel, mat_mul, mat_vec, scaled_inverse, to_int,
-    transpose,
+    MatrixError, det, divide_exact, identity, int_kernel, mat_mul, mat_vec, scaled_inverse,
+    to_int, transpose,
 )
 from .lattice import CapExceeded, LatticeError, sublattice
 
 
 class IsometryError(LatticeError):
     pass
+
+
+# Powers order tries, and elements group_closure keeps, before CapExceeded.
+ORDER_BUDGET = 1000
+CLOSURE_BUDGET = 10_000
 
 
 def _product(a, b):
@@ -39,10 +44,6 @@ class Isometry:
     lattice: object
     matrix: tuple  # tuple of tuples of ints
 
-    @property
-    def rows(self):
-        return [list(r) for r in self.matrix]
-
     def __mul__(self, other):
         if other.lattice != self.lattice:
             raise IsometryError("isometries live on different lattices")
@@ -50,7 +51,7 @@ class Isometry:
 
     def inverse(self):
         # the matrix is unimodular, so d = +-1 divides d M^-1 exactly
-        b, d = scaled_inverse(self.rows)
+        b, d = scaled_inverse(self.matrix)
         return Isometry(self.lattice, tuple(map(tuple, divide_exact(b, d))))
 
     def is_identity(self):
@@ -61,11 +62,14 @@ class Isometry:
 
 def make_isometry(lat, matrix):
     """Validate M^T G M = G; on failure the error carries the Gram defect."""
-    rows = [[to_int(x) for x in r] for r in matrix]
+    try:
+        rows = [[to_int(x) for x in r] for r in matrix]
+    except MatrixError as e:
+        raise IsometryError("isometry matrix must be integral: %s" % e) from None
     n = lat.rank
     if len(rows) != n or any(len(r) != n for r in rows):
         raise IsometryError("isometry matrix must be %d x %d" % (n, n))
-    g = lat.gram_rows
+    g = lat.gram
     lhs = mat_mul(mat_mul(transpose(rows), g), rows)
     defect = [[lhs[i][j] - g[i][j] for j in range(lat.rank)] for i in range(lat.rank)]
     if any(any(row) for row in defect):
@@ -75,21 +79,21 @@ def make_isometry(lat, matrix):
     return Isometry(lat, tuple(tuple(r) for r in rows))
 
 
-def order(iso, cap=1000):
-    """Least k >= 1 with M^k = I; raises CapExceeded rather than looping."""
+def order(iso):
+    """Least k >= 1 with M^k = I; raises CapExceeded past ORDER_BUDGET."""
     acc = iso
-    for k in range(1, cap + 1):
+    for k in range(1, ORDER_BUDGET + 1):
         if acc.is_identity():
             return k
         acc = acc * iso
-    raise CapExceeded("order not found within cap %d" % cap)
+    raise CapExceeded("order not found within cap %d" % ORDER_BUDGET)
 
 
 def disc_action_trivial(lat, iso):
     """True iff the isometry fixes every class of L*/L, i.e. (M - I) L* is
     in L.  The columns of G^-1 generate L* in basis coordinates, so with
     (B, d) = scaled_inverse(G), B = d G^-1, this is (M - I) B = 0 mod d."""
-    b, d = scaled_inverse(lat.gram_rows)
+    b, d = scaled_inverse(lat.gram)
     moved = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(iso.matrix)]
     return not any(x % d for row in mat_mul(moved, b) for x in row)
 
@@ -104,12 +108,12 @@ class GroupClosure:
         return len(self.elements)
 
 
-def group_closure(gens, cap=10000):
+def group_closure(gens):
     """Breadth-first closure of the generated matrix group.
 
     Each new element is multiplied on the right by the generators only:
     in a finite group every inverse is a positive power, so the closure
-    is the whole group, and an infinite group runs past cap (CapExceeded).
+    is the whole group, and an infinite group runs past CLOSURE_BUDGET (CapExceeded).
     """
     if not gens:
         raise IsometryError("need at least one generator")
@@ -128,9 +132,9 @@ def group_closure(gens, cap=10000):
                 prod = _product(m, g.matrix)
                 if prod not in seen:
                     seen.add(prod)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            "group closure exceeded cap %d; infinite or large group" % cap)
+                    if len(seen) > CLOSURE_BUDGET:
+                        raise CapExceeded("group closure exceeded cap %d; infinite or "
+                                          "large group" % CLOSURE_BUDGET)
                     new.append(prod)
         frontier = new
     return GroupClosure(lat, tuple(sorted(seen)))
@@ -160,7 +164,7 @@ def acts_as_minus_one(iso, rows):
     for k, r in enumerate(rows):
         if len(r) != n:
             raise IsometryError("row %d has length %d, not the rank %d" % (k, len(r), n))
-        img = mat_vec(iso.rows, list(r))
+        img = mat_vec(iso.matrix, list(r))
         if any(a != -b for a, b in zip(img, r)):
             return False
     return True

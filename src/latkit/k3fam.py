@@ -174,10 +174,6 @@ class ProjectiveMap:
     def size(self):
         return len(self.matrix)
 
-    @property
-    def rows(self):
-        return [list(r) for r in self.matrix]
-
     def __mul__(self, other):
         """Matrix product over Q(w) on the nonzero entries alone: one Cyc5
         product per pair (a_ik, b_kj) of nonzeros, summed over k in increasing
@@ -205,7 +201,7 @@ class ProjectiveMap:
     def inverse(self):
         n = self.size
         aug = [list(r) + [Cyc5.one() if i == j else Cyc5.zero() for j in range(n)]
-               for i, r in enumerate(self.rows)]
+               for i, r in enumerate(self.matrix)]
         red, pivots = cyclo.rref(aug, n)
         if pivots != list(range(n)):
             raise FamilyError("projective map is singular")

@@ -44,26 +44,22 @@ class IntegralLattice:
     def det(self):
         """det of the Gram matrix (1 at rank 0), computed on first read
         unless the lattice was built by _with_det."""
-        return det(self.gram_rows) if self.gram else 1
+        return det(self.gram) if self.gram else 1
 
     @property
     def rank(self):
         return len(self.gram)
 
     @property
-    def gram_rows(self):
-        return [list(row) for row in self.gram]
-
-    @property
     def signature(self):
-        return signature(self.gram_rows)
+        return signature(self.gram)
 
     @property
     def is_even(self):
         return all(row[i] % 2 == 0 for i, row in enumerate(self.gram))
 
     def pairing(self, u, v):
-        return ratmat.vec_dot(mat_vec(self.gram_rows, list(v)), list(u))
+        return ratmat.vec_dot(mat_vec(self.gram, list(v)), list(u))
 
     def norm_of(self, v):
         return self.pairing(v, v)
@@ -143,7 +139,7 @@ def rescale(lat, s):
 def invariant_factors(lat):
     """The invariant factors d_1 | d_2 | ... (each > 1) of L*/L = Z^n / G Z^n:
     the diagonal entries above 1 of the Smith form of the Gram matrix."""
-    d = snf(lat.gram_rows)[1]
+    d = snf(lat.gram)[1]
     return tuple(row[i] for i, row in enumerate(d) if row[i] > 1)
 
 
@@ -161,7 +157,7 @@ def discriminant_group(lat):
     with fqf_isomorphic).  q is the diagonal of the lifts' pairings mod 2.
     """
     n = lat.rank
-    g = lat.gram_rows
+    g = lat.gram
     u, d, v = snf(g)
     ginv = inverse(g)
     uinv = inverse(u)
@@ -194,7 +190,7 @@ def overlattice(lat, glue):
     [L' : L] = [H Z^n : d Z^n] = d^n / det H, H triangular, positive pivots.
     """
     n = lat.rank
-    gram = lat.gram_rows
+    gram = lat.gram
     ws, d = clear_denominators([[Fraction(x) for x in g] for g in glue])
     gws = []
     for k, w in enumerate(ws):
@@ -233,7 +229,9 @@ def _glue_hermite(ws, d, n):
 
 
 def span_index(rows):
-    """[Z^n + span(rows) : Z^n] for rows of n rationals."""
+    """[Z^n + span(rows) : Z^n] for rows of n rationals; 1 for no rows."""
+    if not rows:
+        return 1
     ws, d = clear_denominators([[Fraction(x) for x in r] for r in rows])
     return _glue_hermite(ws, d, len(ws[0]))[1]
 
@@ -246,7 +244,7 @@ def _rows_in(lat, rows):
             raise LatticeError("row %d has length %d, not the rank %d"
                                % (k, len(r), lat.rank))
     try:
-        return [to_int(r) for r in rows]
+        return [[to_int(x) for x in r] for r in rows]
     except ratmat.MatrixError as e:
         raise LatticeError("rows must be integral: %s" % e) from None
 
@@ -264,7 +262,7 @@ def sublattice(lat, rows):
     """Lattice on integer rows in lat's basis; its det rejects dependent rows."""
     rows = _rows_in(lat, rows)
     try:
-        return make_lattice(mat_mul(mat_mul(rows, lat.gram_rows), transpose(rows)))
+        return make_lattice(mat_mul(mat_mul(rows, lat.gram), transpose(rows)))
     except LatticeError as e:
         raise LatticeError("sublattice rows are dependent or degenerate: %s" % e) from None
 
@@ -303,13 +301,13 @@ def orthogonal_complement(lat, rows):
     """
     rows = _rows_in(lat, rows)
     n = lat.rank
-    pair = [mat_vec(lat.gram_rows, r) for r in rows]
+    pair = [mat_vec(lat.gram, r) for r in rows]
     basis = int_kernel(pair) if pair else identity(n)
     # the Gram matrix is nondegenerate, so the rows are independent
     # exactly when their pairings leave a kernel of rank n - k
     if len(basis) != n - len(rows):
         raise LatticeError("orthogonal_complement input rows are dependent")
-    gram = mat_mul(mat_mul(basis, lat.gram_rows), transpose(basis))
+    gram = mat_mul(mat_mul(basis, lat.gram), transpose(basis))
     return make_lattice(gram), basis
 
 

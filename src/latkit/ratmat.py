@@ -1,8 +1,8 @@
 """Exact dense linear algebra over the rationals and over Z.
 
-Matrices are plain lists of lists of ints or Fractions.  mat_mul,
+Matrices are any sequences of rows, copied before any write.  mat_mul,
 mat_vec and vec_dot are sums of map(mul, ...), so ints give ints and
-Fractions Fractions, and to_int returns an int before any other check.
+Fractions Fractions, and to_int converts one entry, an int first.
 det, scaled_inverse (and inverse) and rref share one fraction-free
 elimination on ints, and signature and shortvec's Cholesky data share
 symmetric_elimination; the integer normal forms (snf, hnf_int) insist on
@@ -45,8 +45,6 @@ def vec_dot(u, v):
 def to_int(x):
     if type(x) is int:
         return x
-    if isinstance(x, (list, tuple)):
-        return [to_int(y) for y in x]
     if isinstance(x, Fraction):
         if x.denominator != 1:
             raise MatrixError("non-integer entry %s" % x)

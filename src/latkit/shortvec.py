@@ -55,7 +55,7 @@ def _cholesky(lat):
     matrix that does not match lat's det (a basis that spans a sublattice)
     raises LatticeError, as does a degenerate one.
     Returns (q, negated, g), where g = gcd(G_ii, 2 G_ij) divides every norm."""
-    gram = lat.gram_rows
+    gram = lat.gram
     n = len(gram)
     # a definite form's diagonal has one sign; the pivots reject the rest
     sign = -1 if n and gram[0][0] < 0 else 1
@@ -149,7 +149,7 @@ def minimum(lat):
     if lat.rank < 1:
         raise LatticeError("minimum of a rank-0 lattice")
     q, _, g = _cholesky(lat)
-    best = min(abs(row[i]) for i, row in enumerate(lat.gram_rows))
+    best = min(abs(row[i]) for i, row in enumerate(lat.gram))
     radius = [best - g]
     for _, norm in _search(q, radius):
         if norm < best:

@@ -64,8 +64,8 @@ def definite_grams(extra=()):
         g = [[2 * sum(x * y for x, y in zip(bi, bj)) for bj in b] for bi in b]
         if det(g):
             grams.append(g)
-    grams.append(rescale(std_gram("E8"), -1).gram_rows)
-    grams.append(direct_sum([rescale(std_gram("A", 4), -2)] * 4).gram_rows)
+    grams.append(rescale(std_gram("E8"), -1).gram)
+    grams.append(direct_sum([rescale(std_gram("A", 4), -2)] * 4).gram)
     grams.extend(extra)
     return [h for g in grams for h in (g, [[-x for x in row] for row in g])]
 

@@ -76,8 +76,8 @@ def test_06_e8_sublattices(L):
 
     def half(rows):
         sub = sublattice(lat, rows)
-        halved = make_lattice([[x // 2 for x in row] for row in sub.gram_rows])
-        assert all(x % 2 == 0 for row in sub.gram_rows for x in row)
+        halved = make_lattice([[x // 2 for x in row] for row in sub.gram])
+        assert all(x % 2 == 0 for row in sub.gram for x in row)
         return halved.is_even and abs(halved.det) == 1 and halved.signature == (0, 8)
 
     span_det = abs(sublattice(lat, e_rows + f_rows).det)
@@ -94,7 +94,7 @@ def test_07_involution_actions(L):
     f_rows = [c.vectors["f%d" % i] for i in range(9, 17)]
     minus_e = acts_as_minus_one(h, e_rows)
     minus_f = acts_as_minus_one(g * g * h, f_rows)
-    refl = catalog.reflection_in_span(c.lattice, e_rows) == h.rows
+    refl = catalog.reflection_in_span(c.lattice, e_rows) == list(map(list, h.matrix))
     report("criterion-07 involution is -1 on <e>, +1 on its complement",
            minus_e and minus_f and refl,
            "h=-1 on e:%s g2h=-1 on f:%s reflection:%s" % (minus_e, minus_f, refl))

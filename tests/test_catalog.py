@@ -243,6 +243,16 @@ def test_glues_unimodular_needs_both_onto_checks():
     assert catalog._glues_unimodular(e8, a, [[0] * 8 + half]) is False
 
 
+def test_empty_glue_has_index_one():
+    # no glue rows leave Z^n, of index 1 in itself, so an empty glue
+    # glues two lattices exactly when both are unimodular
+    e8, a2 = std_gram("E8"), std_gram("A", 2)
+    assert lattice.span_index([]) == 1
+    assert catalog._glues_unimodular(e8, rescale(e8, -1), []) is True
+    assert catalog._glues_unimodular(e8, e8, []) is True
+    assert catalog._glues_unimodular(a2, rescale(a2, -1), []) is False
+
+
 def test_filter_builds_only_what_selected_claims_need(monkeypatch):
     monkeypatch.setattr(catalog, "build_L", _raise(RuntimeError("no L")))
     monkeypatch.setattr(catalog, "build_nikulin", _raise(RuntimeError("no Nikulin")))
@@ -305,7 +315,7 @@ def _in_basis(lat, rows):
     from sympy import Matrix
 
     p = Matrix(rows)
-    gram = p * Matrix(lat.gram_rows) * p.T
+    gram = p * Matrix(lat.gram) * p.T
     return lattice._with_det(
         tuple(tuple(int(x) for x in gram.row(i)) for i in range(gram.rows)), lat.det)
 

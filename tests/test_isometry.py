@@ -1,5 +1,6 @@
 import pytest
 
+from latkit import isometry
 from latkit.catalog import std_gram
 from latkit.isometry import (
     CapExceeded, IsometryError, acts_as_minus_one, disc_action_trivial,
@@ -29,19 +30,20 @@ def test_make_isometry_validation():
         make_isometry(lat, [[1, 0], [0]])
 
 
-def test_order_and_inverse():
+def test_order_and_inverse(monkeypatch):
     lat, rot = a2_rotation()
     assert order(rot) == 3
     assert (rot * rot.inverse()).is_identity()
     assert order(make_isometry(lat, [[-1, 0], [0, -1]])) == 2
+    monkeypatch.setattr(isometry, "ORDER_BUDGET", 2)
     with pytest.raises(CapExceeded):
-        order(rot, cap=2)
+        order(rot)
 
 
 def test_apply():
     lat, rot = a2_rotation()
-    assert mat_vec(rot.rows, [1, 0]) == [0, 1]
-    assert mat_vec(rot.rows, [0, 1]) == [-1, -1]
+    assert mat_vec(rot.matrix, [1, 0]) == [0, 1]
+    assert mat_vec(rot.matrix, [0, 1]) == [-1, -1]
 
 
 def test_group_closure_a2_weyl():
@@ -56,11 +58,12 @@ def test_group_closure_a2_weyl():
     assert rot.matrix in g.elements and minus.matrix in g2.elements
 
 
-def test_group_closure_cap():
+def test_group_closure_cap(monkeypatch):
     lat, rot = a2_rotation()
     swap = make_isometry(lat, [[0, 1], [1, 0]])
+    monkeypatch.setattr(isometry, "CLOSURE_BUDGET", 3)
     with pytest.raises(CapExceeded):
-        group_closure([rot, swap], cap=3)
+        group_closure([rot, swap])
     with pytest.raises(IsometryError):
         group_closure([])
 

@@ -33,7 +33,7 @@ def test_poly_basics():
 
 def test_poly_apply_map_diagonal():
     p = poly_from_terms([((2, 1), 1)])
-    m = diagonal_map([w(1), w(2)]).rows
+    m = diagonal_map([w(1), w(2)]).matrix
     assert poly_apply_map(p, m) == poly_from_terms([((2, 1), w(4))])
 
 
@@ -153,7 +153,7 @@ def test_commutant_dim():
     jordan = [[one, one], [Cyc5.zero(), one]]
     assert commutant_dim(ProjectiveMap(jordan)) == ref_commutant_dim(jordan) == 2
     scaled = diagonal_map([one * 2, w(1) * 2])
-    assert commutant_dim(scaled) == ref_commutant_dim(scaled.rows) == 2
+    assert commutant_dim(scaled) == ref_commutant_dim(scaled.matrix) == 2
 
 
 def test_moduli_count():
@@ -257,7 +257,7 @@ def _conjugated_diagonals():
     while len(out) < 40:
         n = rng.randint(2, 6)
         p = ProjectiveMap(_rand_cyc_matrix(rng, n, len(out) % 2 == 0))
-        if len(ref_rref(p.rows, n)[1]) < n:
+        if len(ref_rref(p.matrix, n)[1]) < n:
             continue
         values = rng.sample([w(k) * s for k in range(5) for s in (1, -1)], rng.randint(1, 4))
         eig = [rng.choice(values) for _ in range(n)]
@@ -272,7 +272,7 @@ def test_commutant_dim_of_conjugated_diagonals():
         expected = sum(1 for x in eig for y in eig if x == y)
         assert commutant_dim(sigma) == expected
         if sigma.size <= 3:
-            assert ref_commutant_dim(sigma.rows) == expected
+            assert ref_commutant_dim(sigma.matrix) == expected
 
 
 TEN_ROOTS = [w(k) * s for s in (1, -1) for k in range(5)]
@@ -327,7 +327,7 @@ def test_commutant_dim_of_monomial_maps_matches_reference():
         a = permutation_map(rng.sample(range(n), n), [rng.choice(TEN_ROOTS) for _ in range(n)])
         k = _order(a)
         if seen.get(k, 0) < 6:
-            assert commutant_dim(a) == ref_commutant_dim(a.rows)
+            assert commutant_dim(a) == ref_commutant_dim(a.matrix)
             seen[k] = seen.get(k, 0) + 1
     assert any(10 % k for k in seen)
 
@@ -416,7 +416,7 @@ def test_commutant_dim_and_permutation_map_make_no_extra_products(monkeypatch):
 def test_commutant_dim_solves_only_when_sigma_to_the_tenth_is_not_one(monkeypatch):
     rng = random.Random(73)
     p = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
-    while len(ref_rref(p.rows, 3)[1]) < 3:
+    while len(ref_rref(p.matrix, 3)[1]) < 3:
         p = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
     trace_path = [diagonal_map([one, w(1), -w(1), -one]),
                   permutation_map([1, 2, 3, 4, 0], [w(2), one, w(3), -one, -one]),
@@ -441,7 +441,7 @@ def test_commutant_solve_budget(monkeypatch):
     # and its 36-unknown solve (over 80 s) is refused at once
     rng = random.Random(79)
     p = ProjectiveMap(_rand_cyc_matrix(rng, 6, False))
-    while len(ref_rref(p.rows, 6)[1]) < 6:
+    while len(ref_rref(p.matrix, 6)[1]) < 6:
         p = ProjectiveMap(_rand_cyc_matrix(rng, 6, False))
     sigma = p * diagonal_map([w(i % 3) * 2 for i in range(6)]) * p.inverse()
     t0 = time.perf_counter()
@@ -452,7 +452,7 @@ def test_commutant_solve_budget(monkeypatch):
     # every other solve in the tests has n <= 3
     jordan = ProjectiveMap([[one, one, 0, 0], [0, one, 0, 0], [0, 0, w(1) * 2, one],
                             [0, 0, 0, w(1) * 2]])
-    assert commutant_dim(jordan) == ref_commutant_dim(jordan.rows) == 4
+    assert commutant_dim(jordan) == ref_commutant_dim(jordan.matrix) == 4
     monkeypatch.setattr(k3fam, "COMMUTANT_UNKNOWN_BUDGET", 15)
     with pytest.raises(CapExceeded):
         commutant_dim(jordan)
@@ -501,7 +501,7 @@ def ref_pgl_equal(a, b):
 
 
 def ref_dihedral_in_pgl(sigma, iota):
-    s, i = ref_matrix(sigma.rows), ref_matrix(iota.rows)
+    s, i = ref_matrix(sigma.matrix), ref_matrix(iota.matrix)
     if len(i) != len(s) or not ref_is_scalar(ref_power(i, 2)):
         return False
     if ref_is_scalar(s) or not ref_is_scalar(ref_power(s, 5)):
@@ -515,7 +515,7 @@ def test_power_is_repeated_product():
     dense = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
     for a in (dense, diagonal_map([w(1), -w(3), one]), permutation_map([2, 0, 1], [1, -1, 1])):
         for k in range(12):
-            assert a.power(k) == ProjectiveMap(from_ref_matrix(ref_power(ref_matrix(a.rows), k)))
+            assert a.power(k) == ProjectiveMap(from_ref_matrix(ref_power(ref_matrix(a.matrix), k)))
 
 
 def test_power_refuses_negative_exponents():
@@ -565,7 +565,7 @@ def test_product_matches_dense_reference():
                 ab = a * b
                 assert ab.matrix == dense_product(a.matrix, b.matrix)
                 assert ab.nonzeros == ProjectiveMap(ab.matrix).nonzeros
-                assert ab == ProjectiveMap(ab.rows) and hash(ab) == hash(ProjectiveMap(ab.rows))
+                assert ab == ProjectiveMap(ab.matrix) and hash(ab) == hash(ProjectiveMap(ab.matrix))
     # a sum that cancels to zero leaves the index
     ab = ProjectiveMap([[1, 1], [0, 1]]) * ProjectiveMap([[1, 0], [-1, 1]])
     assert ab.matrix == dense_product(((one, one), (0, one)), ((one, 0), (-one, one)))
@@ -624,7 +624,7 @@ def test_dihedral_in_pgl_matches_reference():
     while len(answers) < 60:
         n = rng.randint(2, 5)
         p = ProjectiveMap(_rand_cyc_matrix(rng, n, len(answers) % 2 == 0))
-        if len(ref_rref(p.rows, n)[1]) < n:
+        if len(ref_rref(p.matrix, n)[1]) < n:
             continue
         perm = list(range(n))
         idx = rng.sample(range(n), n)
@@ -681,7 +681,7 @@ def test_fixed_locus_matches_reference():
         signs = [rng.choice((1, -1)) for _ in range(n)]
         iota = (ProjectiveMap(p) * diagonal_map(signs)
                 * ProjectiveMap(from_ref_matrix([r[n:] for r in red])))
-        ref_iota = ref_matrix(iota.rows)
+        ref_iota = ref_matrix(iota.matrix)
         expected = []
         for sign in (1, -1):
             rows = [[ref_iota[i][j] - (sign if i == j else 0) for j in range(n)]

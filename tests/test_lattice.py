@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -9,6 +10,7 @@ import pytest
 
 from fqf_ref import element_order, q_of
 from latkit import lattice, ratmat
+from latkit.isometry import IsometryError, make_isometry
 from latkit.catalog import (
     build_L, build_MD5, build_nikulin, reflection_in_span, repro_all, std_gram, u2_cubed,
 )
@@ -101,6 +103,16 @@ def test_known_det_route_stays_in_lattice():
         "lattice.py"]
 
 
+def test_one_matrix_form():
+    # objects store their matrices as int tuples and hand only those out:
+    # no list view of a Gram matrix or of an isometry's rows
+    src = Path(lattice.__file__).parent
+    for p in sorted(src.glob("*.py")):
+        text = p.read_text()
+        assert "gram_rows" not in text, p.name
+        assert not re.search(r"def rows\(self\b", text), p.name
+
+
 def test_discriminant_group_standard():
     assert discriminant_group(std_gram("A", 4)).invariant_factors == (5,)
     assert discriminant_group(std_gram("E8")).invariant_factors == ()
@@ -141,7 +153,7 @@ def test_invariant_factors_match_sympy_and_discriminant_group(L):
     cases += [L[0].lattice, build_MD5(nik), nik, u2_cubed(), std_gram("E8")]
     for lat in cases:
         got = invariant_factors(lat)
-        assert got == tuple(int(x) for x in sympy_factors(Matrix(lat.gram_rows))
+        assert got == tuple(int(x) for x in sympy_factors(Matrix(lat.gram))
                             if abs(x) > 1)
         assert got == discriminant_group(lat).invariant_factors
     assert invariant_factors(L[0].lattice) == (5, 5, 5, 5)
@@ -328,6 +340,35 @@ def test_non_integer_rows_are_rejected(fn):
         assert str(err.value) == "rows must be integral: non-integer entry " + bad
 
 
+A2 = make_lattice([[2, -1], [-1, 2]])
+# Each matrix entry point on a matrix with one bad entry x, and the error
+# it must raise: its module's own LatticeError subclass, or MatrixError.
+MATRIX_ENTRY_POINTS = {
+    "make_lattice": (lambda x: make_lattice([[2, x], [x, 2]]), LatticeError),
+    "rescale": (lambda x: rescale(A2, x), LatticeError),
+    "sublattice": (lambda x: sublattice(A2, [[1, x]]), LatticeError),
+    "saturation": (lambda x: saturation(A2, [[1, x]]), LatticeError),
+    "orthogonal_complement": (lambda x: orthogonal_complement(A2, [[1, x]]), LatticeError),
+    "reflection_in_span": (lambda x: reflection_in_span(A2, [[1, x]]), LatticeError),
+    "make_isometry": (lambda x: make_isometry(A2, [[1, x], [0, 1]]), IsometryError),
+    "snf": (lambda x: ratmat.snf([[1, x]]), ratmat.MatrixError),
+    "hnf_int": (lambda x: ratmat.hnf_int([[1, x]]), ratmat.MatrixError),
+    "int_kernel": (lambda x: ratmat.int_kernel([[1, x]]), ratmat.MatrixError),
+}
+
+
+@pytest.mark.parametrize("bad", [[1], Fraction(1, 2)], ids=["nested-list", "half"])
+@pytest.mark.parametrize("name", sorted(MATRIX_ENTRY_POINTS))
+def test_matrix_entry_points_reject_a_bad_entry(name, bad):
+    # a nested list is one entry, not a row to convert: it fails the
+    # integrality check like 1/2, never with a TypeError from the arithmetic
+    call, error = MATRIX_ENTRY_POINTS[name]
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert type(err.value) is error
+    assert "non-integer" in str(err.value) and str(bad) in str(err.value)
+
+
 def test_orthogonal_complement_rejects_non_integer_rows():
     with pytest.raises(ValueError):
         orthogonal_complement(std_gram("A", 2), [[Fraction(1, 2), 0]])
@@ -415,7 +456,7 @@ def test_stored_det_is_the_gram_det(L):
     # make_lattice stores the det it computes; direct_sum and rescale
     # derive theirs from their parts, and every one must be det(gram)
     for lat in _fixture_lattices(L[0].lattice):
-        assert lat.det == ratmat.det(lat.gram_rows) and type(lat.det) is int
+        assert lat.det == ratmat.det(lat.gram) and type(lat.det) is int
         _assert_same_lattice(lat, make_lattice(lat.gram))
     empty = direct_sum([])
     assert empty.rank == 0 and empty.det == 1

@@ -233,7 +233,7 @@ def test_signature_on_short_vector_inputs(L):
     # (t + 1) x (t + 1) minor
     from sympy import Matrix
 
-    for s in definite_grams([L[0].lattice.gram_rows]) + list(INDEFINITE):
+    for s in definite_grams([L[0].lattice.gram]) + list(INDEFINITE):
         assert signature(s) == _sympy_inertia(s)
     for s in definite_grams():
         rows, pivots = symmetric_elimination(s)
@@ -250,7 +250,7 @@ def test_transpose_empty():
 def test_snf_transforms_stay_small_on_L(L):
     # Alternating Hermite forms keep U and V small (6 bits here); a pivot
     # loop on G itself gave entries of 33,044 (U) and 71,385 (V) bits.
-    g = L[0].lattice.gram_rows
+    g = L[0].lattice.gram
     u, d, v = snf(g)
     assert mat_mul(mat_mul(u, g), v) == d
     assert max(abs(x).bit_length() for m in (u, v) for row in m for x in row) <= 64
@@ -383,12 +383,47 @@ def test_to_int_cases():
     for b in (True, False):
         assert to_int(b) == int(b) and type(to_int(b)) is int
     assert to_int(Fraction(-6, 3)) == -2 and type(to_int(Fraction(4, 2))) is int
-    nested = to_int([[1, Fraction(2)], (True, [Fraction(-9, 3)])])
-    assert nested == [[1, 2], [1, [-3]]]
-    assert type(nested[1][0]) is int
     for x, msg in ((Fraction(1, 2), "non-integer entry 1/2"),
+                   ([1, Fraction(2)], "non-integer entry [1, Fraction(2, 1)]"),
+                   ((7,), "non-integer entry (7,)"),
                    (1.0, "non-integer entry 1.0"),
                    ("3", "non-integer entry '3'")):
         with pytest.raises(MatrixError) as err:
             to_int(x)
         assert str(err.value) == msg
+
+
+# Inputs of the contract test: nondegenerate square ones (one with
+# Fractions, one that needs a row swap), symmetric ones whose elimination
+# takes each pivot move, and a wide one of rank 2.
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+HALVES = [[Fraction(1, 2), 1, 0], [2, Fraction(3, 4), 1], [0, 1, Fraction(-5, 3)]]
+WIDE = [[2, 4, 6, 1], [1, 3, 5, 7], [3, 7, 11, 8]]
+SQUARE = (A3, HALVES, [[0, 1], [1, 0]])
+SYMMETRIC = (A3,) + INDEFINITE
+ROUTINES = {
+    "det": (det, SQUARE),
+    "scaled_inverse": (ratmat.scaled_inverse, SQUARE),
+    "inverse": (inverse, SQUARE),
+    "rref": (lambda m: rref(m, len(m[0])), SQUARE + (WIDE,)),
+    "snf": (snf, (A3, WIDE)),
+    "hnf_int": (hnf_int, (A3, WIDE)),
+    "int_kernel": (int_kernel, (A3, WIDE)),
+    "symmetric_elimination": (symmetric_elimination, SYMMETRIC),
+    "signature": (signature, SYMMETRIC),
+    "mat_mul": (lambda m: mat_mul(m, m), SQUARE),
+    "transpose": (transpose, SQUARE + (WIDE,)),
+    "clear_denominators": (ratmat.clear_denominators, (HALVES, WIDE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTINES))
+def test_routines_read_tuples_and_lists_alike(name):
+    # lattices and isometries hand their matrices out as int tuples: each
+    # routine must read them as it reads lists, and write to neither
+    fn, inputs = ROUTINES[name]
+    for m in inputs:
+        rows = [list(r) for r in m]
+        frozen = tuple(map(tuple, m))
+        assert fn(frozen) == fn(rows)
+        assert rows == m and frozen == tuple(map(tuple, m))

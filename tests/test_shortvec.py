@@ -100,7 +100,7 @@ def test_cholesky_matches_fraction_reference(L):
     # the Cholesky data read off the symmetric elimination against the
     # Fraction elimination it replaced, Fraction for Fraction, on
     # enum-shaped and 2 B B^T lattices, E8(-1), A4(-2)^4, L and negatives
-    grams = definite_grams([L[0].lattice.gram_rows])
+    grams = definite_grams([L[0].lattice.gram])
     assert len(grams) == 62
     for gram in grams:
         q, negated, g = _cholesky(make_lattice(gram))
@@ -139,7 +139,7 @@ def test_hand_built_lattices_checked_against_their_det():
             with pytest.raises(LatticeError, match="not the lattice's det %d" % det_given):
                 search(bad)
     rows = [[1] + [0] * 7] * 2 + [[int(i == j) for j in range(8)] for i in range(1, 7)]
-    gram = mat_mul(mat_mul(rows, e8.gram_rows), transpose(rows))
+    gram = mat_mul(mat_mul(rows, e8.gram), transpose(rows))
     dup = _with_det(tuple(map(tuple, gram)), e8.det)
     for search in (lambda x: short_vectors(x, 2), minimum):
         with pytest.raises(LatticeError, match="nondegenerate lattice: degenerate symmetric form"):
@@ -263,7 +263,7 @@ def test_minimum_read_off_a_bound_3_report(monkeypatch):
     a4 = rescale(std_gram("A", 4), -1)
     a4_4 = direct_sum([a4] * 4)
     assert short_vectors(a4_4, 3).counts_by_norm == ((2, 40),)
-    assert read_off(a4_4) == (2, 0) and brute_minimum(a4.gram_rows, 2)
+    assert read_off(a4_4) == (2, 0) and brute_minimum(a4.gram, 2)
     # read off the diagonal: E8(-2) lists nothing up to 3, and m = 4; the
     # box oracle runs on E8(2) in the dual basis, Gram 2 C^-1 for the
     # Cartan matrix C, where the box at norm 3 is {-1, 0, 1}^8
@@ -271,7 +271,7 @@ def test_minimum_read_off_a_bound_3_report(monkeypatch):
     assert read_off(e8) == (4, 0)
     from sympy import Matrix
     dual = [[int(2 * x) for x in row]
-            for row in Matrix(std_gram("E8").gram_rows).inv().tolist()]
+            for row in Matrix(std_gram("E8").gram).inv().tolist()]
     assert naive_pairs(dual, 3) == [] and min(dual[i][i] for i in range(8)) == 4
     # searched: m = 6, 8 and 5 > 4 with nothing listed; the minimum lies
     # below m on the last two, through (1, -1, 0) and (1, -1)
