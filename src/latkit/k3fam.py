@@ -6,6 +6,7 @@ Polynomials are dicts {exponent tuple: Cyc5 coefficient}; projective maps
 are square matrices over Q(w), and every linear solve is a cyclo.rref.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -18,8 +19,8 @@ from .lattice import CapExceeded
 # Cofactor terms one resultant determinant may expand before CapExceeded;
 # the largest in repro (5 x 5) expands 19.
 DET_TERM_BUDGET = 10_000
-# Unknowns (n^2) of commutant_dim's solve, taken only when sigma^10 != I,
-# before CapExceeded: a dense n = 4 solve takes about 1 s, n = 6 over 80 s.
+# Unknowns (n^2) of commutant_dim's solve, taken only for a non-diagonal
+# sigma^10 != I, before CapExceeded: dense n = 4 takes about 1 s, n = 6 over 80 s.
 COMMUTANT_UNKNOWN_BUDGET = 16
 
 
@@ -164,7 +165,11 @@ class ProjectiveMap:
 
     def __init__(self, rows):
         # ints and Fractions coerce as summands, with no Cyc5 product
-        mat = tuple(tuple(x if isinstance(x, Cyc5) else _ZERO + x for x in r) for r in rows)
+        try:
+            mat = tuple(tuple(x if isinstance(x, Cyc5) else _ZERO + x for x in r) for r in rows)
+        except TypeError:
+            bad = next(x for r in rows for x in r if not isinstance(x, (Cyc5, int, Fraction)))
+            raise FamilyError("projective map entry %r is not in Q(w)" % (bad,)) from None
         if not mat or any(len(r) != len(mat) for r in mat):
             raise FamilyError("projective map rows of lengths %s are not a nonempty square"
                               % [len(r) for r in mat])
@@ -445,8 +450,11 @@ def _multiplicities(diagonals, n):
 def commutant_dim(sigma):
     """Dimension over Q(w) of {X : X sigma = sigma X}.
 
-    If sigma^10 = I, sigma is diagonalizable over Q(w) with eigenvalues among
-    the ten lambda = +-w^k (x^10 - 1 is separable) of multiplicities
+    A diagonal sigma = diag(s_i) commutes with X iff X_ij (s_j - s_i) = 0,
+    so the dimension is #{(i, j) : s_i = s_j}, the sum of the squared
+    counts of its equal entries: no product, trace or solve.  Any other
+    sigma with sigma^10 = I is diagonalizable over Q(w) with eigenvalues
+    among the ten lambda = +-w^k (x^10 - 1 is separable) of multiplicities
     d = (1/10) sum_{j<10} tr(sigma^j) lambda^-j (the character projection
     for Z/10), and the dimension is sum d^2: nine map products for
     sigma^2 .. sigma^10, then int sums of the traces' numerators over one
@@ -455,6 +463,8 @@ def commutant_dim(sigma):
     unknowns that raises CapExceeded past COMMUTANT_UNKNOWN_BUDGET of them.
     """
     n = sigma.size
+    if all(j == i for i, nz in enumerate(sigma.nonzeros) for j, _ in nz):
+        return sum(c * c for c in Counter(sigma.matrix[i][i] for i in range(n)).values())
     powers = [sigma.power(0)] + list(accumulate([sigma] * 9, ProjectiveMap.__mul__,
                                                 initial=sigma))
     if powers[10] == powers[0]:

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -148,8 +149,8 @@ def test_commutant_dim():
     assert commutant_dim(diagonal_map([one, one])) == 4
     # repeated eigenvalue in a 3x3: 1 + 1 + a 2x2 block
     assert commutant_dim(diagonal_map([one, one, w(1)])) == 5
-    # sigma^10 != I, so the n^2-unknown solve answers: a Jordan block
-    # (commutant {aI + bN}) and eigenvalues 2 and 2w
+    # a Jordan block (commutant {aI + bN}) has sigma^10 != I, so the
+    # n^2-unknown solve answers; the diagonal diag(2, 2w) is read off its entries
     jordan = [[one, one], [Cyc5.zero(), one]]
     assert commutant_dim(ProjectiveMap(jordan)) == ref_commutant_dim(jordan) == 2
     scaled = diagonal_map([one * 2, w(1) * 2])
@@ -388,8 +389,7 @@ def test_multiplicities_refuse_impossible_traces():
 
 
 def test_commutant_dim_and_permutation_map_make_no_extra_products(monkeypatch):
-    # the nine products sigma^2 .. sigma^10 of a diagonal map make n Cyc5
-    # products each, and the multiplicities none
+    # a diagonal map's commutant is counted off its entries, with no Cyc5 product
     rng = random.Random(103)
     n = 8
     eig = [rng.choice(TEN_ROOTS) for _ in range(n)]
@@ -402,7 +402,7 @@ def test_commutant_dim_and_permutation_map_make_no_extra_products(monkeypatch):
 
     monkeypatch.setattr(Cyc5, "__mul__", counting_mul)
     assert commutant_dim(sigma) == sum(eig.count(x) ** 2 for x in set(eig))
-    assert len(calls) == 9 * n
+    assert calls == []
     # permutation maps coerce their signs as summands
     calls.clear()
     perms = [permutation_map(rng.sample(range(n), n), rng.sample(TEN_ROOTS, n)),
@@ -413,16 +413,24 @@ def test_commutant_dim_and_permutation_map_make_no_extra_products(monkeypatch):
     assert perms[1].nonzeros == (((1, one),), ((0, one),), ((3, one),), ((2, one),))
 
 
+def _invertible(rng, n):
+    p = ProjectiveMap(_rand_cyc_matrix(rng, n, False))
+    while len(ref_rref(p.matrix, n)[1]) < n:
+        p = ProjectiveMap(_rand_cyc_matrix(rng, n, False))
+    return p
+
+
 def test_commutant_dim_solves_only_when_sigma_to_the_tenth_is_not_one(monkeypatch):
     rng = random.Random(73)
-    p = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
-    while len(ref_rref(p.matrix, 3)[1]) < 3:
-        p = ProjectiveMap(_rand_cyc_matrix(rng, 3, False))
-    trace_path = [diagonal_map([one, w(1), -w(1), -one]),
-                  permutation_map([1, 2, 3, 4, 0], [w(2), one, w(3), -one, -one]),
-                  p * diagonal_map([-w(4), -w(4), w(2)]) * p.inverse()]
+    p, q = _invertible(rng, 3), _invertible(rng, 2)
+    no_solve = [diagonal_map([one, w(1), -w(1), -one]),
+                permutation_map([1, 2, 3, 4, 0], [w(2), one, w(3), -one, -one]),
+                p * diagonal_map([-w(4), -w(4), w(2)]) * p.inverse(),
+                diagonal_map([one * 2, w(1) * 2])]               # diagonal, sigma^10 != I
     fallback = [ProjectiveMap([[one, one], [Cyc5.zero(), one]]),   # jordan
-                diagonal_map([one * 2, w(1) * 2])]                 # scaled
+                q * diagonal_map([one * 2, w(1) * 2]) * q.inverse()]   # scaled
+    assert any(j != i for i, nz in enumerate(fallback[1].nonzeros) for j, _ in nz)
+    assert commutant_dim(fallback[1]) == ref_commutant_dim(fallback[1].matrix) == 2
     calls, real_rref = [], k3fam.cyclo.rref
 
     def counting_rref(rows, ncols):
@@ -430,19 +438,84 @@ def test_commutant_dim_solves_only_when_sigma_to_the_tenth_is_not_one(monkeypatc
         return real_rref(rows, ncols)
 
     monkeypatch.setattr(k3fam.cyclo, "rref", counting_rref)
-    assert [commutant_dim(a) for a in trace_path] == [4, 5, 5]
+    assert [commutant_dim(a) for a in no_solve] == [4, 5, 5, 2]
     assert calls == []
     assert [commutant_dim(a) for a in fallback] == [2, 2]
     assert calls == [4, 4]
 
 
+def _diagonals_beyond_ten(rng):
+    """Entry lists of diagonal maps with sigma^10 != I, n <= 8: roots of
+    unity scaled by rationals, rationals, Q(w) values with denominators, and
+    zero entries (singular maps); per n one list from each pool, drawn from
+    a few values so that most repeat."""
+    scaled = [x * c for x in TEN_ROOTS for c in (2, Fraction(-1, 3))]
+    rational = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 7) if abs(a) != b]
+    mixed = [_rand_cyc(rng, False) for _ in range(6)] + [Cyc5.zero()]
+    lists = [[1, 2, 3, 4, 5], [0, 0], [0, one, 0, Fraction(3, 3)]]
+    for n in range(1, 9):
+        for pool in (scaled, rational, mixed, scaled + [0] * 3):
+            values = rng.sample(pool, rng.randint(1, 4))
+            lists.append([rng.choice(values) for _ in range(n)])
+    return lists
+
+
+def _count_products_and_solves(monkeypatch):
+    """Patch Cyc5.__mul__ and k3fam's cyclo.rref to log "mul" and "rref"."""
+    calls = []
+    real_mul, real_rref = Cyc5.__mul__, k3fam.cyclo.rref
+
+    def counting_mul(x, y):
+        calls.append("mul")
+        return real_mul(x, y)
+
+    def counting_rref(rows, ncols):
+        calls.append("rref")
+        return real_rref(rows, ncols)
+
+    monkeypatch.setattr(Cyc5, "__mul__", counting_mul)
+    monkeypatch.setattr(k3fam.cyclo, "rref", counting_rref)
+    return calls
+
+
+def test_commutant_dim_of_diagonals_beyond_order_ten(monkeypatch):
+    # diag(s_i) commutes with X iff X_ij (s_j - s_i) = 0, so the dimension
+    # is #{(i, j) : s_i = s_j} for every diagonal map, found with no Cyc5
+    # product and no solve; diag(1, 2, 3, 4, 5) once raised CapExceeded
+    lists = _diagonals_beyond_ten(random.Random(109))
+    maps = [diagonal_map(eig) for eig in lists]
+    assert all(a.power(10) != a.power(0) for a in maps)
+    expected = [sum(1 for x in eig for y in eig if x == y) for eig in lists]
+    small = [(a, e) for a, e in zip(maps, expected) if a.size <= 3]
+    assert [ref_commutant_dim(a.matrix) for a, _ in small] == [e for _, e in small]
+    calls = _count_products_and_solves(monkeypatch)
+    assert [commutant_dim(a) for a in maps] == expected
+    assert calls == []
+    assert expected[:3] == [5, 4, 8]
+    assert (len(maps), max(a.size for a in maps), len(small)) == (35, 8, 13)
+    assert sum(e > len(eig) for eig, e in zip(lists, expected)) >= 20
+
+
+def test_off_diagonal_maps_are_not_read_off_their_diagonals(monkeypatch):
+    # one nonzero off the diagonal sends a map down the trace path or the
+    # solve; a count read off the diagonal would give 4 for each of these
+    swap = permutation_map([1, 0])                       # eigenvalues 1 and -1
+    nilpotent = ProjectiveMap([[0, 1], [0, 0]])          # commutant {aI + bN}
+    jordan = ProjectiveMap([[w(1), 0], [one, w(1)]])     # row 1 off and on the diagonal
+    calls = _count_products_and_solves(monkeypatch)
+    assert commutant_dim(swap) == 2
+    assert "mul" in calls and "rref" not in calls
+    for a in (nilpotent, jordan):
+        calls.clear()
+        assert commutant_dim(a) == 2
+        assert calls.count("rref") == 1
+        assert ref_commutant_dim(a.matrix) == 2
+
+
 def test_commutant_solve_budget(monkeypatch):
     # a dense n = 6 conjugate P diag(2 w^(i mod 3)) P^-1 has sigma^10 != I,
     # and its 36-unknown solve (over 80 s) is refused at once
-    rng = random.Random(79)
-    p = ProjectiveMap(_rand_cyc_matrix(rng, 6, False))
-    while len(ref_rref(p.matrix, 6)[1]) < 6:
-        p = ProjectiveMap(_rand_cyc_matrix(rng, 6, False))
+    p = _invertible(random.Random(79), 6)
     sigma = p * diagonal_map([w(i % 3) * 2 for i in range(6)]) * p.inverse()
     t0 = time.perf_counter()
     with pytest.raises(CapExceeded, match="past %d unknowns" % k3fam.COMMUTANT_UNKNOWN_BUDGET):
@@ -540,6 +613,18 @@ def test_power_refuses_negative_exponents():
 def test_malformed_maps_are_refused(rows):
     with pytest.raises(FamilyError, match="not a nonempty square"):
         ProjectiveMap(rows)
+
+
+@pytest.mark.parametrize("entry", [[1], 1.5, "1"])
+def test_entries_outside_q_w_are_refused(entry):
+    with pytest.raises(FamilyError, match=r"entry %s is not in Q\(w\)" % re.escape(repr(entry))):
+        ProjectiveMap([[one, 0], [0, entry]])
+
+
+def test_ints_bools_fractions_and_cyc5_entries_coerce():
+    a = ProjectiveMap([[True, Fraction(1, 2)], [0, w(1)]])
+    assert a.matrix == ((one, one * Fraction(1, 2)), (Cyc5.zero(), w(1)))
+    assert a.nonzeros == (((0, one), (1, one * Fraction(1, 2))), ((1, w(1)),))
 
 
 def _rand_sparse_map(rng, n, density):
