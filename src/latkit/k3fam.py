@@ -7,6 +7,7 @@ are square matrices over Q(w), and every linear solve is a cyclo.rref.
 """
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -168,8 +169,14 @@ class ProjectiveMap:
         try:
             mat = tuple(tuple(x if isinstance(x, Cyc5) else _ZERO + x for x in r) for r in rows)
         except TypeError:
-            bad = next(x for r in rows for x in r if not isinstance(x, (Cyc5, int, Fraction)))
-            raise FamilyError("projective map entry %r is not in Q(w)" % (bad,)) from None
+            if not isinstance(rows, Iterable):
+                raise FamilyError("projective map rows %r are not iterable" % (rows,)) from None
+            for i, r in enumerate(rows):
+                if not isinstance(r, Iterable):
+                    raise FamilyError("projective map row %d, %r, is not iterable" % (i, r)) from None
+                for x in r:
+                    _entry(x)
+            raise
         if not mat or any(len(r) != len(mat) for r in mat):
             raise FamilyError("projective map rows of lengths %s are not a nonempty square"
                               % [len(r) for r in mat])
@@ -240,19 +247,49 @@ def _set_map(m, matrix, nonzeros):
     return m
 
 
+def _entry(x):
+    """x as a Cyc5; ints and Fractions coerce as summands, with no Cyc5 product."""
+    if isinstance(x, Cyc5):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _ZERO + x
+    raise FamilyError("projective map entry %r is not in Q(w)" % (x,))
+
+
+def _monomial_map(cols, entries):
+    """The map with entries[i] at (i, cols[i]) and zeros elsewhere, written
+    from its n entries, each coerced once, with no scan of the n^2 others."""
+    n = len(cols)
+    if not n:
+        raise FamilyError("projective map rows of lengths [] are not a nonempty square")
+    mat, nzs = [], []
+    for j, x in zip(cols, entries):
+        x = _entry(x)
+        row = [_ZERO] * n
+        row[j] = x
+        mat.append(tuple(row))
+        nzs.append(((j, x),) if x else ())
+    return _set_map(object.__new__(ProjectiveMap), tuple(mat), tuple(nzs))
+
+
 def diagonal_map(entries):
-    n = len(entries)
-    return ProjectiveMap([[entries[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
+    return _monomial_map(range(len(entries)), entries)
 
 
 def permutation_map(images, signs=None):
-    """Map sending coordinate i to +-coordinate images[i]."""
+    """Map sending coordinate i to +-coordinate images[i]: images a
+    permutation of range(n), and signs n nonzero entries (default all 1)."""
     n = len(images)
-    signs = signs or [1] * n
-    rows = [[_ZERO] * n for _ in range(n)]
-    for i, (img, s) in enumerate(zip(images, signs)):
-        rows[i][img] = _ZERO + s
-    return ProjectiveMap(rows)
+    if sorted(i for i in images if isinstance(i, int)) != list(range(n)):
+        raise FamilyError("permutation_map images %r are not a permutation of range(%d)"
+                          % (images, n))
+    signs = [Cyc5.one()] * n if signs is None else signs  # Cyc5 entries need no coercion
+    if len(signs) != n:
+        raise FamilyError("permutation_map takes %d signs, not %d" % (n, len(signs)))
+    m = _monomial_map(images, signs)
+    if not all(m.nonzeros):
+        raise FamilyError("permutation_map signs %r include a zero" % (signs,))
+    return m
 
 
 def _scalar_multiple(pairs):
@@ -272,9 +309,17 @@ def _scalar_multiple(pairs):
 
 
 def pgl_equal(a, b):
-    """True iff A = lambda * B for some nonzero lambda in Q(w)."""
-    return a.size == b.size and _scalar_multiple(
-        (x, y) for ra, rb in zip(a.matrix, b.matrix) for x, y in zip(ra, rb))
+    """True iff A = lambda * B for some nonzero lambda in Q(w): the two maps
+    have their nonzeros in the same columns, row by row, and the pairs of
+    nonzeros alone are compared by _scalar_multiple."""
+    if a.size != b.size or _columns(a) != _columns(b):
+        return False
+    return _scalar_multiple((x, y) for ra, rb in zip(a.nonzeros, b.nonzeros)
+                            for (_, x), (_, y) in zip(ra, rb))
+
+
+def _columns(m):
+    return [[j for j, _ in nz] for nz in m.nonzeros]
 
 
 def dihedral_in_pgl(sigma, iota):

@@ -627,6 +627,153 @@ def test_ints_bools_fractions_and_cyc5_entries_coerce():
     assert a.nonzeros == (((0, one), (1, one * Fraction(1, 2))), ((1, w(1)),))
 
 
+@pytest.mark.parametrize("rows, match", [
+    ([1, 2], r"row 0, 1, is not iterable"),
+    ([[1, 0], 3], r"row 1, 3, is not iterable"),
+    (5, r"rows 5 are not iterable"),
+])
+def test_rows_that_are_not_iterable_are_refused(rows, match):
+    with pytest.raises(FamilyError, match=match):
+        ProjectiveMap(rows)
+
+
+@pytest.mark.parametrize("images, signs, match", [
+    ([0, 0], None, "not a permutation of range"),       # singular
+    ([-1, 0], None, "not a permutation of range"),      # read as [1, 0]
+    ([5], None, "not a permutation of range"),          # IndexError
+    ([1.0, 0], None, "not a permutation of range"),
+    ([1, 0], [1], "takes 2 signs, not 1"),              # row 1 left zero
+    ([1, 0], [1, 2, 3], "takes 2 signs, not 3"),
+    ([1, 0], [1, Fraction(0)], "include a zero"),
+    ([1, 0], [Cyc5.zero(), one], "include a zero"),
+    ([1, 0], [1, 1.5], r"entry 1.5 is not in Q\(w\)"),
+    ([], None, "not a nonempty square"),
+])
+def test_permutation_map_refuses_what_is_not_a_signed_permutation(images, signs, match):
+    with pytest.raises(FamilyError, match=match):
+        permutation_map(images, signs)
+
+
+def _rand_entry(rng, nonzero):
+    """An int, Fraction or Cyc5 entry, or (unless nonzero) a zero of one of those types."""
+    x = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                    _rand_cyc(rng, False), rng.choice(TEN_ROOTS)])
+    if nonzero:
+        return x or rng.choice([1, Fraction(-1, 2), w(2)])
+    return rng.choice([x, x, 0, Fraction(0), Cyc5.zero()])
+
+
+def test_monomial_maps_match_dense_construction():
+    # diagonal and permutation maps are written from their n entries; they
+    # must equal the map built from the dense rows in every field
+    rng = random.Random(113)
+    seen = set()
+    for case in range(400):
+        n = rng.randint(1, 8)
+        if case % 2:
+            cols = list(range(n))
+            entries = [_rand_entry(rng, False) for _ in range(n)]
+            a = diagonal_map(entries)
+        else:
+            cols = rng.sample(range(n), n)
+            entries = [_rand_entry(rng, True) for _ in range(n)]
+            a = permutation_map(cols, entries if case % 4 else None)
+            entries = entries if case % 4 else [1] * n
+        dense = ProjectiveMap([[entries[i] if j == cols[i] else 0 for j in range(n)]
+                               for i in range(n)])
+        assert a.matrix == dense.matrix
+        assert a.nonzeros == dense.nonzeros
+        assert a == dense and hash(a) == hash(dense) and repr(a) == repr(dense)
+        seen.update(type(x) for x in entries)
+        seen.add(sum(map(bool, entries)) < n)
+    assert seen == {int, Fraction, Cyc5, True, False}
+
+
+def _pattern_variants(rng, a):
+    """Maps that share a's size: scalar multiples of a, and multiples with
+    one nonzero moved to another column, dropped or added, a row zeroed, or
+    one row scaled apart."""
+    n, lam = len(a), _rand_cyc(rng, False) or one
+    b = [[x * lam for x in row] for row in a]
+    yield b
+    i, j = rng.randrange(n), rng.randrange(n)
+    for change in range(5):
+        c = [list(row) for row in b]
+        if change == 0 and n > 1:
+            k = (j + rng.randrange(1, n)) % n
+            c[i][j], c[i][k] = c[i][k], c[i][j]
+        elif change == 1:
+            c[i][j] = Cyc5.zero()
+        elif change == 2:
+            c[i][j] = c[i][j] or _rand_cyc(rng, False) or one
+        elif change == 3:
+            c[i] = [Cyc5.zero()] * n
+        elif change == 4:
+            c[i] = [x * 2 for x in c[i]]
+        yield c
+
+
+def test_pgl_equal_on_nonzero_patterns_matches_division_reference():
+    rng = random.Random(127)
+    seen = set()
+    for case in range(50):
+        n = rng.randint(1, 5)
+        density = rng.choice((1.0, 0.5, 0.2))
+        a = [[_rand_cyc(rng, case % 2 == 0) if rng.random() < density else Cyc5.zero()
+              for _ in range(n)] for _ in range(n)]
+        if case % 5 == 0:
+            a[rng.randrange(n)] = [Cyc5.zero()] * n
+        for b in _pattern_variants(rng, a):
+            pa, pb = ProjectiveMap(a), ProjectiveMap(b)
+            want = ref_pgl_equal(ref_matrix(a), ref_matrix(b))
+            assert pgl_equal(pa, pb) == want and pgl_equal(pb, pa) == want
+            same_pattern = [[j for j, _ in nz] for nz in pa.nonzeros] == \
+                [[j for j, _ in nz] for nz in pb.nonzeros]
+            seen.add((want, same_pattern))
+    assert seen == {(True, True), (False, True), (False, False)}
+    # all-zero maps are no point of PGL, and sizes must agree
+    zero = ProjectiveMap([[0, 0], [0, 0]])
+    assert not pgl_equal(zero, zero)
+    assert not pgl_equal(diagonal_map([1]), diagonal_map([1, 1]))
+
+
+def test_monomial_maps_are_built_and_compared_from_their_nonzeros(monkeypatch):
+    # no ProjectiveMap.__init__ (and its n^2 scan) behind a monomial map,
+    # one truth test per entry, and pgl_equal reads the nonzeros alone
+    rng = random.Random(131)
+    n = 8
+    inits, calls = [], []
+    real_init, real_mul, real_bool = ProjectiveMap.__init__, Cyc5.__mul__, Cyc5.__bool__
+
+    def counting_init(self, rows):
+        inits.append(1)
+        real_init(self, rows)
+
+    def counting_mul(x, y):
+        calls.append("mul")
+        return real_mul(x, y)
+
+    def counting_bool(x):
+        calls.append("bool")
+        return real_bool(x)
+
+    monkeypatch.setattr(ProjectiveMap, "__init__", counting_init)
+    monkeypatch.setattr(Cyc5, "__mul__", counting_mul)
+    monkeypatch.setattr(Cyc5, "__bool__", counting_bool)
+    eig = [rng.choice(TEN_ROOTS) for _ in range(n)]
+    perm = rng.sample(range(n), n)
+    sigma, iota = diagonal_map(eig), permutation_map(perm, rng.sample(TEN_ROOTS, n))
+    assert inits == [] and calls == ["bool"] * 2 * n
+    for a, b, want in ((sigma, diagonal_map([x * w(3) for x in eig]), True),
+                       (iota, permutation_map(perm), False),
+                       (sigma, iota, False)):
+        calls.clear()
+        assert pgl_equal(a, b) == want
+        assert calls.count("mul") <= 2 * n and calls.count("bool") <= 3 * n
+    assert calls == []          # different patterns: no entry is read
+    assert inits == []
+
+
 def _rand_sparse_map(rng, n, density):
     """A random n x n map whose entries are nonzero with probability density,
     or, for density None, a monomial map (one nonzero per row and column)."""
