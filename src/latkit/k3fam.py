@@ -3,13 +3,15 @@ root-of-unity actions, invariance of defining polynomials, dihedral
 relations in PGL, fixed loci and fixed-point counts, moduli arithmetic.
 
 Polynomials are dicts {exponent tuple: Cyc5 coefficient}; projective maps
-are square matrices over Q(w), and every linear solve is a cyclo.rref.
+are square matrices over Q(w), stored as their nonzero entries row by row,
+and every linear solve is a cyclo.rref.
 """
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
@@ -44,7 +46,10 @@ def poly_from_terms(terms):
     """terms: iterable of (exponent tuple, coefficient)."""
     p = {}
     for exps, c in terms:
-        _accumulate(p, tuple(int(e) for e in exps), c if isinstance(c, Cyc5) else Cyc5.one() * c)
+        exps = tuple(exps)
+        if not all(type(e) is int and e >= 0 for e in exps):
+            raise FamilyError("exponents %r are not nonnegative ints" % (exps,))
+        _accumulate(p, exps, _entry(c, "polynomial coefficient"))
     return p
 
 
@@ -56,7 +61,7 @@ def poly_add(p, q):
 
 
 def poly_scale(p, s):
-    s = s if isinstance(s, Cyc5) else Cyc5.one() * s
+    s = _entry(s, "polynomial scale factor")
     if not s:
         return {}
     return {k: c * s for k, c in p.items()}
@@ -160,9 +165,8 @@ def is_invariant_family(family):
 
 @dataclass(frozen=True)
 class ProjectiveMap:
-    matrix: tuple  # tuple of tuples of Cyc5
     # per row, the (j, x) pairs of its nonzero entries in column order
-    nonzeros: tuple = field(compare=False, repr=False)
+    nonzeros: tuple
 
     def __init__(self, rows):
         # ints and Fractions coerce as summands, with no Cyc5 product
@@ -180,35 +184,41 @@ class ProjectiveMap:
         if not mat or any(len(r) != len(mat) for r in mat):
             raise FamilyError("projective map rows of lengths %s are not a nonempty square"
                               % [len(r) for r in mat])
-        _set_map(self, mat, tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in mat))
+        _set_map(self, tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in mat))
+
+    @cached_property
+    def matrix(self):
+        """The dense rows, a tuple of tuples of Cyc5, built on first read."""
+        return tuple(tuple(row.get(j, _ZERO) for j in range(self.size))
+                     for row in map(dict, self.nonzeros))
+
+    def __repr__(self):
+        return "ProjectiveMap(matrix=%r)" % (self.matrix,)
 
     @property
     def size(self):
-        return len(self.matrix)
+        return len(self.nonzeros)
 
     def __mul__(self, other):
-        """Matrix product over Q(w) on the nonzero entries alone: one Cyc5
-        product per pair (a_ik, b_kj) of nonzeros, summed over k in increasing
-        order, so a diagonal or permutation factor costs n products.  Each
-        row's index lists the columns written, less any sum that cancelled."""
+        """Matrix product over Q(w), row by row: row i of AB is the sum over
+        the nonzeros a_ik of a_ik times row k of B, so a diagonal or
+        permutation factor costs n products.  A row with one nonzero is a
+        nonzero multiple of one row of B (Q(w) is a field); longer rows add
+        up by column, drop any sum that cancels and sort by column."""
         if other.size != self.size:
             raise FamilyError("projective maps of sizes %d and %d" % (self.size, other.size))
-        n, b = self.size, other.nonzeros
-        mat, nzs = [], []
+        b, nzs = other.nonzeros, []
         for nz in self.nonzeros:
-            row, cols = [_ZERO] * n, []
+            if len(nz) == 1:
+                (k, x), = nz
+                nzs.append(tuple([(j, x * y) for j, y in b[k]]))
+                continue
+            row = {}
             for k, x in nz:
                 for j, y in b[k]:
-                    acc = row[j]
-                    if acc is _ZERO:
-                        row[j] = x * y
-                        cols.append(j)
-                    else:
-                        row[j] = acc + x * y
-            mat.append(tuple(row))
-            cols.sort()
-            nzs.append(tuple([(j, row[j]) for j in cols if row[j]]))
-        return _set_map(object.__new__(ProjectiveMap), tuple(mat), tuple(nzs))
+                    row[j] = row[j] + x * y if j in row else x * y
+            nzs.append(tuple([(j, row[j]) for j in sorted(row) if row[j]]))
+        return _set_map(object.__new__(ProjectiveMap), tuple(nzs))
 
     def inverse(self):
         n = self.size
@@ -220,9 +230,9 @@ class ProjectiveMap:
         return ProjectiveMap([row[n:] for row in red])
 
     def is_scalar(self):
-        d = self.matrix[0][0]
-        return all(len(nz) == 1 and nz[0][0] == i and nz[0][1] == d
-                   for i, nz in enumerate(self.nonzeros))
+        first = self.nonzeros[0]
+        return len(first) == 1 and all(nz == ((i, first[0][1]),)
+                                       for i, nz in enumerate(self.nonzeros))
 
     def power(self, k):
         """self^k (k >= 0) by repeated squaring: sigma^5 = sigma (sigma^2)^2."""
@@ -241,35 +251,31 @@ class ProjectiveMap:
 _ZERO = Cyc5.zero()
 
 
-def _set_map(m, matrix, nonzeros):
-    object.__setattr__(m, "matrix", matrix)
+def _set_map(m, nonzeros):
     object.__setattr__(m, "nonzeros", nonzeros)
     return m
 
 
-def _entry(x):
-    """x as a Cyc5; ints and Fractions coerce as summands, with no Cyc5 product."""
+def _entry(x, what="projective map entry"):
+    """x as a Cyc5; ints and Fractions coerce as summands, with no Cyc5
+    product, and anything else raises FamilyError naming it as what."""
     if isinstance(x, Cyc5):
         return x
     if isinstance(x, (int, Fraction)):
         return _ZERO + x
-    raise FamilyError("projective map entry %r is not in Q(w)" % (x,))
+    raise FamilyError("%s %r is not in Q(w)" % (what, x))
 
 
 def _monomial_map(cols, entries):
     """The map with entries[i] at (i, cols[i]) and zeros elsewhere, written
-    from its n entries, each coerced once, with no scan of the n^2 others."""
-    n = len(cols)
-    if not n:
+    from its n entries, each coerced once, as n rows of at most one nonzero."""
+    if not cols:
         raise FamilyError("projective map rows of lengths [] are not a nonempty square")
-    mat, nzs = [], []
+    nzs = []
     for j, x in zip(cols, entries):
         x = _entry(x)
-        row = [_ZERO] * n
-        row[j] = x
-        mat.append(tuple(row))
         nzs.append(((j, x),) if x else ())
-    return _set_map(object.__new__(ProjectiveMap), tuple(mat), tuple(nzs))
+    return _set_map(object.__new__(ProjectiveMap), tuple(nzs))
 
 
 def diagonal_map(entries):
@@ -345,14 +351,15 @@ def fixed_locus(iota):
         raise FamilyError("fixed_locus requires an involution up to scalar")
     # normalise so the matrix squares to the identity; the scalar must be
     # a square in Q(w) for our permutation-style involutions (it is 1).
-    s = sq.matrix[0][0]
+    s = sq.nonzeros[0][0][1]
     if s != Cyc5.one():
         raise FamilyError("involution normalisation: square scalar %r != 1" % (s,))
     n = iota.size
     spaces = []
     for sign in (1, -1):
-        rows = [[iota.matrix[i][j] - (Cyc5.one() * sign if i == j else Cyc5.zero())
-                 for j in range(n)] for i in range(n)]
+        e = _entry(sign)
+        rows = [[x - e if i == j else x for j, x in enumerate(r)]
+                for i, r in enumerate(iota.matrix)]
         red, pivots = cyclo.rref(rows, n)
         basis = []
         for f in sorted(set(range(n)) - set(pivots)):
@@ -509,11 +516,13 @@ def commutant_dim(sigma):
     """
     n = sigma.size
     if all(j == i for i, nz in enumerate(sigma.nonzeros) for j, _ in nz):
-        return sum(c * c for c in Counter(sigma.matrix[i][i] for i in range(n)).values())
+        return sum(c * c for c in Counter(nz[0][1] if nz else _ZERO
+                                          for nz in sigma.nonzeros).values())
     powers = [sigma.power(0)] + list(accumulate([sigma] * 9, ProjectiveMap.__mul__,
                                                 initial=sigma))
     if powers[10] == powers[0]:
-        diagonals = [[p.matrix[i][i] for i in range(n)] for p in powers[:10]]
+        diagonals = [[dict(nz).get(i, _ZERO) for i, nz in enumerate(p.nonzeros)]
+                     for p in powers[:10]]
         return sum(d * d for d in _multiplicities(diagonals, n))
     if n * n > COMMUTANT_UNKNOWN_BUDGET:
         raise CapExceeded("commutant solve past %d unknowns" % COMMUTANT_UNKNOWN_BUDGET)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import time
@@ -15,7 +16,7 @@ from latkit.cyclo import Cyc5
 from latkit.k3fam import (
     FamilyError, MonomialFamily, ProjectiveMap, commutant_dim, diagonal_map,
     dihedral_in_pgl, fixed_locus, moduli_count, permutation_map, pgl_equal,
-    plane_fixed_count, poly_apply_map, poly_from_terms, poly_mul,
+    plane_fixed_count, poly_apply_map, poly_from_terms, poly_mul, poly_scale,
     poly_total_degree, restrict_and_count, restrict_to_subspace, swap_check,
     sylvester_resultant, sigma_weight, is_invariant_family,
 )
@@ -925,3 +926,120 @@ def test_fixed_locus_matches_reference():
         counts = (signs.count(1), signs.count(-1))
         assert [len(b) for _, b in expected] == [c for c in counts if c]
         done += 1
+
+
+def test_projective_maps_store_only_their_nonzeros(monkeypatch):
+    # one stored form: the dense matrix is a view built on first read, and
+    # no map on the families path (monomial maps, products, powers, the
+    # dihedral test and a commutant with no solve) ever builds it
+    assert [f.name for f in dataclasses.fields(ProjectiveMap)] == ["nonzeros"]
+    products, bools = [], []
+    real_mul, real_bool = ProjectiveMap.__mul__, Cyc5.__bool__
+
+    def recording_mul(a, b):
+        products.append(real_mul(a, b))
+        return products[-1]
+
+    def counting_bool(x):
+        bools.append(1)
+        return real_bool(x)
+
+    monkeypatch.setattr(ProjectiveMap, "__mul__", recording_mul)
+    sigma = diagonal_map([one, w(1), w(2), w(3), w(4)])
+    iota = permutation_map([0, 4, 3, 2, 1], [one, -one, w(2), -one, w(3)])
+    maps = [sigma, iota, sigma.power(0)]
+    monkeypatch.setattr(Cyc5, "__bool__", counting_bool)
+    maps += [sigma * iota, iota * sigma, sigma.power(5), iota.power(2)]
+    assert bools == []          # a one-nonzero row times a row is never zero-tested
+    monkeypatch.setattr(Cyc5, "__bool__", real_bool)
+    involution = permutation_map([0, 4, 3, 2, 1])
+    assert not dihedral_in_pgl(sigma, iota) and dihedral_in_pgl(sigma, involution)
+    assert commutant_dim(sigma) == 5 and commutant_dim(diagonal_map([1, 0, 0, w(1)])) == 6
+    assert commutant_dim(involution) == 3 * 3 + 2 * 2   # off the diagonals of its powers
+    assert len(products) > 20
+    assert all("matrix" not in vars(m) for m in maps + products + [involution])
+    # even a map built from dense rows keeps only its nonzeros; the view is
+    # built once, on first read
+    assert "matrix" not in vars(ProjectiveMap([[1, 0], [0, 1]]))
+    assert sigma.matrix is sigma.matrix and "matrix" in vars(sigma)
+
+
+def _rand_rows(rng, n, kind):
+    """n dense rows of one kind: dense, half or sparse random entries, all
+    zero, dense with one zero row, or monomial."""
+    density = {"dense": 1.0, "half": 0.5, "sparse": 0.2, "zero": 0.0, "zero-row": 1.0}
+    if kind == "monomial":
+        perm = rng.sample(range(n), n)
+        return [[_rand_cyc(rng, False) or one if j == perm[i] else Cyc5.zero()
+                 for j in range(n)] for i in range(n)]
+    rows = [[_rand_cyc(rng, rng.random() < 0.5) if rng.random() < density[kind]
+             else Cyc5.zero() for _ in range(n)] for _ in range(n)]
+    if kind == "zero-row":
+        rows[rng.randrange(n)] = [Cyc5.zero()] * n
+    return rows
+
+
+def test_dense_view_matches_dense_reference():
+    # maps built from rows or by a product carry only their nonzeros; the
+    # view built from them is the dense matrix, round-trips through
+    # ProjectiveMap(rows), and two maps are equal exactly when their dense
+    # matrices are
+    rng = random.Random(139)
+    seen = set()
+    for n in range(1, 9):
+        ident = diagonal_map([1] * n)
+        for kind in ("dense", "half", "sparse", "zero", "zero-row", "monomial"):
+            rows = _rand_rows(rng, n, kind)
+            ref = tuple(map(tuple, rows))
+            for m in (ProjectiveMap(rows), ident * ProjectiveMap(rows),
+                      ProjectiveMap(rows) * ident):
+                assert "matrix" not in vars(m)
+                assert m.matrix == ref
+                again = ProjectiveMap(m.matrix)
+                assert again == m and hash(again) == hash(m)
+                assert repr(m) == repr(again) == "ProjectiveMap(matrix=%r)" % (ref,)
+            # the same rows, one row zeroed, and one entry changed
+            i, j = rng.randrange(n), rng.randrange(n)
+            zeroed = [r if k != i else [Cyc5.zero()] * n for k, r in enumerate(rows)]
+            changed = [list(r) for r in rows]
+            changed[i][j] = changed[i][j] + rng.choice([one, w(1)])
+            for other in (rows, zeroed, changed):
+                a, b = ident * ProjectiveMap(rows), ident * ProjectiveMap(other)
+                same = tuple(map(tuple, other)) == ref
+                assert (a == b) == same == (a.matrix == b.matrix)
+                assert hash(a) == hash(b) or not same
+                seen.add((kind, same))
+    assert {same for _, same in seen} == {True, False}
+    assert ("zero", True) in seen and ("zero-row", False) in seen
+    # an all-zero map differs from one of another size
+    assert ProjectiveMap([[0]]) != ProjectiveMap([[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("call, match", [
+    # both raised a bare TypeError from Cyc5.one() * c
+    (lambda: poly_from_terms([((1, 0), "x")]), r"polynomial coefficient 'x' is not in Q\(w\)"),
+    (lambda: poly_from_terms([((1, 0), 0.5)]), r"polynomial coefficient 0.5 is not in Q\(w\)"),
+    (lambda: poly_scale({(1, 0): one}, 1.5), r"polynomial scale factor 1.5 is not in Q\(w\)"),
+])
+def test_polynomial_coefficients_outside_q_w_are_refused(call, match):
+    with pytest.raises(FamilyError, match=match) as err:
+        call()
+    assert "projective map" not in str(err.value)
+
+
+@pytest.mark.parametrize("exps", [
+    (1.5, 0),       # was read as (1, 0)
+    ("2", 0),       # was read as (2, 0)
+    (-1, 2),        # was kept
+    (True, 0),      # was read as (1, 0)
+])
+def test_exponents_that_are_not_nonnegative_ints_are_refused(exps):
+    with pytest.raises(FamilyError, match=r"exponents .* are not nonnegative ints"):
+        poly_from_terms([((0, 3), 1), (exps, 1)])
+
+
+def test_int_and_fraction_coefficients_still_coerce():
+    p = poly_from_terms([((2, 0), 3), ((0, 2), Fraction(1, 2)), ((1, 1), w(2))])
+    assert p == {(2, 0): one * 3, (0, 2): one * Fraction(1, 2), (1, 1): w(2)}
+    assert poly_scale(p, Fraction(2)) == poly_scale(p, 2) == {k: c * 2 for k, c in p.items()}
+    assert poly_scale(p, 0) == {}
