@@ -358,6 +358,12 @@ BUILDERS = {
     "k3": lambda get: k3fam_cases(),
 }
 
+def _quartic_fault(**fields):
+    """The "k3" builder with these fields of the quartic-p3 case replaced."""
+    return {"k3": lambda get: [dict(case, **fields) if case["name"] == "quartic-p3" else case
+                               for case in k3fam_cases()]}
+
+
 # Negative controls: each fault id maps to the builders that replace those
 # of BUILDERS, so that one construction is corrupted.
 FAULTS = {
@@ -377,9 +383,11 @@ FAULTS = {
     "md5-unglued": {"md5": lambda get: build_MD5(
         direct_sum([rescale(std_gram("A", 1), -1)] * 8))},
     # the quartic's commutant_of is diag(1, 1, w, w^2): commutant 6, moduli count 1
-    "k3-commutant": {"k3": lambda get: [
-        dict(case, commutant_of=k3fam.diagonal_map([1, 1, Cyc5.omega(1), Cyc5.omega(2)]))
-        if case["name"] == "quartic-p3" else case for case in k3fam_cases()]},
+    "k3-commutant": _quartic_fault(
+        commutant_of=k3fam.diagonal_map([1, 1, Cyc5.omega(1), Cyc5.omega(2)])),
+    # the quartic's iota swaps x2 and x3 alone: with weights (0, 3, 1, 2),
+    # a_i + a_pi(i) takes the values 0, 1 and 3, so iota does not invert sigma
+    "k3-dihedral": _quartic_fault(iota=k3fam.permutation_map([0, 1, 3, 2])),
     # row 0 of L_SV_BASIS doubled: det 4 det L, which the search of sv:L refuses
     "sv-basis": {"sv:L": lambda get: _search_in_basis(
         get("L").lattice, (tuple(2 * x for x in L_SV_BASIS[0]),) + L_SV_BASIS[1:])},

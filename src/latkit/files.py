@@ -168,6 +168,8 @@ def parse_family_file(path, text=None):
             exps = tuple(_parse_int(t, path, lineno) for t in toks[1:])
             if len(exps) != n:
                 raise ParseError(path, lineno, "monomial needs %d exponents" % n)
+            if min(exps) < 0:
+                raise ParseError(path, lineno, "monomial exponent %d is negative" % min(exps))
             if monomials and sum(exps) != sum(monomials[0]):
                 raise ParseError(path, lineno, "monomial has degree %d, the first has %d"
                                  % (sum(exps), sum(monomials[0])))

@@ -12,8 +12,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from math import lcm
 
 from . import cyclo
 from .cyclo import Cyc5
@@ -22,9 +20,6 @@ from .lattice import CapExceeded
 # Cofactor terms one resultant determinant may expand before CapExceeded;
 # the largest in repro (5 x 5) expands 19.
 DET_TERM_BUDGET = 10_000
-# Unknowns (n^2) of commutant_dim's solve, taken only for a non-diagonal
-# sigma^10 != I, before CapExceeded: dense n = 4 takes about 1 s, n = 6 over 80 s.
-COMMUTANT_UNKNOWN_BUDGET = 16
 
 
 class FamilyError(ValueError):
@@ -46,11 +41,16 @@ def poly_from_terms(terms):
     """terms: iterable of (exponent tuple, coefficient)."""
     p = {}
     for exps, c in terms:
-        exps = tuple(exps)
-        if not all(type(e) is int and e >= 0 for e in exps):
-            raise FamilyError("exponents %r are not nonnegative ints" % (exps,))
-        _accumulate(p, exps, _entry(c, "polynomial coefficient"))
+        _accumulate(p, _exponents(exps), _entry(c, "polynomial coefficient"))
     return p
+
+
+def _exponents(exps):
+    """exps as a tuple of nonnegative ints, or FamilyError."""
+    exps = tuple(exps)
+    if not all(type(e) is int and e >= 0 for e in exps):
+        raise FamilyError("exponents %r are not nonnegative ints" % (exps,))
+    return exps
 
 
 def poly_add(p, q):
@@ -131,12 +131,12 @@ class MonomialFamily:
     monomials: tuple          # exponent tuples, all of one total degree
 
     def __post_init__(self):
+        for m in self.monomials:
+            if len(_exponents(m)) != self.num_vars:
+                raise FamilyError("monomial %s has wrong arity" % (m,))
         degs = {sum(m) for m in self.monomials}
         if len(degs) > 1:
             raise FamilyError("monomials have mixed total degrees %s" % degs)
-        for m in self.monomials:
-            if len(m) != self.num_vars:
-                raise FamilyError("monomial %s has wrong arity" % (m,))
 
     def polynomial(self, coefficients):
         if len(coefficients) != len(self.monomials):
@@ -249,6 +249,7 @@ class ProjectiveMap:
 
 
 _ZERO = Cyc5.zero()
+_FIFTH_ROOTS = tuple(Cyc5.omega(k) for k in range(5))
 
 
 def _set_map(m, nonzeros):
@@ -333,9 +334,27 @@ def dihedral_in_pgl(sigma, iota):
     PGL: iota^2 and sigma^5 scalar, sigma not scalar, and conjugation by
     iota inverts sigma.  The nonzero scalars iota^2 and sigma^5 make both
     maps invertible, so iota sigma iota^-1 ~ sigma^-1 is tested as the
-    equivalent sigma iota sigma ~ iota: two products and no inverse."""
+    equivalent sigma iota sigma ~ iota: two products and no inverse.
+
+    When each row of sigma is one nonzero s_i on the diagonal and each row
+    of iota one nonzero c_i in column pi(i), the four tests are read off
+    those entries with no map product: iota^2 is scalar iff
+    pi(pi(i)) = i and c_i c_pi(i) is one value; sigma is not scalar iff the
+    s_i differ; sigma^5 is scalar iff (s_i / s_0)^5 = 1, that is
+    s_i = w^k s_0 (Q(w) holds the five 5th roots of unity); and
+    sigma iota sigma ~ iota iff s_i s_pi(i) is one value.  Any other pair,
+    such as a dense map from a family file, takes the products."""
     if iota.size != sigma.size:
         return False
+    if all(len(nz) == 1 for nz in iota.nonzeros) and \
+            all(len(nz) == 1 and nz[0][0] == i for i, nz in enumerate(sigma.nonzeros)):
+        s = [nz[0][1] for nz in sigma.nonzeros]
+        pi, c = zip(*(nz[0] for nz in iota.nonzeros))
+        return (all(pi[p] == i for i, p in enumerate(pi))
+                and len({c[i] * c[p] for i, p in enumerate(pi)}) == 1
+                and len(set(s)) > 1
+                and set(s) <= {x * s[0] for x in _FIFTH_ROOTS}
+                and len({s[i] * s[p] for i, p in enumerate(pi)}) == 1)
     if not iota.power(2).is_scalar():
         return False
     if sigma.is_scalar() or not sigma.power(5).is_scalar():
@@ -462,75 +481,16 @@ def plane_fixed_count(polys, plane_rows):
     return poly_total_degree(res)
 
 
-# _SHIFTS[k][i][r] = (i - rk) mod 5: w^rk moves the coefficient of w^(i - rk) to w^i
-_SHIFTS = [[[(i - r * k) % 5 for r in range(5)] for i in range(5)] for k in range(5)]
-
-
-def _multiplicities(diagonals, n):
-    """The multiplicities d of the eigenvalues lambda = e w^-k (e = 1, -1
-    and k = 0 .. 4, in that order) of an n x n map with sigma^10 = I, from
-    the diagonals of sigma^0 .. sigma^9.
-
-    Each trace t_j = tr(sigma^j) is summed as int numerators on 1, w, w^2,
-    w^3 over den, the lcm of all entries' denominators.  Then
-    10 d = sum_j t_j e^j w^jk = sum_{r<5} s_r w^rk with
-    s_r = e^r (t_r + e t_{r+5}), since w^5 = 1.  With w^4 as a fifth
-    coefficient, multiplying by w^rk is a cyclic shift of five ints
-    (_SHIFTS), and the sum is rational exactly when its w^1 .. w^4 entries
-    are equal.  Raises FamilyError unless each d is a nonnegative integer
-    and they sum to n."""
-    den = lcm(*(x.d for diagonal in diagonals for x in diagonal))
-    numerators = ([x.n if x.d == den else [c * (den // x.d) for c in x.n] for x in diagonal]
-                  for diagonal in diagonals)
-    t = [[sum(col) for col in zip(*rows)] for rows in numerators]
-    q, dims = 10 * den, []
-    for e in (1, -1):
-        s0, s1, s2, s3, s4 = ([(a + e * b) * e ** r for a, b in zip(t[r], t[r + 5])] + [0]
-                              for r in range(5))
-        for shift in _SHIFTS:
-            c = [s0[i0] + s1[i1] + s2[i2] + s3[i3] + s4[i4] for i0, i1, i2, i3, i4 in shift]
-            if not c[1] == c[2] == c[3] == c[4]:
-                raise FamilyError("eigenvalue multiplicity %r of a map with sigma^10 = I is not "
-                                  "rational" % Cyc5([Fraction(x - c[4], q) for x in c[:4]]))
-            dims.append(c[0] - c[1])
-    if sum(dims) != n * q or any(d < 0 or d % q for d in dims):
-        raise FamilyError("eigenvalue multiplicities %s of a map with sigma^10 = I"
-                          % [Fraction(d, q) for d in dims])
-    return [d // q for d in dims]
-
-
 def commutant_dim(sigma):
-    """Dimension over Q(w) of {X : X sigma = sigma X}.
-
-    A diagonal sigma = diag(s_i) commutes with X iff X_ij (s_j - s_i) = 0,
-    so the dimension is #{(i, j) : s_i = s_j}, the sum of the squared
-    counts of its equal entries: no product, trace or solve.  Any other
-    sigma with sigma^10 = I is diagonalizable over Q(w) with eigenvalues
-    among the ten lambda = +-w^k (x^10 - 1 is separable) of multiplicities
-    d = (1/10) sum_{j<10} tr(sigma^j) lambda^-j (the character projection
-    for Z/10), and the dimension is sum d^2: nine map products for
-    sigma^2 .. sigma^10, then int sums of the traces' numerators over one
-    denominator (_multiplicities), with no solve and no Cyc5 product.
-    Otherwise it is the nullity of X -> X sigma - sigma X, a solve on n^2
-    unknowns that raises CapExceeded past COMMUTANT_UNKNOWN_BUDGET of them.
-    """
-    n = sigma.size
-    if all(j == i for i, nz in enumerate(sigma.nonzeros) for j, _ in nz):
-        return sum(c * c for c in Counter(nz[0][1] if nz else _ZERO
-                                          for nz in sigma.nonzeros).values())
-    powers = [sigma.power(0)] + list(accumulate([sigma] * 9, ProjectiveMap.__mul__,
-                                                initial=sigma))
-    if powers[10] == powers[0]:
-        diagonals = [[dict(nz).get(i, _ZERO) for i, nz in enumerate(p.nonzeros)]
-                     for p in powers[:10]]
-        return sum(d * d for d in _multiplicities(diagonals, n))
-    if n * n > COMMUTANT_UNKNOWN_BUDGET:
-        raise CapExceeded("commutant solve past %d unknowns" % COMMUTANT_UNKNOWN_BUDGET)
-    m = sigma.matrix
-    # row (i, j): (X sigma - sigma X)[i][j] as a linear form in the X entries X[a][b]
-    rows = [[m[b][j] * (a == i) - m[i][a] * (b == j) for a in range(n) for b in range(n)]
-            for i in range(n) for j in range(n)]
-    return n * n - len(cyclo.rref(rows, n * n)[1])
+    """Dimension over Q(w) of {X : X sigma = sigma X} for a diagonal
+    sigma = diag(s_i): X commutes with it iff X_ij (s_j - s_i) = 0, so the
+    dimension is #{(i, j) : s_i = s_j}, the sum of the squared counts of
+    its equal entries, with no product or solve.  Any other map raises
+    FamilyError."""
+    if any(j != i for i, nz in enumerate(sigma.nonzeros) for j, _ in nz):
+        raise FamilyError("commutant_dim takes a diagonal map, not %r" % (sigma,))
+    return sum(c * c for c in Counter(nz[0][1] if nz else _ZERO
+                                      for nz in sigma.nonzeros).values())
 
 
 def moduli_count(params, commutant, redundancy=0):

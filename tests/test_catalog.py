@@ -377,6 +377,7 @@ FAULT_FAILURES = [
     ("sv-basis", dict.fromkeys(
         ("L/rootless", "L/minimum"),
         "error: Gram matrix has det 2500, not the lattice's det 625")),
+    ("k3-dihedral", {"k3/quartic-p3/dihedral": "False"}),
 ]
 
 
@@ -389,7 +390,8 @@ def test_fault_fails_its_claim_group(fault, failed):
     # the nu-roots glue still gives index 256, but nu has norm -6 and L
     # gets 40 pairs of roots, so both E8(-2) spans are odd after halving;
     # a doubled row of L_SV_BASIS spans an index-2 sublattice, of det
-    # 4 * 625, which the search refuses
+    # 4 * 625, which the search refuses; and the quartic's iota swapping
+    # x2, x3 alone gives a_i + a_pi(i) in {0, 1, 3}, so it does not invert sigma
     out = io.StringIO()
     assert cli.main(["repro", "--json", "--inject-fault", fault], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]

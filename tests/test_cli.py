@@ -138,6 +138,8 @@ def test_family_command_fails_on_mixed_weights(tmp_path):
     ("vars 1\nweights 0\nmono 5\nmap sigma\n1/0\nmap iota\n1\n", "bad rational '1/0'"),
     ("vars 0\nweights\nmono\nmap sigma\nmap iota\n", "expected 'vars n' with n >= 1"),
     ("vars 2\nweights 0 1\nmono 1 1\nmono 2 1\n", "bad.fam:4: monomial has degree 3"),
+    # same degree and one w-weight, so this family was reported invariant with exit 0
+    ("vars 2\nweights 0 1\nmono 2 0\nmono 7 -5\n", "bad.fam:4: monomial exponent -5 is negative"),
 ])
 def test_family_command_rejects_malformed_file(tmp_path, capsys, text, msg):
     f = write(tmp_path, "bad.fam", text)

@@ -120,6 +120,8 @@ def test_parse_family_file(tmp_path):
     ("weights 0 1\nvars 2", ":1: 'vars' must come before 'weights'"),
     ("mono 1 1 1\nvars 2\nweights 0 1", ":1: 'vars' must come before 'mono'"),
     ("vars 2\nweights 0 1\nmono 1 1\nvars 3\nmono 1 1 0", ":4: 'vars' given twice"),
+    ("vars 2\nweights 0 1\nmono 2 0\nmono 7 -5", ":4: monomial exponent -5 is negative"),
+    ("vars 2\nweights 0 1\nmono -1 3", ":3: monomial exponent -1 is negative"),
 ])
 def test_parse_family_errors(text, msg):
     with pytest.raises(ParseError, match=msg):

@@ -1,6 +1,9 @@
+import collections
 import dataclasses
+import os
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -9,7 +12,7 @@ import pytest
 from cyclo_ref import (
     RefCyc5, from_ref_matrix, ref_kernel, ref_matrix, ref_rref,
 )
-from k3fam_ref import dense_product, horner_multiplicities
+from k3fam_ref import dense_product
 from latkit import k3fam
 from latkit.isometry import CapExceeded
 from latkit.cyclo import Cyc5
@@ -20,6 +23,11 @@ from latkit.k3fam import (
     poly_total_degree, restrict_and_count, restrict_to_subspace, swap_check,
     sylvester_resultant, sigma_weight, is_invariant_family,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+import oracles  # noqa: E402
 
 w = Cyc5.omega
 one = Cyc5.one()
@@ -47,6 +55,10 @@ def test_monomial_family_validation():
     fam = MonomialFamily(num_vars=2, weights=(0, 1), monomials=((2, 0), (0, 2)))
     with pytest.raises(FamilyError):
         fam.polynomial([1])
+    # exponents are refused as poly_from_terms refuses them; (7, -5) was kept
+    for m in ((7, -5), (1.5, 0.5), (True, 1)):
+        with pytest.raises(FamilyError, match=r"exponents .* are not nonnegative ints"):
+            MonomialFamily(num_vars=2, weights=(0, 1), monomials=((2, 0), m))
 
 
 def test_sigma_weight_and_invariance():
@@ -78,6 +90,9 @@ def test_dihedral_in_pgl():
     assert not dihedral_in_pgl(diagonal_map([one] * 5), i)
     # iota not an involution
     assert not dihedral_in_pgl(s, permutation_map([1, 2, 0, 3, 4]))
+    # a 4-cycle passes every other test: diag(1, w, 1, w) is not scalar, its
+    # fifth power is, and s_i s_pi(i) = w throughout
+    assert not dihedral_in_pgl(diagonal_map([one, w(1), one, w(1)]), permutation_map([1, 2, 3, 0]))
 
 
 def test_fixed_locus_dimensions():
@@ -150,10 +165,7 @@ def test_commutant_dim():
     assert commutant_dim(diagonal_map([one, one])) == 4
     # repeated eigenvalue in a 3x3: 1 + 1 + a 2x2 block
     assert commutant_dim(diagonal_map([one, one, w(1)])) == 5
-    # a Jordan block (commutant {aI + bN}) has sigma^10 != I, so the
-    # n^2-unknown solve answers; the diagonal diag(2, 2w) is read off its entries
-    jordan = [[one, one], [Cyc5.zero(), one]]
-    assert commutant_dim(ProjectiveMap(jordan)) == ref_commutant_dim(jordan) == 2
+    # diag(2, 2w) is read off its entries although sigma^10 != I
     scaled = diagonal_map([one * 2, w(1) * 2])
     assert commutant_dim(scaled) == ref_commutant_dim(scaled.matrix) == 2
 
@@ -247,7 +259,8 @@ def test_inverse_and_commutant_match_reference():
             inv = ProjectiveMap(a).inverse()
             assert inv == ProjectiveMap(from_ref_matrix([row[n:] for row in red]))
         if n <= 3:
-            assert commutant_dim(ProjectiveMap(a)) == ref_commutant_dim(a)
+            d = diagonal_map([a[i][i] for i in range(n)])
+            assert commutant_dim(d) == ref_commutant_dim(d.matrix)
     assert singular >= 8
 
 
@@ -268,13 +281,23 @@ def _conjugated_diagonals():
 
 
 def test_commutant_dim_of_conjugated_diagonals():
-    # P D P^-1: commutants of every size, of dimension the sum of the
-    # squared eigenvalue multiplicities
+    # P D P^-1 has the commutant of D, of dimension the sum of the squared
+    # eigenvalue multiplicities, which the reference solve on P D P^-1
+    # confirms for n <= 3; commutant_dim answers D and refuses P D P^-1
+    # unless D is scalar
+    refused = 0
     for sigma, eig in _conjugated_diagonals():
         expected = sum(1 for x in eig for y in eig if x == y)
-        assert commutant_dim(sigma) == expected
+        assert commutant_dim(diagonal_map(eig)) == expected
         if sigma.size <= 3:
             assert ref_commutant_dim(sigma.matrix) == expected
+        if len(set(eig)) == 1:
+            assert commutant_dim(sigma) == expected
+        else:
+            with pytest.raises(FamilyError, match="commutant_dim takes a diagonal map"):
+                commutant_dim(sigma)
+            refused += 1
+    assert refused == 29
 
 
 TEN_ROOTS = [w(k) * s for s in (1, -1) for k in range(5)]
@@ -309,86 +332,6 @@ def test_commutant_dim_of_diagonal_roots_of_unity():
     assert len(maps) == 110 + 66
 
 
-def _order(a):
-    """The order of a monomial map of size <= 3 with entries +-w^k (at most 30)."""
-    p = a
-    for k in range(1, 31):
-        if p == a.power(0):
-            return k
-        p = p * a
-    raise AssertionError("order above 30")
-
-
-def test_commutant_dim_of_monomial_maps_matches_reference():
-    # permutation maps with signs +-w^k, n <= 3: orders 2, 5 and 10 take the
-    # trace path, and the others (3, 4, 6, 15, ...) the n^2-unknown solve
-    rng = random.Random(71)
-    seen = {}
-    while min(seen.get(k, 0) for k in (2, 5, 10)) < 6 or len(seen) < 6:
-        n = rng.randint(1, 3)
-        a = permutation_map(rng.sample(range(n), n), [rng.choice(TEN_ROOTS) for _ in range(n)])
-        k = _order(a)
-        if seen.get(k, 0) < 6:
-            assert commutant_dim(a) == ref_commutant_dim(a.matrix)
-            seen[k] = seen.get(k, 0) + 1
-    assert any(10 % k for k in seen)
-
-
-def _ten_multiplicities(sigma):
-    n = sigma.size
-    powers = [sigma.power(j) for j in range(10)]
-    return k3fam._multiplicities([[p.matrix[i][i] for i in range(n)] for p in powers], n)
-
-
-def _monomial_maps_of_orders_dividing_ten():
-    """Six permutation maps, n <= 6 and signs +-w^k, of each order 2, 5, 10."""
-    rng = random.Random(107)
-    seen = {2: [], 5: [], 10: []}
-    while min(len(v) for v in seen.values()) < 6:
-        n = rng.randint(1, 6)
-        a = permutation_map(rng.sample(range(n), n), [rng.choice(TEN_ROOTS) for _ in range(n)])
-        orders = [k for k in (1, 2, 5, 10) if a.power(k) == a.power(0)]
-        if orders and orders[0] in seen and len(seen[orders[0]]) < 6:
-            seen[orders[0]].append(a)
-    return [a for maps in seen.values() for a in maps]
-
-
-def test_multiplicities_match_horner_reference():
-    # the int helper against the Horner evaluation in Q(w), all ten
-    # multiplicities in lambda order: diagonal maps, conjugated diagonals
-    # (whose diagonal entries have denominators above 1) and monomial maps
-    diagonal = [diagonal_map(eig) for eig in _root_of_unity_diagonals()]
-    conjugated = [sigma for sigma, _ in _conjugated_diagonals()]
-    monomial = _monomial_maps_of_orders_dividing_ten()
-    assert any(x.d > 1 for sigma in conjugated for row in sigma.matrix for x in row)
-    for sigma in diagonal + conjugated + monomial:
-        got = _ten_multiplicities(sigma)
-        assert got == horner_multiplicities(sigma.matrix)
-        assert sum(got) == sigma.size and all(isinstance(d, int) for d in got)
-    assert (len(diagonal), len(conjugated), len(monomial)) == (176, 40, 18)
-
-
-def test_multiplicities_refuse_impossible_traces():
-    zero, half = Cyc5.zero(), one * Fraction(1, 2)
-    identity = [[one, one]] * 10
-    assert k3fam._multiplicities(identity, 2) == [2] + [0] * 9
-    # 10 d = w^k at every lambda: not rational, whichever power of w it is
-    with pytest.raises(FamilyError, match=r"multiplicity 1/10\*w of a map .* not rational"):
-        k3fam._multiplicities([[w(1)]] + [[zero]] * 9, 1)
-    for k in (2, 3, 4):
-        with pytest.raises(FamilyError, match="not rational"):
-            k3fam._multiplicities([[w(k)]] + [[zero]] * 9, 1)
-    # the traces of I_2 read as a 3 x 3 map: they do not sum to n
-    with pytest.raises(FamilyError, match=r"multiplicities \[Fraction\(2, 1\), Fraction\(0, 1\)"):
-        k3fam._multiplicities(identity, 3)
-    # 2 [lambda = 1] - [lambda = w]: sums to n = 1 with a negative d
-    with pytest.raises(FamilyError, match=r"Fraction\(-1, 1\)"):
-        k3fam._multiplicities([[one * 2 - w(j)] for j in range(10)], 1)
-    # half [lambda = 1] + half [lambda = -1], as entries over den 2
-    with pytest.raises(FamilyError, match=r"\[Fraction\(1, 2\), .*, Fraction\(1, 2\),"):
-        k3fam._multiplicities([[half, half * (-1) ** j] for j in range(10)], 1)
-
-
 def test_commutant_dim_and_permutation_map_make_no_extra_products(monkeypatch):
     # a diagonal map's commutant is counted off its entries, with no Cyc5 product
     rng = random.Random(103)
@@ -412,37 +355,6 @@ def test_commutant_dim_and_permutation_map_make_no_extra_products(monkeypatch):
     assert calls == []
     assert perms[2] == ProjectiveMap([[0, Fraction(1, 2)], [-3, 0]])
     assert perms[1].nonzeros == (((1, one),), ((0, one),), ((3, one),), ((2, one),))
-
-
-def _invertible(rng, n):
-    p = ProjectiveMap(_rand_cyc_matrix(rng, n, False))
-    while len(ref_rref(p.matrix, n)[1]) < n:
-        p = ProjectiveMap(_rand_cyc_matrix(rng, n, False))
-    return p
-
-
-def test_commutant_dim_solves_only_when_sigma_to_the_tenth_is_not_one(monkeypatch):
-    rng = random.Random(73)
-    p, q = _invertible(rng, 3), _invertible(rng, 2)
-    no_solve = [diagonal_map([one, w(1), -w(1), -one]),
-                permutation_map([1, 2, 3, 4, 0], [w(2), one, w(3), -one, -one]),
-                p * diagonal_map([-w(4), -w(4), w(2)]) * p.inverse(),
-                diagonal_map([one * 2, w(1) * 2])]               # diagonal, sigma^10 != I
-    fallback = [ProjectiveMap([[one, one], [Cyc5.zero(), one]]),   # jordan
-                q * diagonal_map([one * 2, w(1) * 2]) * q.inverse()]   # scaled
-    assert any(j != i for i, nz in enumerate(fallback[1].nonzeros) for j, _ in nz)
-    assert commutant_dim(fallback[1]) == ref_commutant_dim(fallback[1].matrix) == 2
-    calls, real_rref = [], k3fam.cyclo.rref
-
-    def counting_rref(rows, ncols):
-        calls.append(ncols)
-        return real_rref(rows, ncols)
-
-    monkeypatch.setattr(k3fam.cyclo, "rref", counting_rref)
-    assert [commutant_dim(a) for a in no_solve] == [4, 5, 5, 2]
-    assert calls == []
-    assert [commutant_dim(a) for a in fallback] == [2, 2]
-    assert calls == [4, 4]
 
 
 def _diagonals_beyond_ten(rng):
@@ -498,38 +410,18 @@ def test_commutant_dim_of_diagonals_beyond_order_ten(monkeypatch):
 
 
 def test_off_diagonal_maps_are_not_read_off_their_diagonals(monkeypatch):
-    # one nonzero off the diagonal sends a map down the trace path or the
-    # solve; a count read off the diagonal would give 4 for each of these
+    # one nonzero off the diagonal makes commutant_dim refuse a map, with no
+    # product or solve; a count read off the diagonal would give 4 for each
     swap = permutation_map([1, 0])                       # eigenvalues 1 and -1
     nilpotent = ProjectiveMap([[0, 1], [0, 0]])          # commutant {aI + bN}
     jordan = ProjectiveMap([[w(1), 0], [one, w(1)]])     # row 1 off and on the diagonal
     calls = _count_products_and_solves(monkeypatch)
-    assert commutant_dim(swap) == 2
-    assert "mul" in calls and "rref" not in calls
-    for a in (nilpotent, jordan):
-        calls.clear()
-        assert commutant_dim(a) == 2
-        assert calls.count("rref") == 1
+    for a in (swap, nilpotent, jordan):
+        with pytest.raises(FamilyError, match=r"commutant_dim takes a diagonal map, not "
+                                              r"ProjectiveMap\(matrix="):
+            commutant_dim(a)
         assert ref_commutant_dim(a.matrix) == 2
-
-
-def test_commutant_solve_budget(monkeypatch):
-    # a dense n = 6 conjugate P diag(2 w^(i mod 3)) P^-1 has sigma^10 != I,
-    # and its 36-unknown solve (over 80 s) is refused at once
-    p = _invertible(random.Random(79), 6)
-    sigma = p * diagonal_map([w(i % 3) * 2 for i in range(6)]) * p.inverse()
-    t0 = time.perf_counter()
-    with pytest.raises(CapExceeded, match="past %d unknowns" % k3fam.COMMUTANT_UNKNOWN_BUDGET):
-        commutant_dim(sigma)
-    assert time.perf_counter() - t0 < 1.0
-    # the budget admits n = 4 (a 2 + 2 Jordan form) and refuses it one lower;
-    # every other solve in the tests has n <= 3
-    jordan = ProjectiveMap([[one, one, 0, 0], [0, one, 0, 0], [0, 0, w(1) * 2, one],
-                            [0, 0, 0, w(1) * 2]])
-    assert commutant_dim(jordan) == ref_commutant_dim(jordan.matrix) == 4
-    monkeypatch.setattr(k3fam, "COMMUTANT_UNKNOWN_BUDGET", 15)
-    with pytest.raises(CapExceeded):
-        commutant_dim(jordan)
+    assert calls == []
 
 
 # --- reference: dihedral_in_pgl as it was written before the sigma iota
@@ -880,6 +772,122 @@ def test_dihedral_in_pgl_matches_reference():
     assert answers.count(True) >= 15 and answers.count(False) >= 15
 
 
+def _monomial_pair(rng):
+    """(sigma, iota, weights, perm) for a diagonal sigma and a monomial iota.
+
+    sigma = diag(e_i w^a_i r_i).  Half the time the a_i follow
+    a_pi(i) = c - a_i along every cycle of pi, and at times they are all
+    equal; the signs e_i and the r_i (1, 2, 1 + w, -1/3) are shared by
+    every entry or drawn per entry, and at times one entry is zero.  iota
+    has columns pi, an involution or at times any permutation, and entries
+    c_i: all 1, random signs, non-units with c_i c_pi(i) one square mu^2,
+    or random non-units; at times it is one size larger than sigma.
+    weights and perm are set only for sigma = diag(w^a_i) and an unsigned
+    involution iota of its size, the inputs of oracles.dihedral_expected."""
+    n = rng.randint(1, 5)
+    pi, idx = list(range(n)), rng.sample(range(n), n)
+    for t in range(rng.randint(0, n // 2)):
+        pi[idx[2 * t]], pi[idx[2 * t + 1]] = idx[2 * t + 1], idx[2 * t]
+    if rng.random() < 0.25:
+        pi = rng.sample(range(n), n)
+    c = rng.randrange(5)
+    a = [rng.randrange(5) for _ in range(n)]
+    if rng.random() < 0.5:
+        # x, c - x, x, ... along each cycle of pi; an odd cycle needs x = 3c
+        for i in range(n):
+            cycle = [i]
+            while pi[cycle[-1]] != i:
+                cycle.append(pi[cycle[-1]])
+            if min(cycle) == i:
+                x = rng.randrange(5) if len(cycle) % 2 == 0 else 3 * c % 5
+                for k, j in enumerate(cycle):
+                    a[j] = (c - x) % 5 if k % 2 else x
+    if rng.random() < 0.1:
+        a = [a[0]] * n
+    r_pool = [one, one * 2, one + w(1), one * Fraction(-1, 3)]
+    plain = rng.random() < 0.3
+    if plain:
+        e, r = [1] * n, [one] * n
+    elif rng.random() < 0.6:
+        e, r = [rng.choice((1, -1))] * n, [rng.choice(r_pool)] * n
+    else:
+        e, r = [rng.choice((1, -1)) for _ in range(n)], [rng.choice(r_pool) for _ in range(n)]
+    s = [w(x) * r[i] * e[i] for i, x in enumerate(a)]
+    if rng.random() < 0.08:
+        s[rng.randrange(n)] = Cyc5.zero()
+    mode = "unit" if plain else rng.choice(("unit", "signs", "square", "random"))
+    mu = rng.choice([one, one * 2, one + w(1), w(2), -one])
+    entries = [rng.choice([one * 2, one + w(1), w(3) * Fraction(1, 2), -w(1)]) for _ in range(n)]
+    if mode == "signs":
+        entries = [one * rng.choice((1, -1)) for _ in range(n)]
+    elif mode == "square":
+        for i, p in enumerate(pi):
+            if p == i:
+                entries[i] = mu * rng.choice((1, -1))
+            elif i > p:
+                entries[i] = mu * mu * entries[p].inv()
+    sigma = diagonal_map(s)
+    if rng.random() < 0.05:
+        return sigma, permutation_map(pi + [n]), None, None
+    iota = permutation_map(pi, None if mode == "unit" else entries)
+    roots = s == [w(x) for x in a]
+    involution = all(pi[p] == i for i, p in enumerate(pi))
+    if roots and mode == "unit" and involution:
+        return sigma, iota, a, pi
+    return sigma, iota, None, None
+
+
+def _failed_condition(sigma, iota):
+    """The first of the reference's tests that sigma and iota fail, or None."""
+    s, i = ref_matrix(sigma.matrix), ref_matrix(iota.matrix)
+    if len(i) != len(s):
+        return "sizes"
+    if not ref_is_scalar(ref_power(i, 2)):
+        return "iota^2"
+    if ref_is_scalar(s):
+        return "sigma scalar"
+    if not ref_is_scalar(ref_power(s, 5)):
+        return "sigma^5"
+    if not ref_pgl_equal(ref_product(ref_product(i, s), ref_inverse(i)), ref_inverse(s)):
+        return "relation"
+    return None
+
+
+def test_dihedral_in_pgl_of_monomial_pairs_matches_reference(monkeypatch):
+    # a diagonal sigma with no zero entry and a monomial iota are answered
+    # from their entries, with no map product and O(n) Cyc5 products; the
+    # answer is the reference's, and the weight rule's on its inputs
+    rng = random.Random(149)
+    products, maps = [], []
+    real_mul, real_map_mul = Cyc5.__mul__, ProjectiveMap.__mul__
+    monkeypatch.setattr(Cyc5, "__mul__", lambda x, y: products.append(1) or real_mul(x, y))
+    monkeypatch.setattr(ProjectiveMap, "__mul__",
+                        lambda a, b: maps.append(1) or real_map_mul(a, b))
+    seen = collections.Counter()
+    for _ in range(240):
+        sigma, iota, weights, perm = _monomial_pair(rng)
+        products.clear()
+        maps.clear()
+        got = dihedral_in_pgl(sigma, iota)
+        closed = sigma.size == iota.size and all(sigma.nonzeros)
+        if closed:
+            assert maps == [] and len(products) <= 2 * sigma.size + 5
+        failed = _failed_condition(sigma, iota)
+        assert got == (failed is None)
+        if weights is not None:
+            assert got == oracles.dihedral_expected(weights, perm)
+        pi = [nz[0][0] for nz in iota.nonzeros]
+        seen.update({failed, "closed" * closed, "oracle" * (weights is not None),
+                     "n = 1" * (sigma.size == 1), "zero entry" * (not all(sigma.nonzeros)),
+                     "non-involution" * any(pi[p] != i for i, p in enumerate(pi)),
+                     "non-unit sigma" * any(x ** 10 != one for nz in sigma.nonzeros for _, x in nz),
+                     "non-unit iota" * any(x ** 10 != one for nz in iota.nonzeros for _, x in nz)})
+    assert seen[None] >= 15 and seen["closed"] >= 200 and seen["oracle"] >= 20
+    assert all(seen[k] for k in ("sizes", "iota^2", "sigma scalar", "sigma^5", "relation",
+                                 "n = 1", "zero entry", "non-involution", "non-unit sigma",
+                                 "non-unit iota")), seen
+
+
 def test_pgl_equal_matches_division_reference():
     rng = random.Random(61)
     seen = set()
@@ -931,7 +939,7 @@ def test_fixed_locus_matches_reference():
 def test_projective_maps_store_only_their_nonzeros(monkeypatch):
     # one stored form: the dense matrix is a view built on first read, and
     # no map on the families path (monomial maps, products, powers, the
-    # dihedral test and a commutant with no solve) ever builds it
+    # dihedral test and the commutant of a diagonal map) ever builds it
     assert [f.name for f in dataclasses.fields(ProjectiveMap)] == ["nonzeros"]
     products, bools = [], []
     real_mul, real_bool = ProjectiveMap.__mul__, Cyc5.__bool__
@@ -953,11 +961,17 @@ def test_projective_maps_store_only_their_nonzeros(monkeypatch):
     assert bools == []          # a one-nonzero row times a row is never zero-tested
     monkeypatch.setattr(Cyc5, "__bool__", real_bool)
     involution = permutation_map([0, 4, 3, 2, 1])
+    # sigma * iota, iota * sigma, three for sigma^5 and one for iota^2; the
+    # dihedral test of a diagonal sigma and a monomial iota adds none
+    assert len(products) == 6
     assert not dihedral_in_pgl(sigma, iota) and dihedral_in_pgl(sigma, involution)
+    assert len(products) == 6
+    # a zero entry of sigma takes the products: iota^2, then sigma^5 in three
+    singular = diagonal_map([1, 0, 0, w(1), 1])
+    assert not dihedral_in_pgl(singular, involution)
+    assert len(products) == 10
     assert commutant_dim(sigma) == 5 and commutant_dim(diagonal_map([1, 0, 0, w(1)])) == 6
-    assert commutant_dim(involution) == 3 * 3 + 2 * 2   # off the diagonals of its powers
-    assert len(products) > 20
-    assert all("matrix" not in vars(m) for m in maps + products + [involution])
+    assert all("matrix" not in vars(m) for m in maps + products + [involution, singular])
     # even a map built from dense rows keeps only its nonzeros; the view is
     # built once, on first read
     assert "matrix" not in vars(ProjectiveMap([[1, 0], [0, 1]]))
