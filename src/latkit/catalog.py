@@ -6,9 +6,10 @@ two half-integral vectors under the order-5 isometry, then certified to be
 even, rootless, of discriminant (Z/5)^4, and spanned by two E8(-2) copies
 exchanged up to sign by a dihedral group of order 10.
 
-The harness is two tables: BUILDERS maps each named input a claim needs
-(L, the Nikulin lattice, the k3 family cases, ...) to its builder, and
-FAULTS maps each negative-control id to the builders it swaps in.
+The harness is three tables: CLAIMS lists every claim with the named
+inputs it reads, BUILDERS maps each named input (L, the Nikulin lattice,
+each k3 family case, ...) to its builder, and FAULTS maps each
+negative-control id to the builders it swaps in.
 """
 
 import time
@@ -315,6 +316,134 @@ def primary_decomposition(invariant_factors):
     return tuple(sorted(out))
 
 
+# --- the four projective families with a D5 action -----------------------
+
+# quartics in P3
+QUARTIC = k3fam.MonomialFamily(4, (0, 3, 1, 2), (
+    (3, 0, 1, 0), (2, 2, 0, 0), (1, 0, 0, 3), (1, 1, 1, 1), (0, 3, 0, 1), (0, 1, 3, 0),
+    (0, 0, 2, 2)))
+# quadric + cubic in P4
+P4_QUADRIC = k3fam.MonomialFamily(5, (0, 1, 2, 3, 4), (
+    (2, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0)))
+P4_CUBIC = k3fam.MonomialFamily(5, (0, 1, 2, 3, 4), (
+    (3, 0, 0, 0, 0), (1, 1, 0, 0, 1), (1, 0, 1, 1, 0), (0, 2, 0, 1, 0), (0, 0, 1, 0, 2),
+    (0, 1, 2, 0, 0), (0, 0, 0, 2, 1)))
+# three quadrics in P5
+P5_Q1 = k3fam.MonomialFamily(6, (0, 0, 1, 2, 3, 4), (
+    (2, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1),
+    (0, 0, 0, 1, 1, 0)))
+P5_Q2 = k3fam.MonomialFamily(6, (0, 0, 1, 2, 3, 4), (
+    (0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 2, 0)))
+P5_Q3 = k3fam.MonomialFamily(6, (0, 0, 1, 2, 3, 4), (
+    (0, 1, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0), (0, 0, 0, 2, 0, 0)))
+# the branch sextic of a double cover of P2
+SEXTIC = k3fam.MonomialFamily(3, (0, 1, 4), (
+    (6, 0, 0), (1, 5, 0), (1, 0, 5), (4, 1, 1), (2, 2, 2), (0, 3, 3)))
+
+
+@dataclass(frozen=True)
+class FamilyCase:
+    """One family case of the k3 claims: sigma and iota generate the D5
+    action in PGL, commutant_of is the diagonal map whose commutant acts
+    on the parameters, forms are sample members of the families, and
+    param_counts and redundancy feed k3fam.moduli_count.  base_iota is the
+    involution of P2 that a double cover's iota lifts."""
+    sigma: object
+    iota: object
+    commutant_of: object
+    forms: tuple
+    param_counts: tuple
+    redundancy: int = 0
+    base_iota: object = None
+
+
+def _diagonal(*powers):
+    return k3fam.diagonal_map([Cyc5.omega(k) for k in powers])
+
+
+def quartic_p3():
+    sigma = _diagonal(0, 3, 1, 2)
+    return FamilyCase(sigma=sigma, iota=k3fam.permutation_map([1, 0, 3, 2]), commutant_of=sigma,
+                      forms=(QUARTIC.polynomial([1] * 7),), param_counts=(7,))
+
+
+def ci_p4():
+    sigma = _diagonal(0, 1, 2, 3, 4)
+    return FamilyCase(sigma=sigma, iota=k3fam.permutation_map([0, 4, 3, 2, 1]),
+                      commutant_of=sigma,
+                      forms=(P4_QUADRIC.polynomial([1] * 3), P4_CUBIC.polynomial([1] * 7)),
+                      param_counts=(3, 7), redundancy=1)
+
+
+def ci_p5():
+    sigma = _diagonal(0, 0, 1, 2, 3, 4)
+    return FamilyCase(sigma=sigma, iota=k3fam.permutation_map([0, 1, 5, 4, 3, 2]),
+                      commutant_of=sigma,
+                      # the sample q1 has b = e = 0, d = 1
+                      forms=(P5_Q1.polynomial([1, 0, 1, 1, 0]), P5_Q2.polynomial([1] * 3),
+                             P5_Q3.polynomial([1] * 3)),
+                      param_counts=(5, 4, 4))
+
+
+def double_cover_p2():
+    # sigma and iota lift the action on P2 to the cover, coordinates (u, x0, x1, x2)
+    return FamilyCase(sigma=_diagonal(0, 0, 1, 4),
+                      iota=k3fam.permutation_map([0, 1, 3, 2], signs=[-1, 1, 1, 1]),
+                      commutant_of=_diagonal(0, 1, 4), forms=(SEXTIC.polynomial([1] * 6),),
+                      param_counts=(6,), base_iota=k3fam.permutation_map([0, 2, 1]))
+
+
+def _dihedral(case):
+    return k3fam.dihedral_in_pgl(case.sigma, case.iota)
+
+
+def _moduli(case):
+    return k3fam.moduli_count(case.param_counts, k3fam.commutant_dim(case.commutant_of),
+                              case.redundancy)
+
+
+def _p3_fixed_count(case):
+    total = 0
+    for sign, basis in k3fam.fixed_locus(case.iota):
+        deg, nonzero, roots = k3fam.restrict_and_count(case.forms[0], basis)
+        if not nonzero:
+            return "degenerate sample"
+        total += roots
+    return total
+
+
+def _p4_fixed_count(case):
+    q, c = case.forms
+    plane = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0)]
+    on_plane = k3fam.plane_fixed_count((q, c), plane)
+    if on_plane is None:
+        return "degenerate sample"
+    line = [(0, 1, 0, 0, -1), (0, 0, 1, -1, 0)]
+    deg_c, c_nonzero, _ = k3fam.restrict_and_count(c, line)
+    if c_nonzero:
+        return "cubic does not vanish on the (-1) line"
+    deg_q, q_nonzero, on_line = k3fam.restrict_and_count(q, line)
+    if not q_nonzero:
+        return "degenerate sample"
+    return on_plane + on_line
+
+
+def _p5_swap(case):
+    q1, q2, q3 = case.forms
+    return (k3fam.swap_check(case.iota, q2, q3)
+            and k3fam.swap_check(case.iota, q3, q2)
+            and k3fam.swap_check(case.iota, q1, q1))
+
+
+def _p5_plus_restrictions_coincide(case):
+    # the swapped quadrics restrict to proportional forms on the fixed
+    # space, so no zero-dimensional count is available there
+    q1, q2, q3 = case.forms
+    plus = next(basis for sign, basis in k3fam.fixed_locus(case.iota) if sign == 1)
+    return k3fam.proportional(k3fam.restrict_to_subspace(q2, plus),
+                              k3fam.restrict_to_subspace(q3, plus))
+
+
 # --- the reproduction suite ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -355,13 +484,11 @@ BUILDERS = {
     "factors:nikulin": lambda get: invariant_factors(get("nikulin")[0]),
     # one radius-2 search certifies both L/rootless and L/minimum
     "sv:L": lambda get: _search_in_basis(get("L").lattice, L_SV_BASIS),
-    "k3": lambda get: k3fam_cases(),
+    "k3:quartic-p3": lambda get: quartic_p3(),
+    "k3:ci-p4": lambda get: ci_p4(),
+    "k3:ci-p5": lambda get: ci_p5(),
+    "k3:double-cover-p2": lambda get: double_cover_p2(),
 }
-
-def _quartic_fault(**fields):
-    """The "k3" builder with these fields of the quartic-p3 case replaced."""
-    return {"k3": lambda get: [dict(case, **fields) if case["name"] == "quartic-p3" else case
-                               for case in k3fam_cases()]}
 
 
 # Negative controls: each fault id maps to the builders that replace those
@@ -383,11 +510,12 @@ FAULTS = {
     "md5-unglued": {"md5": lambda get: build_MD5(
         direct_sum([rescale(std_gram("A", 1), -1)] * 8))},
     # the quartic's commutant_of is diag(1, 1, w, w^2): commutant 6, moduli count 1
-    "k3-commutant": _quartic_fault(
-        commutant_of=k3fam.diagonal_map([1, 1, Cyc5.omega(1), Cyc5.omega(2)])),
+    "k3-commutant": {"k3:quartic-p3": lambda get: replace(
+        quartic_p3(), commutant_of=_diagonal(0, 0, 1, 2))},
     # the quartic's iota swaps x2 and x3 alone: with weights (0, 3, 1, 2),
     # a_i + a_pi(i) takes the values 0, 1 and 3, so iota does not invert sigma
-    "k3-dihedral": _quartic_fault(iota=k3fam.permutation_map([0, 1, 3, 2])),
+    "k3-dihedral": {"k3:quartic-p3": lambda get: replace(
+        quartic_p3(), iota=k3fam.permutation_map([0, 1, 3, 2]))},
     # row 0 of L_SV_BASIS doubled: det 4 det L, which the search of sv:L refuses
     "sv-basis": {"sv:L": lambda get: _search_in_basis(
         get("L").lattice, (tuple(2 * x for x in L_SV_BASIS[0]),) + L_SV_BASIS[1:])},
@@ -527,32 +655,50 @@ CLAIMS = (
           primary_decomposition, ("factors:md5",)),
     Claim("md5/disc-chain", "md5/discriminant", (2, 2, 2, 2, 10, 10),
           lambda factors: factors, ("factors:md5",)),
+    # -- the four projective families (k3fam); the monomial families are
+    # module constants and each case is the named input "k3:<case>"
+    Claim("k3/quartic-p3/invariant-quartic", "k3/quartic-p3/family", (True, 1),
+          lambda: k3fam.is_invariant_family(QUARTIC)),
+    Claim("k3/quartic-p3/dihedral", "k3/quartic-p3/pgl", True, _dihedral, ("k3:quartic-p3",)),
+    Claim("k3/quartic-p3/moduli", "k3/quartic-p3/moduli", 3, _moduli, ("k3:quartic-p3",)),
+    Claim("k3/quartic-p3/fixed-points", "k3/quartic-p3/family", 8, _p3_fixed_count,
+          ("k3:quartic-p3",)),
+    Claim("k3/quartic-p3/conjugation-scalar", "k3/quartic-p3/family", True,
+          lambda case: k3fam.pgl_equal(case.iota * case.sigma * case.iota.inverse(),
+                                       case.sigma.inverse()),
+          ("k3:quartic-p3",)),
+    Claim("k3/ci-p4/invariant-quadric", "k3/ci-p4/family", (True, 0),
+          lambda: k3fam.is_invariant_family(P4_QUADRIC)),
+    Claim("k3/ci-p4/invariant-cubic", "k3/ci-p4/family", (True, 0),
+          lambda: k3fam.is_invariant_family(P4_CUBIC)),
+    Claim("k3/ci-p4/dihedral", "k3/ci-p4/pgl", True, _dihedral, ("k3:ci-p4",)),
+    Claim("k3/ci-p4/moduli", "k3/ci-p4/moduli", 3, _moduli, ("k3:ci-p4",)),
+    Claim("k3/ci-p4/fixed-points", "k3/ci-p4/family", 8, _p4_fixed_count, ("k3:ci-p4",)),
+    Claim("k3/ci-p5/invariant-q1", "k3/ci-p5/family", (True, 0),
+          lambda: k3fam.is_invariant_family(P5_Q1)),
+    Claim("k3/ci-p5/invariant-q2", "k3/ci-p5/family", (True, 1),
+          lambda: k3fam.is_invariant_family(P5_Q2)),
+    Claim("k3/ci-p5/invariant-q3", "k3/ci-p5/family", (True, 4),
+          lambda: k3fam.is_invariant_family(P5_Q3)),
+    Claim("k3/ci-p5/dihedral", "k3/ci-p5/pgl", True, _dihedral, ("k3:ci-p5",)),
+    Claim("k3/ci-p5/moduli", "k3/ci-p5/moduli", 3, _moduli, ("k3:ci-p5",)),
+    Claim("k3/ci-p5/swaps-quadrics", "k3/ci-p5/family", True, _p5_swap, ("k3:ci-p5",)),
+    Claim("k3/ci-p5/plus-space-restrictions-coincide", "k3/ci-p5/family", True,
+          _p5_plus_restrictions_coincide, ("k3:ci-p5",)),
+    Claim("k3/double-cover-p2/invariant-sextic", "k3/double-cover-p2/family", (True, 0),
+          lambda: k3fam.is_invariant_family(SEXTIC)),
+    Claim("k3/double-cover-p2/dihedral", "k3/double-cover-p2/pgl", True, _dihedral,
+          ("k3:double-cover-p2",)),
+    Claim("k3/double-cover-p2/moduli", "k3/double-cover-p2/moduli", 3, _moduli,
+          ("k3:double-cover-p2",)),
+    Claim("k3/double-cover-p2/sextic-symmetric", "k3/double-cover-p2/family", True,
+          lambda case: k3fam.swap_check(case.base_iota, case.forms[0], case.forms[0]),
+          ("k3:double-cover-p2",)),
+    Claim("k3/double-cover-p2/cover-relation", "k3/double-cover-p2/family", True,
+          lambda case: k3fam.pgl_equal(case.iota * case.sigma,
+                                       case.sigma.inverse() * case.iota),
+          ("k3:double-cover-p2",)),
 )
-
-
-def _k3_claims(cases):
-    """Claims on the four projective families, one group per case of
-    cases = get("k3").  Their ids and expected values come from the cases,
-    so "k3" is built on every run (about 0.3 ms, whatever the filter)
-    rather than at import."""
-    claims = []
-    for case in cases:
-        pre = "k3/%s" % case["name"]
-        for label, fam, want_w in case["families"]:
-            claims.append(Claim("%s/invariant-%s" % (pre, label), "%s/family" % pre,
-                                (True, want_w),
-                                lambda fam=fam: k3fam.is_invariant_family(fam)))
-        claims.append(Claim("%s/dihedral" % pre, "%s/pgl" % pre, True,
-                            lambda case=case: k3fam.dihedral_in_pgl(
-                                case["sigma"], case["iota"])))
-        claims.append(Claim("%s/moduli" % pre, "%s/moduli" % pre, 3,
-                            lambda case=case: k3fam.moduli_count(
-                                case["param_counts"],
-                                k3fam.commutant_dim(case["commutant_of"]),
-                                case["redundancy"])))
-        claims += [Claim("%s/%s" % (pre, name), "%s/family" % pre, expected, fn)
-                   for name, expected, fn in case["extra"]]
-    return claims
 
 
 def repro_all(filter_tag=None, inject_fault=None):
@@ -571,7 +717,7 @@ def repro_all(filter_tag=None, inject_fault=None):
                          % (inject_fault, ", ".join(FAULT_IDS)))
     get = _Lazy({**BUILDERS, **FAULTS.get(inject_fault, {})})
     results = []
-    for claim in CLAIMS + tuple(_k3_claims(get("k3"))):
+    for claim in CLAIMS:
         if filter_tag and not claim.id.startswith(filter_tag):
             continue
         t0 = time.perf_counter()
@@ -582,151 +728,3 @@ def repro_all(filter_tag=None, inject_fault=None):
         results.append(ClaimResult(claim.id, claim.locator, claim.expected,
                                    computed, (time.perf_counter() - t0) * 1000))
     return results
-
-
-def k3fam_cases():
-    """The four projective family cases with sample coefficients."""
-    w = Cyc5.omega
-    one = Cyc5.one()
-
-    cases = []
-
-    # quartics in P3
-    fam3 = k3fam.MonomialFamily(
-        num_vars=4, weights=(0, 3, 1, 2),
-        monomials=((3, 0, 1, 0), (2, 2, 0, 0), (1, 0, 0, 3), (1, 1, 1, 1),
-                   (0, 3, 0, 1), (0, 1, 3, 0), (0, 0, 2, 2)))
-    sigma3 = k3fam.diagonal_map([one, w(3), w(1), w(2)])
-    iota3 = k3fam.permutation_map([1, 0, 3, 2])
-    quartic = fam3.polynomial([1, 1, 1, 1, 1, 1, 1])
-
-    def p3_fixed_count():
-        total = 0
-        for sign, basis in k3fam.fixed_locus(iota3):
-            deg, nonzero, roots = k3fam.restrict_and_count(quartic, basis)
-            if not nonzero:
-                return "degenerate sample"
-            total += roots
-        return total
-
-    cases.append({
-        "name": "quartic-p3",
-        "families": [("quartic", fam3, 1)],
-        "sigma": sigma3, "iota": iota3,
-        "commutant_of": sigma3,
-        "param_counts": [7], "redundancy": 0,
-        "extra": [
-            ("fixed-points", 8, p3_fixed_count),
-            ("conjugation-scalar", True,
-             lambda: k3fam.pgl_equal(iota3 * sigma3 * iota3.inverse(),
-                                     sigma3.inverse())),
-        ],
-    })
-
-    # quadric + cubic in P4
-    famQ = k3fam.MonomialFamily(
-        num_vars=5, weights=(0, 1, 2, 3, 4),
-        monomials=((2, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0)))
-    famC = k3fam.MonomialFamily(
-        num_vars=5, weights=(0, 1, 2, 3, 4),
-        monomials=((3, 0, 0, 0, 0), (1, 1, 0, 0, 1), (1, 0, 1, 1, 0),
-                   (0, 2, 0, 1, 0), (0, 0, 1, 0, 2), (0, 1, 2, 0, 0),
-                   (0, 0, 0, 2, 1)))
-    sigma4 = k3fam.diagonal_map([one, w(1), w(2), w(3), w(4)])
-    iota4 = k3fam.permutation_map([0, 4, 3, 2, 1])
-    q_sample = famQ.polynomial([1, 1, 1])
-    c_sample = famC.polynomial([1, 1, 1, 1, 1, 1, 1])
-
-    def p4_fixed_count():
-        plane = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0)]
-        on_plane = k3fam.plane_fixed_count((q_sample, c_sample), plane)
-        if on_plane is None:
-            return "degenerate sample"
-        line = [(0, 1, 0, 0, -1), (0, 0, 1, -1, 0)]
-        deg_c, c_nonzero, _ = k3fam.restrict_and_count(c_sample, line)
-        if c_nonzero:
-            return "cubic does not vanish on the (-1) line"
-        deg_q, q_nonzero, on_line = k3fam.restrict_and_count(q_sample, line)
-        if not q_nonzero:
-            return "degenerate sample"
-        return on_plane + on_line
-
-    cases.append({
-        "name": "ci-p4",
-        "families": [("quadric", famQ, 0), ("cubic", famC, 0)],
-        "sigma": sigma4, "iota": iota4,
-        "commutant_of": sigma4,
-        "param_counts": [3, 7], "redundancy": 1,
-        "extra": [("fixed-points", 8, p4_fixed_count)],
-    })
-
-    # three quadrics in P5
-    famQ1 = k3fam.MonomialFamily(
-        num_vars=6, weights=(0, 0, 1, 2, 3, 4),
-        monomials=((2, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0),
-                   (0, 0, 1, 0, 0, 1), (0, 0, 0, 1, 1, 0)))
-    famQ2 = k3fam.MonomialFamily(
-        num_vars=6, weights=(0, 0, 1, 2, 3, 4),
-        monomials=((0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 0, 1), (0, 0, 0, 0, 2, 0)))
-    famQ3 = k3fam.MonomialFamily(
-        num_vars=6, weights=(0, 0, 1, 2, 3, 4),
-        monomials=((0, 1, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0), (0, 0, 0, 2, 0, 0)))
-    sigma5 = k3fam.diagonal_map([one, one, w(1), w(2), w(3), w(4)])
-    iota5 = k3fam.permutation_map([0, 1, 5, 4, 3, 2])
-    q1 = famQ1.polynomial([1, 0, 1, 1, 0])  # sample b = e = 0, d = 1
-    q2 = famQ2.polynomial([1, 1, 1])
-    q3 = famQ3.polynomial([1, 1, 1])
-
-    def p5_swap():
-        return (k3fam.swap_check(iota5, q2, q3)
-                and k3fam.swap_check(iota5, q3, q2)
-                and k3fam.swap_check(iota5, q1, q1))
-
-    def p5_plus_restrictions_coincide():
-        # the swapped quadrics restrict to proportional forms on the fixed
-        # space, so no zero-dimensional count is available there
-        plus = next(basis for sign, basis in k3fam.fixed_locus(iota5) if sign == 1)
-        r2 = k3fam.restrict_to_subspace(q2, plus)
-        r3 = k3fam.restrict_to_subspace(q3, plus)
-        return k3fam.swap_check(k3fam.diagonal_map([Cyc5.one()] * 4), r2, r3)
-
-    cases.append({
-        "name": "ci-p5",
-        "families": [("q1", famQ1, 0), ("q2", famQ2, 1), ("q3", famQ3, 4)],
-        "sigma": sigma5, "iota": iota5,
-        "commutant_of": sigma5,
-        "param_counts": [5, 4, 4], "redundancy": 0,
-        "extra": [
-            ("swaps-quadrics", True, p5_swap),
-            ("plus-space-restrictions-coincide", True,
-             p5_plus_restrictions_coincide),
-        ],
-    })
-
-    # double cover of P2 branched along a sextic
-    fam2 = k3fam.MonomialFamily(
-        num_vars=3, weights=(0, 1, 4),
-        monomials=((6, 0, 0), (1, 5, 0), (1, 0, 5), (4, 1, 1), (2, 2, 2),
-                   (0, 3, 3)))
-    sigma2 = k3fam.diagonal_map([one, w(1), w(4)])
-    alpha2 = k3fam.permutation_map([0, 2, 1])
-    sextic = fam2.polynomial([1, 1, 1, 1, 1, 1])
-    # lifts to the double cover, coordinates (u, x0, x1, x2)
-    sigma_cover = k3fam.diagonal_map([one, one, w(1), w(4)])
-    iota_cover = k3fam.permutation_map([0, 1, 3, 2], signs=[-1, 1, 1, 1])
-
-    cases.append({
-        "name": "double-cover-p2",
-        "families": [("sextic", fam2, 0)],
-        "sigma": sigma_cover, "iota": iota_cover,
-        "commutant_of": sigma2,
-        "param_counts": [6], "redundancy": 0,
-        "extra": [
-            ("sextic-symmetric", True,
-             lambda: k3fam.swap_check(alpha2, sextic, sextic)),
-            ("cover-relation", True,
-             lambda: k3fam.pgl_equal(iota_cover * sigma_cover,
-                                     sigma_cover.inverse() * iota_cover)),
-        ],
-    })
-    return cases

@@ -4,9 +4,9 @@ An element is four int numerators n on the power basis {1, w, w^2, w^3}
 over one positive int denominator d, in lowest terms (zero is 0/1); w^4 is
 eliminated through 1 + w + w^2 + w^3 + w^4 = 0, so == and hash compare
 (n, d).  +, - and * run on ints and take a gcd only when d is not 1.
-Fractions appear only in the constructor from rationals, rational_value
-and repr.  Values are immutable.  rref solves over Q(w) with ratmat's
-fraction-free elimination on the int power-basis expansion of the rows.
+Fractions appear only in the constructor from rationals and repr.  Values
+are immutable.  rref solves over Q(w) with ratmat's fraction-free
+elimination on the int power-basis expansion of the rows.
 """
 
 from fractions import Fraction
@@ -70,11 +70,6 @@ class Cyc5:
     def omega(k=1):
         """w^k reduced to the power basis."""
         return _make(_POWERS[k % 5], 1)
-
-    def rational_value(self):
-        if any(self.n[1:]):
-            raise CycloError("%r is not rational" % (self,))
-        return Fraction(self.n[0], self.d)
 
     def __bool__(self):
         return self.n != (0, 0, 0, 0)

@@ -507,10 +507,13 @@ def moduli_count(params, commutant, redundancy=0):
     return sum(p - 1 for p in params) - (commutant - 1) - redundancy
 
 
+def proportional(p, q):
+    """True iff p is a nonzero scalar multiple of q, or both are zero."""
+    if not p or not q:
+        return not p and not q
+    return _scalar_multiple((p.get(k, _ZERO), q.get(k, _ZERO)) for k in set(p) | set(q))
+
+
 def swap_check(iota, p, q):
     """True iff p composed with iota^-1 is a nonzero scalar multiple of q."""
-    comp = poly_apply_map(p, iota.inverse().matrix)
-    if not comp or not q:
-        return not comp and not q
-    return _scalar_multiple((comp.get(k, Cyc5.zero()), q.get(k, Cyc5.zero()))
-                            for k in set(comp) | set(q))
+    return proportional(poly_apply_map(p, iota.inverse().matrix), q)

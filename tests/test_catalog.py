@@ -1,13 +1,14 @@
 import gc
 import io
 import json
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from latkit import catalog, cli, lattice, shortvec
+from latkit import catalog, cli, k3fam, lattice, shortvec
 from latkit.catalog import (
     CatalogError, build_L, build_MD5, build_nikulin, primary_decomposition,
     repro_all, std_gram, u2_cubed,
@@ -262,6 +263,43 @@ def test_filter_builds_only_what_selected_claims_need(monkeypatch):
     assert len(results) == 22 and all(r["pass"] for r in results)
 
 
+@pytest.mark.parametrize("case", ["quartic-p3", "ci-p4", "ci-p5", "double-cover-p2"])
+def test_a_case_that_fails_to_build_fails_only_its_claims(monkeypatch, case):
+    name = "k3:" + case
+    monkeypatch.setitem(catalog.BUILDERS, name, _raise(k3fam.FamilyError("no case")))
+    out = io.StringIO()
+    assert cli.main(["repro", "--json"], out=out) == cli.EXIT_FAIL
+    results = json.loads(out.getvalue())["results"]
+    assert len(results) == REPRO_CLAIMS
+    failed = {r["id"]: r["computed"] for r in results if not r["pass"]}
+    assert failed == {c.id: "error: no case" for c in catalog.CLAIMS if name in c.needs}
+    assert failed and all(i.startswith("k3/%s/" % case) for i in failed)
+
+
+def test_a_run_that_selects_no_case_builds_none(monkeypatch):
+    # every case builds its iota with permutation_map, so all four fail
+    monkeypatch.setattr(k3fam, "permutation_map", _raise(k3fam.FamilyError("no iota")))
+    out = io.StringIO()
+    assert cli.main(["repro", "--filter", "L", "--json"], out=out) == cli.EXIT_OK
+    results = json.loads(out.getvalue())["results"]
+    assert len(results) == 9 and all(r["pass"] for r in results)
+
+
+def test_the_claim_table_matches_its_pins_without_running_a_claim():
+    # the table against the counts and groups that perfbench's oracles
+    # and tracer pin, with no claim run
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import layertrace
+    import workloads
+
+    ids = [c.id for c in catalog.CLAIMS]
+    assert len(set(ids)) == len(ids)
+    assert {name for c in catalog.CLAIMS for name in c.needs} <= set(catalog.BUILDERS)
+    assert len(ids) == REPRO_CLAIMS == workloads.REPRO_CLAIMS
+    assert sum(i.startswith("k3/") for i in ids) == workloads.K3_CLAIMS
+    assert {i.split("/")[0] for i in ids} <= set(layertrace.CLAIM_GROUPS)
+
+
 def test_failed_build_is_attempted_once(monkeypatch):
     attempts = []
 
@@ -377,7 +415,10 @@ FAULT_FAILURES = [
     ("sv-basis", dict.fromkeys(
         ("L/rootless", "L/minimum"),
         "error: Gram matrix has det 2500, not the lattice's det 625")),
-    ("k3-dihedral", {"k3/quartic-p3/dihedral": "False"}),
+    ("k3-dihedral", {"k3/quartic-p3/dihedral": "False",
+                     "k3/quartic-p3/conjugation-scalar": "False",
+                     "k3/quartic-p3/fixed-points":
+                         "error: restrict_and_count needs a 2-parameter line"}),
 ]
 
 
@@ -391,7 +432,8 @@ def test_fault_fails_its_claim_group(fault, failed):
     # gets 40 pairs of roots, so both E8(-2) spans are odd after halving;
     # a doubled row of L_SV_BASIS spans an index-2 sublattice, of det
     # 4 * 625, which the search refuses; and the quartic's iota swapping
-    # x2, x3 alone gives a_i + a_pi(i) in {0, 1, 3}, so it does not invert sigma
+    # x2, x3 alone gives a_i + a_pi(i) in {0, 1, 3}, so it does not invert
+    # sigma, and its fixed locus is a plane and a point, not two lines
     out = io.StringIO()
     assert cli.main(["repro", "--json", "--inject-fault", fault], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]

@@ -20,7 +20,7 @@ from latkit.k3fam import (
     FamilyError, MonomialFamily, ProjectiveMap, commutant_dim, diagonal_map,
     dihedral_in_pgl, fixed_locus, moduli_count, permutation_map, pgl_equal,
     plane_fixed_count, poly_apply_map, poly_from_terms, poly_mul, poly_scale,
-    poly_total_degree, restrict_and_count, restrict_to_subspace, swap_check,
+    poly_total_degree, proportional, restrict_and_count, restrict_to_subspace, swap_check,
     sylvester_resultant, sigma_weight, is_invariant_family,
 )
 
@@ -185,6 +185,8 @@ def test_swap_check():
     assert swap_check(i, p, q)         # x^2 -> y^2, scalar 1/3 vs q
     assert not swap_check(i, p, p)
     assert swap_check(i, {}, {})
+    assert proportional(q, poly_scale(q, Cyc5.omega(2))) and proportional({}, {})
+    assert not proportional(p, q) and not proportional(p, {})
 
 
 def test_restrict_to_subspace_parameters():
@@ -195,17 +197,24 @@ def test_restrict_to_subspace_parameters():
 
 
 def test_catalog_cases_are_consistent():
-    from latkit.catalog import k3fam_cases
-    cases = k3fam_cases()
-    assert [c["name"] for c in cases] == [
-        "quartic-p3", "ci-p4", "ci-p5", "double-cover-p2"]
-    for case in cases:
-        for label, fam, want_w in case["families"]:
-            assert is_invariant_family(fam) == (True, want_w)
-        assert dihedral_in_pgl(case["sigma"], case["iota"])
-        assert moduli_count(case["param_counts"],
-                            commutant_dim(case["commutant_of"]),
-                            case["redundancy"]) == 3
+    from latkit import catalog
+    families = {"k3:quartic-p3": [catalog.QUARTIC],
+                "k3:ci-p4": [catalog.P4_QUADRIC, catalog.P4_CUBIC],
+                "k3:ci-p5": [catalog.P5_Q1, catalog.P5_Q2, catalog.P5_Q3],
+                "k3:double-cover-p2": [catalog.SEXTIC]}
+    assert [name for name in catalog.BUILDERS if name.startswith("k3:")] == list(families)
+    for name, fams in families.items():
+        case = catalog.BUILDERS[name](None)
+        assert dihedral_in_pgl(case.sigma, case.iota)
+        assert moduli_count(case.param_counts, commutant_dim(case.commutant_of),
+                            case.redundancy) == 3
+        assert len(case.forms) == len(case.param_counts) == len(fams)
+        for fam, form in zip(fams, case.forms):
+            # each sample form is a member of a family invariant under
+            # diag(w^weights), the map whose commutant the moduli count reads
+            assert is_invariant_family(fam)[0]
+            assert set(form) <= set(fam.monomials)
+            assert case.commutant_of == diagonal_map([Cyc5.omega(k) for k in fam.weights])
 
 
 # --- oracle: the ref_* functions compute on the Fraction Q(w) arithmetic
