@@ -402,30 +402,8 @@ def _moduli(case):
                               case.redundancy)
 
 
-def _p3_fixed_count(case):
-    total = 0
-    for sign, basis in k3fam.fixed_locus(case.iota):
-        deg, nonzero, roots = k3fam.restrict_and_count(case.forms[0], basis)
-        if not nonzero:
-            return "degenerate sample"
-        total += roots
-    return total
-
-
-def _p4_fixed_count(case):
-    q, c = case.forms
-    plane = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0)]
-    on_plane = k3fam.plane_fixed_count((q, c), plane)
-    if on_plane is None:
-        return "degenerate sample"
-    line = [(0, 1, 0, 0, -1), (0, 0, 1, -1, 0)]
-    deg_c, c_nonzero, _ = k3fam.restrict_and_count(c, line)
-    if c_nonzero:
-        return "cubic does not vanish on the (-1) line"
-    deg_q, q_nonzero, on_line = k3fam.restrict_and_count(q, line)
-    if not q_nonzero:
-        return "degenerate sample"
-    return on_plane + on_line
+def _fixed_points(case):
+    return k3fam.fixed_point_count(case.forms, case.iota)
 
 
 def _p5_swap(case):
@@ -516,6 +494,10 @@ FAULTS = {
     # a_i + a_pi(i) takes the values 0, 1 and 3, so iota does not invert sigma
     "k3-dihedral": {"k3:quartic-p3": lambda get: replace(
         quartic_p3(), iota=k3fam.permutation_map([0, 1, 3, 2]))},
+    # ci-p4's iota also negates x0: still dihedral with sigma, but its
+    # eigenspaces become a line that keeps both forms and a plane
+    "k3-p4-iota": {"k3:ci-p4": lambda get: replace(
+        ci_p4(), iota=k3fam.permutation_map([0, 4, 3, 2, 1], signs=[-1, 1, 1, 1, 1]))},
     # row 0 of L_SV_BASIS doubled: det 4 det L, which the search of sv:L refuses
     "sv-basis": {"sv:L": lambda get: _search_in_basis(
         get("L").lattice, (tuple(2 * x for x in L_SV_BASIS[0]),) + L_SV_BASIS[1:])},
@@ -661,7 +643,7 @@ CLAIMS = (
           lambda: k3fam.is_invariant_family(QUARTIC)),
     Claim("k3/quartic-p3/dihedral", "k3/quartic-p3/pgl", True, _dihedral, ("k3:quartic-p3",)),
     Claim("k3/quartic-p3/moduli", "k3/quartic-p3/moduli", 3, _moduli, ("k3:quartic-p3",)),
-    Claim("k3/quartic-p3/fixed-points", "k3/quartic-p3/family", 8, _p3_fixed_count,
+    Claim("k3/quartic-p3/fixed-points", "k3/quartic-p3/family", 8, _fixed_points,
           ("k3:quartic-p3",)),
     Claim("k3/quartic-p3/conjugation-scalar", "k3/quartic-p3/family", True,
           lambda case: k3fam.pgl_equal(case.iota * case.sigma * case.iota.inverse(),
@@ -673,7 +655,7 @@ CLAIMS = (
           lambda: k3fam.is_invariant_family(P4_CUBIC)),
     Claim("k3/ci-p4/dihedral", "k3/ci-p4/pgl", True, _dihedral, ("k3:ci-p4",)),
     Claim("k3/ci-p4/moduli", "k3/ci-p4/moduli", 3, _moduli, ("k3:ci-p4",)),
-    Claim("k3/ci-p4/fixed-points", "k3/ci-p4/family", 8, _p4_fixed_count, ("k3:ci-p4",)),
+    Claim("k3/ci-p4/fixed-points", "k3/ci-p4/family", 8, _fixed_points, ("k3:ci-p4",)),
     Claim("k3/ci-p5/invariant-q1", "k3/ci-p5/family", (True, 0),
           lambda: k3fam.is_invariant_family(P5_Q1)),
     Claim("k3/ci-p5/invariant-q2", "k3/ci-p5/family", (True, 1),

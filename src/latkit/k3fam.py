@@ -169,18 +169,13 @@ class ProjectiveMap:
     nonzeros: tuple
 
     def __init__(self, rows):
-        # ints and Fractions coerce as summands, with no Cyc5 product
-        try:
-            mat = tuple(tuple(x if isinstance(x, Cyc5) else _ZERO + x for x in r) for r in rows)
-        except TypeError:
-            if not isinstance(rows, Iterable):
-                raise FamilyError("projective map rows %r are not iterable" % (rows,)) from None
-            for i, r in enumerate(rows):
-                if not isinstance(r, Iterable):
-                    raise FamilyError("projective map row %d, %r, is not iterable" % (i, r)) from None
-                for x in r:
-                    _entry(x)
-            raise
+        if not isinstance(rows, Iterable):
+            raise FamilyError("projective map rows %r are not iterable" % (rows,))
+        mat = []
+        for i, r in enumerate(rows):
+            if not isinstance(r, Iterable):
+                raise FamilyError("projective map row %d, %r, is not iterable" % (i, r))
+            mat.append(tuple(map(_entry, r)))
         if not mat or any(len(r) != len(mat) for r in mat):
             raise FamilyError("projective map rows of lengths %s are not a nonempty square"
                               % [len(r) for r in mat])
@@ -363,17 +358,11 @@ def dihedral_in_pgl(sigma, iota):
 
 
 def fixed_locus(iota):
-    """Eigenspaces of an involution (iota^2 scalar) as (eigenvalue sign,
-    basis rows over Q(w))."""
-    sq = iota.power(2)
-    if not sq.is_scalar():
-        raise FamilyError("fixed_locus requires an involution up to scalar")
-    # normalise so the matrix squares to the identity; the scalar must be
-    # a square in Q(w) for our permutation-style involutions (it is 1).
-    s = sq.nonzeros[0][0][1]
-    if s != Cyc5.one():
-        raise FamilyError("involution normalisation: square scalar %r != 1" % (s,))
+    """Eigenspaces of an involution normalised to iota^2 = I, as
+    (eigenvalue sign, basis rows over Q(w))."""
     n = iota.size
+    if iota.power(2) != diagonal_map([1] * n):
+        raise FamilyError("fixed_locus takes an involution with iota^2 = I")
     spaces = []
     for sign in (1, -1):
         e = _entry(sign)
@@ -399,19 +388,13 @@ def restrict_to_subspace(poly, basis_rows):
 
 
 def restrict_and_count(poly, line_rows):
-    """Restrict to a line (2-parameter subspace) and count zeros.
-
-    Returns (degree, is_nonzero, root_count): a nonzero binary form of
-    degree d has d roots in P^1 counted with multiplicity; an identically
-    zero restriction is flagged as degenerate (is_nonzero False).
-    """
+    """Zeros, with multiplicity, of poly on a line (2-parameter subspace):
+    a nonzero binary form of degree d has d roots in P^1, and None when
+    poly vanishes on the whole line."""
     if len(line_rows) != 2:
         raise FamilyError("restrict_and_count needs a 2-parameter line")
     r = restrict_to_subspace(poly, line_rows)
-    if not r:
-        return poly_total_degree(poly), False, 0
-    d = poly_total_degree(r)
-    return d, True, d
+    return poly_total_degree(r) if r else None
 
 
 def sylvester_resultant(p, q, var):
@@ -473,12 +456,28 @@ def plane_fixed_count(polys, plane_rows):
     (3-parameter subspace) by the degree of their resultant."""
     if len(polys) != 2 or len(plane_rows) != 3:
         raise FamilyError("plane_fixed_count takes two polynomials and a plane")
-    r0 = restrict_to_subspace(polys[0], plane_rows)
-    r1 = restrict_to_subspace(polys[1], plane_rows)
-    res = sylvester_resultant(r0, r1, 0)
-    if not res:
-        return None  # curves share a component at these parameters
-    return poly_total_degree(res)
+    res = sylvester_resultant(*(restrict_to_subspace(p, plane_rows) for p in polys), 0)
+    return poly_total_degree(res) if res else None  # None: the curves share a component
+
+
+def fixed_point_count(forms, iota):
+    """Fixed points, with multiplicity, of the involution iota on
+    X = {forms = 0}, read off iota's eigenspaces (fixed_locus).  The forms
+    that vanish on an eigenspace are dropped; a line with one form left
+    counts by restrict_and_count, a plane with two by plane_fixed_count, and
+    any other eigenspace, or two curves with a common component, raises
+    FamilyError naming it."""
+    total = 0
+    for sign, basis in fixed_locus(iota):
+        left = [f for f in forms if restrict_to_subspace(f, basis)]
+        shape = (len(basis), len(left))
+        count = (restrict_and_count(left[0], basis) if shape == (2, 1) else
+                 plane_fixed_count(left, basis) if shape == (3, 2) else None)
+        if count is None:
+            raise FamilyError("no fixed-point count on the (%+d) eigenspace: dimension %d, "
+                              "%d form(s) left" % (sign, *shape))
+        total += count
+    return total
 
 
 def commutant_dim(sigma):
@@ -515,5 +514,9 @@ def proportional(p, q):
 
 
 def swap_check(iota, p, q):
-    """True iff p composed with iota^-1 is a nonzero scalar multiple of q."""
-    return proportional(poly_apply_map(p, iota.inverse().matrix), q)
+    """True iff p composed with iota^-1 is a nonzero scalar multiple of q,
+    for iota with iota^2 = lambda I (else FamilyError): p is homogeneous,
+    so p composed with iota = lambda iota^-1 is tested, with no inverse."""
+    if not iota.power(2).is_scalar():
+        raise FamilyError("swap_check takes an involution, not %r" % (iota,))
+    return proportional(poly_apply_map(p, iota.matrix), q)

@@ -191,7 +191,7 @@ def overlattice(lat, glue):
     """
     n = lat.rank
     gram = lat.gram
-    ws, d = clear_denominators([[Fraction(x) for x in g] for g in glue])
+    ws, d = clear_denominators(_rational_rows(glue, GlueError, "glue vector"))
     gws = []
     for k, w in enumerate(ws):
         if len(w) != n:
@@ -232,8 +232,18 @@ def span_index(rows):
     """[Z^n + span(rows) : Z^n] for rows of n rationals; 1 for no rows."""
     if not rows:
         return 1
-    ws, d = clear_denominators([[Fraction(x) for x in r] for r in rows])
+    ws, d = clear_denominators(_rational_rows(rows, LatticeError, "row"))
     return _glue_hermite(ws, d, len(ws[0]))[1]
+
+
+def _rational_rows(rows, error, what):
+    """rows as lists of ints and Fractions, else error naming the entry."""
+    rows = [list(r) for r in rows]
+    for k, r in enumerate(rows):
+        for x in r:
+            if not isinstance(x, (int, Fraction)):
+                raise error("%s %d has entry %r, not an int or Fraction" % (what, k, x))
+    return rows
 
 
 def _rows_in(lat, rows):

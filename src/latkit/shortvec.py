@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .lattice import CapExceeded, LatticeError
-from .ratmat import MatrixError, symmetric_elimination
+from .ratmat import MatrixError, symmetric_elimination, to_int
 
 # Far above the largest search in the claims, tests and benchmark
 # (L at bound 6: 295,492 nodes).
@@ -130,8 +130,11 @@ def short_vectors(lat, bound):
     lattices are negated internally; norms in the report always use the
     positive convention.  Raises CapExceeded past NODE_BUDGET nodes.
     """
+    try:
+        bound = to_int(bound)
+    except MatrixError:
+        raise LatticeError("short_vectors bound %r is not an integer" % (bound,)) from None
     q, negated, g = _cholesky(lat)
-    bound = int(bound)
     found = sorted(_search(q, [bound - bound % g])) if bound >= 1 and q else []
     counts = Counter(norm for _, norm in found)
     return ShortVectorReport(

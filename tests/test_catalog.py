@@ -417,8 +417,10 @@ FAULT_FAILURES = [
         "error: Gram matrix has det 2500, not the lattice's det 625")),
     ("k3-dihedral", {"k3/quartic-p3/dihedral": "False",
                      "k3/quartic-p3/conjugation-scalar": "False",
-                     "k3/quartic-p3/fixed-points":
-                         "error: restrict_and_count needs a 2-parameter line"}),
+                     "k3/quartic-p3/fixed-points": "error: no fixed-point count on the "
+                         "(+1) eigenspace: dimension 3, 1 form(s) left"}),
+    ("k3-p4-iota", {"k3/ci-p4/fixed-points": "error: no fixed-point count on the "
+                    "(+1) eigenspace: dimension 2, 2 form(s) left"}),
 ]
 
 
@@ -433,7 +435,9 @@ def test_fault_fails_its_claim_group(fault, failed):
     # a doubled row of L_SV_BASIS spans an index-2 sublattice, of det
     # 4 * 625, which the search refuses; and the quartic's iota swapping
     # x2, x3 alone gives a_i + a_pi(i) in {0, 1, 3}, so it does not invert
-    # sigma, and its fixed locus is a plane and a point, not two lines
+    # sigma, and its fixed locus is a plane and a point, not two lines;
+    # ci-p4's iota negating x0 as well is still dihedral, but its (+1)
+    # eigenspace is a line on which neither the quadric nor the cubic vanishes
     out = io.StringIO()
     assert cli.main(["repro", "--json", "--inject-fault", fault], out=out) == cli.EXIT_FAIL
     results = json.loads(out.getvalue())["results"]

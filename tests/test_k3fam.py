@@ -18,7 +18,7 @@ from latkit.isometry import CapExceeded
 from latkit.cyclo import Cyc5
 from latkit.k3fam import (
     FamilyError, MonomialFamily, ProjectiveMap, commutant_dim, diagonal_map,
-    dihedral_in_pgl, fixed_locus, moduli_count, permutation_map, pgl_equal,
+    dihedral_in_pgl, fixed_locus, fixed_point_count, moduli_count, permutation_map, pgl_equal,
     plane_fixed_count, poly_apply_map, poly_from_terms, poly_mul, poly_scale,
     poly_total_degree, proportional, restrict_and_count, restrict_to_subspace, swap_check,
     sylvester_resultant, sigma_weight, is_invariant_family,
@@ -111,11 +111,36 @@ def test_restrict_and_count():
     # x^2 - y^2 on the line spanned by e0, e1: two roots
     p = poly_from_terms([((2, 0, 0), 1), ((0, 2, 0), -1)])
     line = [(one, Cyc5.zero(), Cyc5.zero()), (Cyc5.zero(), one, Cyc5.zero())]
-    assert restrict_and_count(p, line) == (2, True, 2)
+    assert restrict_and_count(p, line) == 2
     # x^2 on the line where x = 0: identically zero restriction
     line2 = [(Cyc5.zero(), one, Cyc5.zero()), (Cyc5.zero(), Cyc5.zero(), one)]
     p2 = poly_from_terms([((2, 0, 0), 1)])
-    assert restrict_and_count(p2, line2)[1] is False
+    assert restrict_and_count(p2, line2) is None
+
+
+def test_fixed_point_count_on_the_catalog_samples():
+    # the quartic's iota has two eigenlines, each meeting X in 4 points;
+    # ci-p4's has an eigenplane (quadric and cubic meet in 6 points) and
+    # an eigenline on which the cubic vanishes and the quadric leaves 2
+    from latkit import catalog
+    for case in (catalog.quartic_p3(), catalog.ci_p4()):
+        assert fixed_point_count(case.forms, case.iota) == 8
+
+
+def test_fixed_point_count_refuses_what_it_cannot_count():
+    # x0 <-> x1, x2 <-> x3 has eigenlines (a, a, b, b) and (a, -a, b, -b);
+    # two quadrics that both survive on the first leave a line with two forms
+    squares = poly_from_terms([((2, 0, 0, 0), 1), ((0, 2, 0, 0), 1),
+                               ((0, 0, 2, 0), 1), ((0, 0, 0, 2), 1)])
+    cross = poly_from_terms([((1, 1, 0, 0), 1), ((0, 0, 1, 1), 1)])
+    swap = permutation_map([1, 0, 3, 2])
+    with pytest.raises(FamilyError, match=re.escape("(+1) eigenspace: dimension 2, 2 form(s)")):
+        fixed_point_count((squares, cross), swap)
+    # diag(1, 1, 1, -1) fixes the plane x3 = 0, where a conic and its
+    # square share a component, so no finite count exists
+    conic = poly_from_terms([((2, 0, 0, 0), 1), ((0, 2, 0, 0), 1), ((0, 0, 2, 0), 1)])
+    with pytest.raises(FamilyError, match=re.escape("(+1) eigenspace: dimension 3, 2 form(s)")):
+        fixed_point_count((conic, poly_mul(conic, conic)), diagonal_map([1, 1, 1, -1]))
 
 
 def test_sylvester_resultant_degree():
@@ -185,6 +210,12 @@ def test_swap_check():
     assert swap_check(i, p, q)         # x^2 -> y^2, scalar 1/3 vs q
     assert not swap_check(i, p, p)
     assert swap_check(i, {}, {})
+    # iota^2 = 2 I: p composed with iota^-1 is y^2 / 4, and with iota y^2
+    assert swap_check(ProjectiveMap([[0, 1], [2, 0]]), p, q)
+    # a 3-cycle is no involution, so iota^-1 is no multiple of iota
+    cyc = permutation_map([1, 2, 0])
+    with pytest.raises(FamilyError, match="swap_check takes an involution"):
+        swap_check(cyc, poly_from_terms([((2, 0, 0), 1)]), poly_from_terms([((0, 2, 0), 1)]))
     assert proportional(q, poly_scale(q, Cyc5.omega(2))) and proportional({}, {})
     assert not proportional(p, q) and not proportional(p, {})
 

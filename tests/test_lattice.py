@@ -217,6 +217,18 @@ def test_overlattice_rejects_bad_glue():
         overlattice(a1, [[Fraction(1, 2), Fraction(0)]])
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2", 0.1, None, 1j])
+def test_glue_entries_must_be_ints_or_fractions(bad):
+    # a float, a string or any other entry has no exact value to read off,
+    # so it is refused by name instead of passed through Fraction()
+    a1_2 = direct_sum([rescale(std_gram("A", 1), -1)] * 2)
+    with pytest.raises(GlueError, match=r"glue vector 0 has entry %s, not an int or Fraction"
+                       % re.escape(repr(bad))):
+        overlattice(a1_2, [[bad, Fraction(1, 2)]])
+    with pytest.raises(LatticeError, match=r"row 1 has entry %s" % re.escape(repr(bad))):
+        lattice.span_index([[Fraction(1, 2), 0], [0, bad]])
+
+
 def test_overlattice_reports_offending_pair():
     a1 = std_gram("A", 1)
     with pytest.raises(GlueError, match="glue vector 0 pairs non-integrally"):

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -300,6 +301,19 @@ def test_bound_between_norms():
         rep = short_vectors(make_lattice(g), bound)
         assert rep.bound == bound
         assert list(rep.vectors) == naive_pairs(g, bound)
+
+
+@pytest.mark.parametrize("bound", [2.9, "4", 1j, None, Fraction(7, 2)])
+def test_bound_must_be_an_integer(bound):
+    with pytest.raises(LatticeError, match=re.escape("bound %r is not an integer" % (bound,))):
+        short_vectors(make_lattice([[4, 1], [1, 4]]), bound)
+
+
+def test_integral_bounds_of_any_exact_type_are_read_as_ints():
+    lat = make_lattice([[4, 1], [1, 4]])
+    for bound in (Fraction(7), True, 7):
+        rep = short_vectors(lat, bound)
+        assert type(rep.bound) is int and rep.bound == int(bound)
 
 
 def test_search_leaves_no_reference_cycle(L):
