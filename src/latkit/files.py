@@ -118,15 +118,9 @@ def parse_cyc5(tok, path="<token>", lineno=0):
             raise ParseError(path, lineno, "bad Q(w) token %r" % tok)
         sign = -1 if m.group("sign") == "-" else 1
         coef = _parse_fraction(m.group("coef"), path, lineno) if m.group("coef") else 1
-        if m.group("exp1") is not None:
-            exp = int(m.group("exp1"))
-        elif m.group("exp2") is not None:
-            exp = int(m.group("exp2"))
-        elif m.group("coef") and "*" not in tok[pos:m.end()]:
-            exp = 0
-        else:
-            exp = 1 if "w" in tok[pos:m.end()] else 0
-        val = val + Cyc5.omega(exp) * (sign * coef)
+        # a term without ^e is w^1 when it holds a w, else w^0
+        exp = m.group("exp1") or m.group("exp2") or int("w" in m.group(0))
+        val = val + Cyc5.omega(int(exp)) * (sign * coef)
         pos = m.end()
     return val
 

@@ -3,8 +3,8 @@ root-of-unity actions, invariance of defining polynomials, dihedral
 relations in PGL, fixed loci and fixed-point counts, moduli arithmetic.
 
 Polynomials are dicts {exponent tuple: Cyc5 coefficient}; projective maps
-are square matrices over Q(w), stored as their nonzero entries row by row,
-and every linear solve is a cyclo.rref.
+are square matrices over Q(w), stored as their nonzero entries row by row;
+a monomial map inverts from its entries, and fixed loci solve by cyclo.rref.
 """
 
 from collections import Counter
@@ -12,6 +12,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from . import cyclo
 from .cyclo import Cyc5
@@ -88,8 +89,7 @@ def _nvars_of(p):
 
 def poly_substitute(p, linear_forms):
     """Substitute variable i by linear_forms[i], a poly in the new variables."""
-    out = {}
-    cache = {}
+    out, cache = {}, {}
     for exps, c in p.items():
         term = None
         for i, e in enumerate(exps):
@@ -156,9 +156,7 @@ def is_invariant_family(family):
     """(True, common weight) iff all monomials carry one w-weight mod 5,
     so the hypersurface (defined up to scalar) is preserved."""
     ws = {sigma_weight(m, family.weights) for m in family.monomials}
-    if len(ws) == 1:
-        return True, ws.pop()
-    return False, None
+    return (True, ws.pop()) if len(ws) == 1 else (False, None)
 
 
 # --- projective maps ------------------------------------------------------
@@ -216,13 +214,18 @@ class ProjectiveMap:
         return _set_map(object.__new__(ProjectiveMap), tuple(nzs))
 
     def inverse(self):
-        n = self.size
-        aug = [list(r) + [Cyc5.one() if i == j else Cyc5.zero() for j in range(n)]
-               for i, r in enumerate(self.matrix)]
-        red, pivots = cyclo.rref(aug, n)
-        if pivots != list(range(n)):
-            raise FamilyError("projective map is singular")
-        return ProjectiveMap([row[n:] for row in red])
+        """The inverse of a monomial map, read off its nonzeros with no solve:
+        row i, one nonzero c in column j, gives row j of the inverse, c^-1 in
+        column i.  An empty row or a repeated column raises FamilyError as
+        singular, and a row of two or more nonzeros raises it naming the map."""
+        rows = [None] * self.size
+        for i, nz in enumerate(self.nonzeros):
+            if len(nz) > 1:
+                raise FamilyError("inverse takes a monomial map, not %r" % (self,))
+            if not nz or rows[nz[0][0]]:
+                raise FamilyError("projective map is singular")
+            rows[nz[0][0]] = ((i, nz[0][1].inv()),)
+        return _set_map(object.__new__(ProjectiveMap), tuple(rows))
 
     def is_scalar(self):
         first = self.nonzeros[0]
@@ -403,29 +406,15 @@ def sylvester_resultant(p, q, var):
     def coeffs_in(poly):
         by_deg = {}
         for exps, c in poly.items():
-            e = exps[var]
-            rest = tuple(x for i, x in enumerate(exps) if i != var)
-            _accumulate(by_deg.setdefault(e, {}), rest, c)
+            _accumulate(by_deg.setdefault(exps[var], {}), exps[:var] + exps[var + 1:], c)
         return by_deg
 
     cp, cq = coeffs_in(p), coeffs_in(q)
     dp, dq = max(cp), max(cq)
-    nrest = len(next(iter(p))) - 1
-    zero = {}
-    one = {tuple([0] * nrest): Cyc5.one()}
-
-    def coef(c, d):
-        return c.get(d, zero)
-
-    size = dp + dq
-    rows = []
-    for i in range(dq):
-        rows.append([coef(cp, dp - (j - i)) if 0 <= j - i <= dp else zero
-                     for j in range(size)])
-    for i in range(dp):
-        rows.append([coef(cq, dq - (j - i)) if 0 <= j - i <= dq else zero
-                     for j in range(size)])
-    return _poly_det(rows, one)
+    # the Sylvester matrix: dq shifted rows of p's coefficients, then dp of q's
+    rows = [[c.get(d - j + i, {}) if 0 <= j - i <= d else {} for j in range(dp + dq)]
+            for c, d, shifts in ((cp, dp, dq), (cq, dq, dp)) for i in range(shifts)]
+    return _poly_det(rows, {tuple([0] * (len(next(iter(p))) - 1)): Cyc5.one()})
 
 
 def _poly_det(rows, one, terms=None):
@@ -451,13 +440,30 @@ def _poly_det(rows, one, terms=None):
     return out
 
 
+# The (k, m) of the unimodular parameter bases (1, k, m), (0, 1, 0), (0, 0, 1)
+# that plane_fixed_count may take, identity first; each puts (1 : k : m) at (1 : 0 : 0).
+_SHEARS = sorted(product(range(-2, 3), repeat=2), key=lambda km: abs(km[0]) + abs(km[1]))
+
+
 def plane_fixed_count(polys, plane_rows):
     """Count, with multiplicity, common zeros of two curves on a plane
-    (3-parameter subspace) by the degree of their resultant."""
+    (3-parameter subspace) by the degree of their resultant in parameter 0,
+    or None when it vanishes (the curves share a component).  That resultant
+    drops a common zero at (1 : 0 : 0), so the plane is first re-parametrised
+    by the first of _SHEARS that puts there a point off one curve: a curve of
+    degree d misses (1 : 0 : 0) iff it has a term s0^d."""
     if len(polys) != 2 or len(plane_rows) != 3:
         raise FamilyError("plane_fixed_count takes two polynomials and a plane")
-    res = sylvester_resultant(*(restrict_to_subspace(p, plane_rows) for p in polys), 0)
-    return poly_total_degree(res) if res else None  # None: the curves share a component
+    curves = [restrict_to_subspace(p, plane_rows) for p in polys]
+    if not all(curves):
+        return None
+    for k, m in _SHEARS:
+        sheared = [restrict_to_subspace(c, [(1, k, m), (0, 1, 0), (0, 0, 1)])
+                   for c in curves] if k or m else curves
+        if any((poly_total_degree(c), 0, 0) in c for c in sheared):
+            res = sylvester_resultant(*sheared, 0)
+            return poly_total_degree(res) if res else None
+    raise FamilyError("plane_fixed_count: both curves hold every (1 : k : m), |k|, |m| <= 2")
 
 
 def fixed_point_count(forms, iota):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import io
 import os
 import random
 import re
@@ -118,11 +119,13 @@ def test_restrict_and_count():
     assert restrict_and_count(p2, line2) is None
 
 
-def test_fixed_point_count_on_the_catalog_samples():
+def test_fixed_point_count_on_the_catalog_samples(monkeypatch):
     # the quartic's iota has two eigenlines, each meeting X in 4 points;
     # ci-p4's has an eigenplane (quadric and cubic meet in 6 points) and
-    # an eigenline on which the cubic vanishes and the quadric leaves 2
+    # an eigenline on which the cubic vanishes and the quadric leaves 2;
+    # its curves miss (1 : 0 : 0) of the plane, so it needs no shear
     from latkit import catalog
+    monkeypatch.setattr(k3fam, "_SHEARS", [(0, 0)])
     for case in (catalog.quartic_p3(), catalog.ci_p4()):
         assert fixed_point_count(case.forms, case.iota) == 8
 
@@ -181,6 +184,22 @@ def test_plane_fixed_count_bezout():
     cubic = poly_from_terms([((3, 0, 0), 1), ((0, 3, 0), 1), ((0, 0, 3), 2)])
     assert plane_fixed_count((conic, cubic), plane) == 6
     assert plane_fixed_count((conic, poly_mul(conic, conic)), plane) is None
+
+
+def test_plane_fixed_count_through_the_first_parameter_point():
+    # both curves pass through (1 : 0 : 0), which the resultant in
+    # parameter 0 drops unless the plane is sheared first: Bezout's 4 (not
+    # 3) for two conics, and None (not 2) for curves sharing the line x1 = 0
+    plane = [tuple(one if i == j else Cyc5.zero() for j in range(3)) for i in range(3)]
+    cases = [
+        ([((1, 1, 0), 1), ((0, 0, 2), 1)], [((1, 0, 1), 1), ((0, 2, 0), 1)], 4),
+        ([((0, 1, 1), 1)], [((1, 1, 0), 1), ((0, 1, 1), 1)], None),
+        # conics through the three coordinate points and (1 : -2 : -2)
+        ([((1, 1, 0), 1), ((0, 1, 1), 1), ((1, 0, 1), 1)],
+         [((1, 1, 0), 1), ((0, 1, 1), 2), ((1, 0, 1), 3)], 4),
+    ]
+    for p, q, count in cases:
+        assert plane_fixed_count((poly_from_terms(p), poly_from_terms(q)), plane) == count
 
 
 def test_commutant_dim():
@@ -248,6 +267,27 @@ def test_catalog_cases_are_consistent():
             assert case.commutant_of == diagonal_map([Cyc5.omega(k) for k in fam.weights])
 
 
+def _is_monomial(m):
+    """One nonzero per row, in columns that form a permutation."""
+    return (all(len(nz) == 1 for nz in m.nonzeros)
+            and sorted(nz[0][0] for nz in m.nonzeros) == list(range(m.size)))
+
+
+def test_catalog_maps_are_monomial():
+    # ProjectiveMap.inverse reads monomial maps alone, so every sigma, iota
+    # and base_iota of the k3 cases, faults included, must be one
+    from latkit import catalog
+    builders = [b for name, b in catalog.BUILDERS.items() if name.startswith("k3:")]
+    faults = [b for fault in catalog.FAULTS.values()
+              for name, b in fault.items() if name.startswith("k3:")]
+    assert (len(builders), len(faults)) == (4, 3)
+    for build in builders + faults:
+        case = build(None)
+        for m in (case.sigma, case.iota, case.base_iota):
+            assert m is None or _is_monomial(m)
+    assert sum(build(None).base_iota is not None for build in builders) == 1
+
+
 # --- oracle: the ref_* functions compute on the Fraction Q(w) arithmetic
 # and field-generic Gauss-Jordan of tests/cyclo_ref.py alone ------------
 
@@ -282,26 +322,45 @@ def ref_commutant_dim(a):
     return len(ref_kernel(rows, n * n))
 
 
+def _ref_inverse(a):
+    """The inverse of the square rows a, read from the reference rref of
+    [a | I] as a ProjectiveMap, or None when a is singular."""
+    n = len(a)
+    aug = [list(row) + [one if i == j else Cyc5.zero() for j in range(n)]
+           for i, row in enumerate(a)]
+    red, pivots = ref_rref(aug, n)
+    if pivots != list(range(n)):
+        return None
+    return ProjectiveMap(from_ref_matrix([row[n:] for row in red]))
+
+
 def test_inverse_and_commutant_match_reference():
+    # inverse reads maps with one nonzero per row alone (most are 1 x 1),
+    # and a repeated column makes them singular; any other map raises
+    # FamilyError, as singular or as not monomial, though the reference
+    # inverts it when it is not singular
     rng = random.Random(41)
-    singular = 0
+    singular = monomial = 0
     for case in range(80):
         n = rng.randint(1, 4)
         a = _rand_cyc_matrix(rng, n, case % 2 == 0)
-        aug = [row + [one if i == j else Cyc5.zero() for j in range(n)]
-               for i, row in enumerate(a)]
-        red, pivots = ref_rref(aug, n)
-        if pivots != list(range(n)):
-            singular += 1
-            with pytest.raises(FamilyError, match="singular"):
-                ProjectiveMap(a).inverse()
+        m, inv = ProjectiveMap(a), _ref_inverse(a)
+        singular += inv is None
+        if all(len(nz) == 1 for nz in m.nonzeros):
+            monomial += inv is not None
+            if inv is None:
+                with pytest.raises(FamilyError, match="singular"):
+                    m.inverse()
+            else:
+                assert m.inverse() == inv
         else:
-            inv = ProjectiveMap(a).inverse()
-            assert inv == ProjectiveMap(from_ref_matrix([row[n:] for row in red]))
+            with pytest.raises(FamilyError, match="singular|inverse takes a monomial map"):
+                m.inverse()
+            assert inv is None or m * inv == diagonal_map([1] * n)
         if n <= 3:
             d = diagonal_map([a[i][i] for i in range(n)])
             assert commutant_dim(d) == ref_commutant_dim(d.matrix)
-    assert singular >= 8
+    assert singular >= 8 and monomial >= 10
 
 
 def _conjugated_diagonals():
@@ -312,11 +371,12 @@ def _conjugated_diagonals():
     while len(out) < 40:
         n = rng.randint(2, 6)
         p = ProjectiveMap(_rand_cyc_matrix(rng, n, len(out) % 2 == 0))
-        if len(ref_rref(p.matrix, n)[1]) < n:
+        pinv = _ref_inverse(p.matrix)
+        if pinv is None:
             continue
         values = rng.sample([w(k) * s for k in range(5) for s in (1, -1)], rng.randint(1, 4))
         eig = [rng.choice(values) for _ in range(n)]
-        out.append((p * diagonal_map(eig) * p.inverse(), eig))
+        out.append((p * diagonal_map(eig) * pinv, eig))
     return out
 
 
@@ -429,6 +489,60 @@ def _count_products_and_solves(monkeypatch):
     monkeypatch.setattr(Cyc5, "__mul__", counting_mul)
     monkeypatch.setattr(k3fam.cyclo, "rref", counting_rref)
     return calls
+
+
+def _rand_monomial(rng, n):
+    """(rows, cols, entries) of a random diagonal or signed-permutation map:
+    entries +-w^k, or random nonzero Cyc5 values with denominators."""
+    cols = list(range(n)) if rng.random() < 0.5 else rng.sample(range(n), n)
+    pool = TEN_ROOTS if rng.random() < 0.5 else None
+    entries = []
+    while len(entries) < n:
+        x = rng.choice(pool) if pool else _rand_cyc(rng, rng.random() < 0.3)
+        if x:
+            entries.append(x)
+    rows = [[entries[i] if j == cols[i] else Cyc5.zero() for j in range(n)] for i in range(n)]
+    return rows, cols, entries
+
+
+def test_monomial_inverse_matches_reference(monkeypatch):
+    # the inverse of a monomial map is its inverse permutation with each
+    # entry inverted: no solve, and the reference rref of [M | I] agrees
+    rng = random.Random(113)
+    maps = []
+    for case in range(60):
+        rows, cols, entries = _rand_monomial(rng, rng.randint(1, 6))
+        m = diagonal_map(entries) if cols == sorted(cols) else permutation_map(cols, entries)
+        assert m == ProjectiveMap(rows)
+        maps.append((m, _ref_inverse(rows)))
+    assert sum(any(x.d > 1 for nz in m.nonzeros for _, x in nz) for m, _ in maps) >= 10
+    assert sum(m.size > 1 and m.nonzeros[0][0][0] != 0 for m, _ in maps) >= 10
+    calls = _count_products_and_solves(monkeypatch)
+    for m, inv in maps:
+        assert m.inverse() == inv
+        assert m * m.inverse() == m.inverse() * m == diagonal_map([1] * m.size)
+    assert "rref" not in calls
+
+
+def test_inverse_refuses_singular_and_dense_maps():
+    z = Cyc5.zero()
+    with pytest.raises(FamilyError, match="projective map is singular"):
+        ProjectiveMap([[one, z, z], [z, z, z], [z, z, w(2)]]).inverse()   # zero row
+    with pytest.raises(FamilyError, match="projective map is singular"):
+        ProjectiveMap([[z, one, z], [z, w(1), z], [z, z, one]]).inverse()  # column 1 twice
+    with pytest.raises(FamilyError, match=r"inverse takes a monomial map, not "
+                                          r"ProjectiveMap\(matrix="):
+        ProjectiveMap([[one, z, z], [z, one, w(3)], [z, z, one]]).inverse()
+    assert _ref_inverse([[one, z, z], [z, one, w(3)], [z, z, one]]) is not None
+
+
+def test_k3_repro_pass_solves_only_the_fixed_loci(monkeypatch):
+    # conjugation-scalar and cover-relation invert monomial maps with no
+    # solve; the three fixed_locus calls make two eliminations each
+    from latkit import cli
+    calls = _count_products_and_solves(monkeypatch)
+    assert cli.main(["repro", "--filter", "k3", "--json"], io.StringIO()) == 0
+    assert calls.count("rref") == 6
 
 
 def test_commutant_dim_of_diagonals_beyond_order_ten(monkeypatch):
@@ -789,7 +903,8 @@ def test_dihedral_in_pgl_matches_reference():
     while len(answers) < 60:
         n = rng.randint(2, 5)
         p = ProjectiveMap(_rand_cyc_matrix(rng, n, len(answers) % 2 == 0))
-        if len(ref_rref(p.matrix, n)[1]) < n:
+        pinv = _ref_inverse(p.matrix)
+        if pinv is None:
             continue
         perm = list(range(n))
         idx = rng.sample(range(n), n)
@@ -803,7 +918,6 @@ def test_dihedral_in_pgl_matches_reference():
                 if i > perm[i]:
                     a[i] = (c - a[i]) % 5
         s = rng.choice((1, -1))
-        pinv = p.inverse()
         sigma = p * diagonal_map([w(x) * s for x in a]) * pinv
         iota = p * permutation_map(perm) * pinv
         got = dihedral_in_pgl(sigma, iota)
