@@ -2,11 +2,13 @@
 
 An element is four int numerators n on the power basis {1, w, w^2, w^3}
 over one positive int denominator d, in lowest terms (zero is 0/1); w^4 is
-eliminated through 1 + w + w^2 + w^3 + w^4 = 0, so == and hash compare
-(n, d).  +, - and * run on ints and take a gcd only when d is not 1.
-Fractions appear only in the constructor from rationals and repr.  Values
-are immutable.  rref solves over Q(w) with ratmat's fraction-free
-elimination on the int power-basis expansion of the rows.
+eliminated through 1 + w + w^2 + w^3 + w^4 = 0, so == compares (n, d),
+and so does hash except on a rational element, which hashes as the int or
+Fraction it equals.  +, - and * run on ints and take a gcd only when d is
+not 1.  Fractions appear only in the constructor from rationals, repr and
+the hash of a rational that is not an int.  Values are immutable.  rref
+solves over Q(w) with ratmat's fraction-free elimination on the int
+power-basis expansion of the rows.
 """
 
 from fractions import Fraction
@@ -82,7 +84,10 @@ class Cyc5:
         return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.n, self.d))
+        n, d = self.n, self.d
+        if n[1] or n[2] or n[3]:
+            return hash((n, d))
+        return hash(n[0] if d == 1 else Fraction(n[0], d))
 
     def __neg__(self):
         a = self.n
@@ -144,18 +149,6 @@ class Cyc5:
         c = self.conj(2) * self.conj(3) * self.conj(4)
         norm = self * c
         return _make(tuple(x * norm.d for x in c.n), c.d * norm.n[0])
-
-    def __pow__(self, k):
-        if k < 0:
-            raise CycloError("negative power of a Cyc5: use inv()")
-        out = Cyc5.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __repr__(self):
         terms = []

@@ -11,7 +11,8 @@ Family files:
     weights w0 ... w_{n-1}
     mono e0 ... e_{n-1}   (one line per monomial)
     map NAME              (optional, followed by n rows of n Q(w) tokens)
-Q(w) tokens look like 1, -2/3, w, w^2, 1+w-3*w^3.
+Q(w) tokens look like 1, -2/3, w, w^2, 1+w-3*w^3: every term after the
+first starts with + or -, so 1w, ww and w2 are errors.
 """
 
 import re
@@ -108,13 +109,13 @@ _TERM_RE = re.compile(
 
 
 def parse_cyc5(tok, path="<token>", lineno=0):
-    """Parse one Q(w) token like '1+w-3/2*w^2'."""
+    """Parse one Q(w) token like '1+w-3/2*w^2', each later term signed."""
     pos = 0
     val = Cyc5.zero()
     tok = tok.strip()
     while pos < len(tok):
         m = _TERM_RE.match(tok, pos)
-        if not m or m.end() == pos:
+        if not m or m.end() == pos or (pos and not m.group("sign")):
             raise ParseError(path, lineno, "bad Q(w) token %r" % tok)
         sign = -1 if m.group("sign") == "-" else 1
         coef = _parse_fraction(m.group("coef"), path, lineno) if m.group("coef") else 1

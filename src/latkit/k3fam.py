@@ -195,17 +195,12 @@ class ProjectiveMap:
     def __mul__(self, other):
         """Matrix product over Q(w), row by row: row i of AB is the sum over
         the nonzeros a_ik of a_ik times row k of B, so a diagonal or
-        permutation factor costs n products.  A row with one nonzero is a
-        nonzero multiple of one row of B (Q(w) is a field); longer rows add
-        up by column, drop any sum that cancels and sort by column."""
+        permutation factor costs n products; the sums are added up by
+        column, dropped where they cancel and sorted by column."""
         if other.size != self.size:
             raise FamilyError("projective maps of sizes %d and %d" % (self.size, other.size))
         b, nzs = other.nonzeros, []
         for nz in self.nonzeros:
-            if len(nz) == 1:
-                (k, x), = nz
-                nzs.append(tuple([(j, x * y) for j, y in b[k]]))
-                continue
             row = {}
             for k, x in nz:
                 for j, y in b[k]:
@@ -233,17 +228,13 @@ class ProjectiveMap:
                                        for i, nz in enumerate(self.nonzeros))
 
     def power(self, k):
-        """self^k (k >= 0) by repeated squaring: sigma^5 = sigma (sigma^2)^2."""
+        """self^k (k >= 0) as k - 1 products, the identity map at k = 0."""
         if k < 0:
             raise FamilyError("negative power %d of a projective map" % k)
-        out, base = None, self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return diagonal_map([Cyc5.one()] * self.size) if out is None else out
+        out = self if k else diagonal_map([Cyc5.one()] * self.size)
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
 
 _ZERO = Cyc5.zero()
@@ -350,8 +341,8 @@ def dihedral_in_pgl(sigma, iota):
         pi, c = zip(*(nz[0] for nz in iota.nonzeros))
         return (all(pi[p] == i for i, p in enumerate(pi))
                 and len({c[i] * c[p] for i, p in enumerate(pi)}) == 1
-                and len(set(s)) > 1
-                and set(s) <= {x * s[0] for x in _FIFTH_ROOTS}
+                and len(values := set(s)) > 1
+                and values <= {x * s[0] for x in _FIFTH_ROOTS}
                 and len({s[i] * s[p] for i, p in enumerate(pi)}) == 1)
     if not iota.power(2).is_scalar():
         return False
@@ -501,14 +492,11 @@ def commutant_dim(sigma):
 def moduli_count(params, commutant, redundancy=0):
     """Moduli of a family of invariant complete intersections.
 
-    params: coefficient count of the single form, or a sequence of counts
-    (one per defining form).  Each form loses one dimension to scaling;
-    the commutant of the diagonal action acts with a 1-dimensional
-    ineffective scalar; redundancy removes extra coefficient directions
-    that give the same intersection.
+    params: the coefficient counts, one per defining form.  Each form loses
+    one dimension to scaling; the commutant of the diagonal action acts
+    with a 1-dimensional ineffective scalar; redundancy removes extra
+    coefficient directions that give the same intersection.
     """
-    if isinstance(params, int):
-        params = [params]
     return sum(p - 1 for p in params) - (commutant - 1) - redundancy
 
 

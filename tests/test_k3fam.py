@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import io
+import math
 import os
 import random
 import re
@@ -215,7 +216,7 @@ def test_commutant_dim():
 
 
 def test_moduli_count():
-    assert moduli_count(7, 4, 0) == 3
+    assert moduli_count([7], 4, 0) == 3
     assert moduli_count([3, 7], 5, 1) == 3
     # three forms with a doubled eigenvalue in the diagonal action:
     # (5-1)+(4-1)+(4-1) - (8-1) = 3
@@ -543,6 +544,34 @@ def test_k3_repro_pass_solves_only_the_fixed_loci(monkeypatch):
     calls = _count_products_and_solves(monkeypatch)
     assert cli.main(["repro", "--filter", "k3", "--json"], io.StringIO()) == 0
     assert calls.count("rref") == 6
+
+
+def test_map_products_run_only_where_claims_need_them(monkeypatch):
+    # a k3 repro pass makes 11 map products: iota^2 (one product each, in
+    # fixed_locus and swap_check) and the conjugation-scalar and
+    # cover-relation claims; the families workload's map op makes none
+    from latkit import cli
+    products, powers = [], []
+    real_mul, real_power = ProjectiveMap.__mul__, ProjectiveMap.power
+    monkeypatch.setattr(ProjectiveMap, "__mul__",
+                        lambda a, b: products.append(1) or real_mul(a, b))
+    monkeypatch.setattr(ProjectiveMap, "power",
+                        lambda a, k: powers.append(k) or real_power(a, k))
+    assert cli.main(["repro", "--filter", "k3", "--json"], io.StringIO()) == 0
+    assert len(products) == 11 and powers and set(powers) == {2}
+    products.clear()
+    powers.clear()
+    rng = random.Random(157)
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        perm = list(range(n))
+        for i, j in zip(*[iter(rng.sample(range(n), n))] * 2):
+            perm[i], perm[j] = j, i
+        sigma = diagonal_map([w(rng.randrange(5)) for _ in range(n)])
+        commutant_dim(sigma)
+        dihedral_in_pgl(sigma, permutation_map(perm))
+    assert dihedral_in_pgl(diagonal_map([one, w(1), w(4)]), permutation_map([0, 2, 1]))
+    assert products == [] and powers == []
 
 
 def test_commutant_dim_of_diagonals_beyond_order_ten(monkeypatch):
@@ -1034,8 +1063,10 @@ def test_dihedral_in_pgl_of_monomial_pairs_matches_reference(monkeypatch):
         seen.update({failed, "closed" * closed, "oracle" * (weights is not None),
                      "n = 1" * (sigma.size == 1), "zero entry" * (not all(sigma.nonzeros)),
                      "non-involution" * any(pi[p] != i for i, p in enumerate(pi)),
-                     "non-unit sigma" * any(x ** 10 != one for nz in sigma.nonzeros for _, x in nz),
-                     "non-unit iota" * any(x ** 10 != one for nz in iota.nonzeros for _, x in nz)})
+                     "non-unit sigma" * any(math.prod([x] * 10) != one
+                                            for nz in sigma.nonzeros for _, x in nz),
+                     "non-unit iota" * any(math.prod([x] * 10) != one
+                                           for nz in iota.nonzeros for _, x in nz)})
     assert seen[None] >= 15 and seen["closed"] >= 200 and seen["oracle"] >= 20
     assert all(seen[k] for k in ("sizes", "iota^2", "sigma scalar", "sigma^5", "relation",
                                  "n = 1", "zero entry", "non-involution", "non-unit sigma",
@@ -1095,35 +1126,28 @@ def test_projective_maps_store_only_their_nonzeros(monkeypatch):
     # no map on the families path (monomial maps, products, powers, the
     # dihedral test and the commutant of a diagonal map) ever builds it
     assert [f.name for f in dataclasses.fields(ProjectiveMap)] == ["nonzeros"]
-    products, bools = [], []
-    real_mul, real_bool = ProjectiveMap.__mul__, Cyc5.__bool__
+    products = []
+    real_mul = ProjectiveMap.__mul__
 
     def recording_mul(a, b):
         products.append(real_mul(a, b))
         return products[-1]
 
-    def counting_bool(x):
-        bools.append(1)
-        return real_bool(x)
-
     monkeypatch.setattr(ProjectiveMap, "__mul__", recording_mul)
     sigma = diagonal_map([one, w(1), w(2), w(3), w(4)])
     iota = permutation_map([0, 4, 3, 2, 1], [one, -one, w(2), -one, w(3)])
     maps = [sigma, iota, sigma.power(0)]
-    monkeypatch.setattr(Cyc5, "__bool__", counting_bool)
     maps += [sigma * iota, iota * sigma, sigma.power(5), iota.power(2)]
-    assert bools == []          # a one-nonzero row times a row is never zero-tested
-    monkeypatch.setattr(Cyc5, "__bool__", real_bool)
     involution = permutation_map([0, 4, 3, 2, 1])
-    # sigma * iota, iota * sigma, three for sigma^5 and one for iota^2; the
+    # sigma * iota, iota * sigma, four for sigma^5 and one for iota^2; the
     # dihedral test of a diagonal sigma and a monomial iota adds none
-    assert len(products) == 6
+    assert len(products) == 7
     assert not dihedral_in_pgl(sigma, iota) and dihedral_in_pgl(sigma, involution)
-    assert len(products) == 6
-    # a zero entry of sigma takes the products: iota^2, then sigma^5 in three
+    assert len(products) == 7
+    # a zero entry of sigma takes the products: iota^2, then sigma^5 in four
     singular = diagonal_map([1, 0, 0, w(1), 1])
     assert not dihedral_in_pgl(singular, involution)
-    assert len(products) == 10
+    assert len(products) == 12
     assert commutant_dim(sigma) == 5 and commutant_dim(diagonal_map([1, 0, 0, w(1)])) == 6
     assert all("matrix" not in vars(m) for m in maps + products + [involution, singular])
     # even a map built from dense rows keeps only its nonzeros; the view is
