@@ -29,7 +29,7 @@ from .lattice import (
 )
 from .ratmat import (
     MatrixError, clear_denominators, det, divide_exact, identity, mat_mul, mat_vec,
-    scaled_inverse, transpose,
+    scaled_inverse, transpose, vec_dot,
 )
 
 
@@ -566,8 +566,15 @@ def _h_invariant_matches(c):
 
 
 def _dihedral_relation(c):
+    """h g h^-1 g = 1 as g h g = h, which needs no inverse."""
     g, h = c.isometries["g"], c.isometries["h"]
-    return (h * g * h.inverse() * g).is_identity()
+    return (g * h * g).matrix == h.matrix
+
+
+def _norm(lat, v):
+    """v G v^T for a rational v, on ints over the square of v's denominator."""
+    (w,), d = clear_denominators([v])
+    return Fraction(vec_dot(w, mat_vec(lat.gram, w)), d * d)
 
 
 def _g2h_minus_on_f(c):
@@ -583,9 +590,9 @@ CLAIMS = (
     Claim("L/disc-group", "L/discriminant", (5, 5, 5, 5),
           lambda factors: factors, ("factors:L",)),
     Claim("L/mu-self", "L/glue-vectors", -4,
-          lambda L: L.base_lattice.norm_of(L.base_vectors["mu"]), ("L",)),
+          lambda L: _norm(L.base_lattice, L.base_vectors["mu"]), ("L",)),
     Claim("L/nu-self", "L/glue-vectors", -4,
-          lambda L: L.base_lattice.norm_of(L.base_vectors["nu"]), ("L",)),
+          lambda L: _norm(L.base_lattice, L.base_vectors["nu"]), ("L",)),
     Claim("L/rootless", "L/short-vectors", 0, lambda sv: len(sv.vectors), ("sv:L",)),
     Claim("L/minimum", "L/short-vectors", 4,
           lambda L, sv: _minimum_from(L.lattice, sv), ("L", "sv:L")),

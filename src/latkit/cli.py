@@ -10,6 +10,7 @@ import json
 import sys
 
 from . import catalog, k3fam, shortvec
+from .cyclo import Cyc5
 from .files import ParseError, parse_family_file, parse_lattice_file
 from .lattice import (
     CapExceeded, LatticeError, discriminant_group, invariant_factors, make_lattice, overlattice,
@@ -106,21 +107,20 @@ def cmd_overlattice(args, out):
 def cmd_family(args, out):
     ff = parse_family_file(args.file)
     ok, weight = k3fam.is_invariant_family(ff.family)
-    results = [{
-        "id": "family/invariant", "expected": "True",
-        "computed": str(ok), "pass": ok, "millis": 0.0,
-    }, {
-        "id": "family/weight",
-        "value": str(weight) if weight is not None else "mixed",
-    }]
-    exit_code = EXIT_OK if ok else EXIT_FAIL
-    if "sigma" in ff.maps and "iota" in ff.maps:
-        dih = k3fam.dihedral_in_pgl(ff.maps["sigma"], ff.maps["iota"])
-        results.append({"id": "family/dihedral", "expected": "True",
-                        "computed": str(dih), "pass": dih, "millis": 0.0})
-        if not dih:
-            exit_code = EXIT_FAIL
-    return _emit(args, "family %s" % args.file, results, out, exit_code)
+    sigma, iota = ff.maps.get("sigma"), ff.maps.get("iota")
+    checks = [("family/invariant", ok)]
+    if sigma is not None:
+        # sigma must generate the group of diag(w^a_i), a_i the weights, in PGL
+        checks.append(("family/sigma-matches-weights", any(k3fam.pgl_equal(
+            sigma, k3fam.diagonal_map([Cyc5.omega(k * a) for a in ff.family.weights]))
+            for k in range(1, 5))))
+    if sigma is not None and iota is not None:
+        checks.append(("family/dihedral", k3fam.dihedral_in_pgl(sigma, iota)))
+    results = [{"id": cid, "expected": "True", "computed": str(c), "pass": c, "millis": 0.0}
+               for cid, c in checks]
+    results.insert(1, {"id": "family/weight", "value": str(weight) if ok else "mixed"})
+    return _emit(args, "family %s" % args.file, results, out,
+                 EXIT_OK if all(c for _, c in checks) else EXIT_FAIL)
 
 
 def cmd_repro(args, out):

@@ -8,7 +8,7 @@ row vector v the image has coordinates M . v^T.
 from dataclasses import dataclass
 
 from .ratmat import (
-    MatrixError, det, divide_exact, identity, int_kernel, mat_mul, mat_vec, scaled_inverse,
+    MatrixError, divide_exact, identity, int_kernel, mat_mul, mat_vec, scaled_inverse,
     to_int, transpose,
 )
 from .lattice import CapExceeded, LatticeError, sublattice
@@ -23,22 +23,6 @@ ORDER_BUDGET = 1000
 CLOSURE_BUDGET = 10_000
 
 
-def _product(a, b):
-    """The product a b of square int matrices as a tuple of tuples: row i
-    adds x times row k of b for each nonzero x = a[i][k], over the
-    nonzeros of that row."""
-    b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * len(row)
-        for x, nonzeros in zip(row, b):
-            if x:
-                for j, y in nonzeros:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Isometry:
     lattice: object
@@ -47,7 +31,7 @@ class Isometry:
     def __mul__(self, other):
         if other.lattice != self.lattice:
             raise IsometryError("isometries live on different lattices")
-        return Isometry(self.lattice, _product(self.matrix, other.matrix))
+        return Isometry(self.lattice, tuple(map(tuple, mat_mul(self.matrix, other.matrix))))
 
     def inverse(self):
         # the matrix is unimodular, so d = +-1 divides d M^-1 exactly
@@ -61,7 +45,8 @@ class Isometry:
 
 
 def make_isometry(lat, matrix):
-    """Validate M^T G M = G; on failure the error carries the Gram defect."""
+    """Validate M^T G M = G; on failure the error carries the Gram defect.
+    That gives det(M)^2 = 1 when det G != 0, so a degenerate G is refused."""
     try:
         rows = [[to_int(x) for x in r] for r in matrix]
     except MatrixError as e:
@@ -69,13 +54,13 @@ def make_isometry(lat, matrix):
     n = lat.rank
     if len(rows) != n or any(len(r) != n for r in rows):
         raise IsometryError("isometry matrix must be %d x %d" % (n, n))
+    if lat.det == 0:
+        raise IsometryError("degenerate lattice: M^T G M = G does not make M unimodular")
     g = lat.gram
     lhs = mat_mul(mat_mul(transpose(rows), g), rows)
     defect = [[lhs[i][j] - g[i][j] for j in range(lat.rank)] for i in range(lat.rank)]
     if any(any(row) for row in defect):
         raise IsometryError("matrix does not preserve the Gram form; defect %s" % (defect,))
-    if abs(det(rows)) != 1:
-        raise IsometryError("isometry matrix is not unimodular")
     return Isometry(lat, tuple(tuple(r) for r in rows))
 
 
@@ -91,11 +76,14 @@ def order(iso):
 
 def disc_action_trivial(lat, iso):
     """True iff the isometry fixes every class of L*/L, i.e. (M - I) L* is
-    in L.  The columns of G^-1 generate L* in basis coordinates, so with
-    (B, d) = scaled_inverse(G), B = d G^-1, this is (M - I) B = 0 mod d."""
-    b, d = scaled_inverse(lat.gram)
+    in L.  With U G V = D the lattice's Smith form, G^-1 = V D^-1 U and U
+    is unimodular, so the columns v_i / d_i of V D^-1 generate L*, and the
+    test is (M - I) v_i = 0 mod d_i for each d_i > 1.  No inverse is taken."""
+    _, d, v = lat.smith
+    factors = [(i, row[i]) for i, row in enumerate(d) if row[i] > 1]
+    cols = [[row[i] for i, _ in factors] for row in v]
     moved = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(iso.matrix)]
-    return not any(x % d for row in mat_mul(moved, b) for x in row)
+    return not any(x % di for row in mat_mul(moved, cols) for x, (_, di) in zip(row, factors))
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,7 @@ def group_closure(gens):
         new = []
         for m in frontier:
             for g in gens:
-                prod = _product(m, g.matrix)
+                prod = tuple(map(tuple, mat_mul(m, g.matrix)))
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > CLOSURE_BUDGET:

@@ -46,6 +46,11 @@ class IntegralLattice:
         unless the lattice was built by _with_det."""
         return det(self.gram) if self.gram else 1
 
+    @cached_property
+    def smith(self):
+        """snf(gram) as (U, D, V), tuples of int tuples, computed on first read."""
+        return tuple(tuple(map(tuple, m)) for m in snf(self.gram))
+
     @property
     def rank(self):
         return len(self.gram)
@@ -60,9 +65,6 @@ class IntegralLattice:
 
     def pairing(self, u, v):
         return ratmat.vec_dot(mat_vec(self.gram, list(v)), list(u))
-
-    def norm_of(self, v):
-        return self.pairing(v, v)
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,8 @@ def rescale(lat, s):
 
 def invariant_factors(lat):
     """The invariant factors d_1 | d_2 | ... (each > 1) of L*/L = Z^n / G Z^n:
-    the diagonal entries above 1 of the Smith form of the Gram matrix."""
-    d = snf(lat.gram)[1]
+    the diagonal entries above 1 of the lattice's Smith form."""
+    d = lat.smith[1]
     return tuple(row[i] for i, row in enumerate(d) if row[i] > 1)
 
 

@@ -1,8 +1,8 @@
 """Exact dense linear algebra over the rationals and over Z.
 
-Matrices are any sequences of rows, copied before any write.  mat_mul,
-mat_vec and vec_dot are sums of map(mul, ...), so ints give ints and
-Fractions Fractions, and to_int converts one entry, an int first.
+Matrices are any sequences of rows, copied before any write.  mat_mul
+adds products of nonzeros only, mat_vec and vec_dot sum map(mul, ...); ints
+give ints, a Fraction term a Fraction, and to_int converts an int first.
 det, scaled_inverse (and inverse) and rref share one fraction-free
 elimination on ints, and signature and shortvec's Cholesky data share
 symmetric_elimination; the integer normal forms (snf, hnf_int) insist on
@@ -30,8 +30,21 @@ def transpose(a):
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise MatrixError("dimension mismatch in mat_mul")
-    bt = tuple(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = [[0] * (len(b[0]) if b else 0) for _ in a]
+    for row, acc in zip(a, out):
+        for x, nz in zip(row, nonzeros):
+            if x:
+                for j, y in nz:
+                    acc[j] += x * y
+    # a sum of the entries that is no int means a Fraction; entry (i, j) has
+    # a Fraction term, zero or not, iff row i of a or column j of b has one
+    if type(sum(map(sum, a)) + sum(map(sum, b))) is not int:
+        cols = {j for row in b for j, y in enumerate(row) if isinstance(y, Fraction)}
+        for row, acc in zip(a, out):
+            frac = any(isinstance(x, Fraction) for x in row)
+            acc[:] = [Fraction(x) if frac or j in cols else x for j, x in enumerate(acc)]
+    return out
 
 
 def mat_vec(a, v):

@@ -156,12 +156,12 @@ def test_11_property_suites():
         bound = rng.randint(1, 5)
         rep = shortvec.short_vectors(lat, bound)
         for vec, norm in rep.vectors:
-            ok = ok and lat.norm_of(vec) == norm and 0 < norm <= bound
+            ok = ok and lat.pairing(vec, vec) == norm and 0 < norm <= bound
         # spot check completeness against direct norms of small boxes
         from itertools import product
         seen = {v for v, _ in rep.vectors}
         for vec in product(range(-2, 3), repeat=n):
-            if any(vec) and lat.norm_of(vec) <= bound:
+            if any(vec) and lat.pairing(vec, vec) <= bound:
                 first = next(x for x in vec if x)
                 canon = vec if first > 0 else tuple(-x for x in vec)
                 ok = ok and canon in seen

@@ -43,8 +43,8 @@ def test_build_L_core_invariants(L, L_disc):
     assert lat.signature == (0, 16)
     assert L_disc.invariant_factors == (5, 5, 5, 5)
     # the glue vectors have self-pairing -4 in the base form
-    assert c.base_lattice.norm_of(c.base_vectors["mu"]) == -4
-    assert c.base_lattice.norm_of(c.base_vectors["nu"]) == -4
+    assert c.base_lattice.pairing(c.base_vectors["mu"], c.base_vectors["mu"]) == -4
+    assert c.base_lattice.pairing(c.base_vectors["nu"], c.base_vectors["nu"]) == -4
     # named vectors really lie in the new lattice (integer coordinates)
     for name, v in c.vectors.items():
         assert all(isinstance(x, int) for x in v), name
@@ -180,7 +180,7 @@ def _as_form(lat, lifts):
     """The lifts, each of order 2 in lat*/lat, as generators of a form."""
     return lattice.FiniteQuadraticForm(
         (2,) * len(lifts), tuple(lifts),
-        tuple(lat.norm_of(x) % 2 for x in lifts),
+        tuple(lat.pairing(x, x) % 2 for x in lifts),
         tuple(tuple(lat.pairing(x, y) % 1 for y in lifts) for x in lifts))
 
 
@@ -472,15 +472,24 @@ def test_readme_names_every_fault_in_order():
     assert first == sorted(first)
 
 
-def test_one_repro_pass_runs_at_most_29_eliminations(monkeypatch):
+def test_one_repro_pass_runs_18_eliminations(monkeypatch):
     # sublattice, overlattice, reflection_in_span and _half_unimodular
-    # reuse the dets they already have: 40 fraction-free eliminations per
-    # pass before, 29 now
-    from latkit import ratmat
-    calls = []
-    elim = ratmat._fraction_free
+    # reuse the dets they already have (40 fraction-free eliminations per
+    # pass before, 22 after); disc_action_trivial reads L's Smith form,
+    # dih10/relation checks g h g = h and make_isometry takes no det, which
+    # leaves 18.  The Smith forms are those of L, M_D5 and the Nikulin
+    # lattice, and only build_L and reflection_in_span take a scaled inverse
+    from latkit import isometry, ratmat
+    calls, snfs, inverses = [], [], []
+    elim, snf, scaled_inverse = ratmat._fraction_free, ratmat.snf, ratmat.scaled_inverse
     monkeypatch.setattr(ratmat, "_fraction_free",
                         lambda *a, **k: calls.append(1) or elim(*a, **k))
+    monkeypatch.setattr(lattice, "snf", lambda g: snfs.append(len(g)) or snf(g))
+    for mod in (ratmat, catalog, isometry):
+        monkeypatch.setattr(mod, "scaled_inverse", lambda a: inverses.append(
+            sys._getframe(1).f_code.co_name) or scaled_inverse(a))
     results = repro_all()
     assert len(results) == REPRO_CLAIMS and all(c.passed for c in results)
-    assert 0 < len(calls) <= 29
+    assert len(calls) == 18
+    assert snfs == [16, 8, 16]
+    assert inverses == ["build_L", "reflection_in_span"]

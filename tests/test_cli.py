@@ -123,7 +123,26 @@ def test_family_command(tmp_path):
     assert code == EXIT_OK
     assert "family/invariant" in text
     assert "family/dihedral" in text
+    assert "family/sigma-matches-weights" in text
     assert "FAIL" not in text
+
+
+def test_family_command_checks_sigma_against_the_weights(tmp_path):
+    # sigma^2 generates the same group as sigma, so it matches the weights
+    squared = FAMILY.replace("0 w^3 0 0\n0 0 w 0\n0 0 0 w^2", "0 w 0 0\n0 0 w^2 0\n0 0 0 w^4")
+    assert squared != FAMILY
+    code, text = run(["family", write(tmp_path, "sq.fam", squared), "--json"])
+    got = {r["id"]: r for r in json.loads(text)["results"]}
+    assert code == EXIT_OK and got["family/sigma-matches-weights"]["pass"] is True
+    # weights 0 0 name the trivial group, but diag(1, w) multiplies x0 x1^4
+    # by w^4 and fixes x0^5; the dihedral check alone passes
+    bad = ("vars 2\nweights 0 0\nmono 5 0\nmono 0 5\nmono 1 4\n"
+           "map sigma\n1 0\n0 w\nmap iota\n0 1\n1 0\n")
+    code, text = run(["family", write(tmp_path, "bad.fam", bad), "--json"])
+    got = {r["id"]: r["pass"] for r in json.loads(text)["results"] if "pass" in r}
+    assert code == EXIT_FAIL
+    assert got == {"family/invariant": True, "family/sigma-matches-weights": False,
+                   "family/dihedral": True}
 
 
 def test_family_command_fails_on_mixed_weights(tmp_path):

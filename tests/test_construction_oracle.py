@@ -65,7 +65,7 @@ def ref_overlattice(lat, glue):
                 raise GlueError(
                     "glue vector %d pairs non-integrally with basis vector %d "
                     "(value %s)" % (k, i, p))
-        self_pair = lat.norm_of(w)
+        self_pair = lat.pairing(w, w)
         if Fraction(self_pair).denominator != 1 or to_int(Fraction(self_pair)) % 2 != 0:
             raise GlueError(
                 "glue vector %d has self-pairing %s not in 2Z" % (k, self_pair))
@@ -315,7 +315,7 @@ def _half_vector_glue(rng):
     glue = []
     for _ in range(40):
         v = [Fraction(rng.randint(0, 1), 2) for _ in range(lat.rank)]
-        if lat.norm_of(v) % 2 or any(lat.pairing(v, w) % 1 for w in glue):
+        if lat.pairing(v, v) % 2 or any(lat.pairing(v, w) % 1 for w in glue):
             continue
         glue.append(v)
         if len(glue) == 4:

@@ -1,9 +1,9 @@
 """The integer-table fqf_isomorphic, the generator-only group_closure,
-the generator-stacked invariant_sublattice and disc_action_trivial on
-d G^-1 against the Fraction and closure versions they replaced, kept here
-as oracles: the same witnesses (or None) and node counts on seeded forms,
-the same closures, invariant bases and discriminant actions on Weyl
-groups, signed permutation groups and L's g, h.
+the generator-stacked invariant_sublattice and disc_action_trivial on the
+Smith form's V against the Fraction and closure versions they replaced,
+kept here as oracles: the same witnesses (or None) and node counts on
+seeded forms, the same closures, invariant bases and discriminant actions
+on Weyl groups, signed permutation groups, E8, M_D5 and L's g, h.
 Above order 4096 the old search answered None on isomorphic forms; the
 new one must give a valid witness or CapExceeded."""
 
@@ -14,15 +14,15 @@ from fractions import Fraction
 import pytest
 
 from fqf_ref import b_of, element_order, elements, q_of
-from latkit import isometry, lattice
+from latkit import catalog, isometry, lattice
 from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.isometry import (
-    CapExceeded, Isometry, IsometryError, _product, disc_action_trivial, group_closure,
+    CapExceeded, Isometry, IsometryError, disc_action_trivial, group_closure,
     invariant_sublattice, make_isometry,
 )
 from latkit.lattice import (
-    FiniteQuadraticForm, direct_sum, discriminant_group, fqf_isomorphic,
-    make_lattice, rescale,
+    FiniteQuadraticForm, IntegralLattice, direct_sum, discriminant_group, fqf_isomorphic,
+    invariant_factors, make_lattice, rescale,
 )
 from latkit.ratmat import det, identity, int_kernel, inverse, mat_mul, transpose
 
@@ -431,10 +431,15 @@ def test_infinite_group_hits_cap(monkeypatch):
         group_closure([pell])
 
 
+def dense_product(a, b):
+    """The product as sums of termwise products over every entry."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def test_product_matches_mat_mul(L):
-    # the product over nonzero entries against the dense mat_mul: every
-    # pair of elements of <g, h>, and the whole closure against the dense
-    # oracle's
+    # Isometry products (mat_mul over nonzeros) against the dense product:
+    # every pair of elements of <g, h>, and the whole closure against the
+    # dense oracle's
     lat = L[0].lattice
     g, h = L[0].isometries["g"], L[0].isometries["h"]
     closure = group_closure([g, h])
@@ -444,7 +449,7 @@ def test_product_matches_mat_mul(L):
         for b in elements:
             prod = a * b
             assert isinstance(prod, Isometry)
-            assert prod.matrix == tuple(map(tuple, mat_mul(a.matrix, b.matrix)))
+            assert prod.matrix == tuple(map(tuple, dense_product(a.matrix, b.matrix)))
     with pytest.raises(IsometryError):
         g * make_isometry(make_lattice([[2]]), [[1]])
 
@@ -457,11 +462,89 @@ def test_sparse_product_on_zero_rows_and_cancelling_entries():
         n = rng.randint(1, 9)
         u = unimodular(rng, n)
         u_inv = [[int(x) for x in row] for row in inverse(u)]
-        assert _product(u, u_inv) == tuple(map(tuple, identity(n)))
+        assert mat_mul(u, u_inv) == identity(n)
         holed = [row if rng.random() < 0.6 else [0] * n for row in u]
         holed = [[x if j % 3 != case % 3 else 0 for j, x in enumerate(row)]
                  for row in holed]
         for a, b in ((u, u_inv), (holed, u), (u_inv, holed), (holed, holed)):
-            got = _product(a, b)
-            assert [list(row) for row in got] == mat_mul(a, b)
+            got = mat_mul(a, b)
+            assert got == dense_product(a, b)
             assert all(type(x) is int for row in got for x in row)
+            # an isometry's tuple rows give the same product
+            assert mat_mul(tuple(map(tuple, a)), tuple(map(tuple, b))) == got
+
+
+# --- the Smith form, shared and read without an inverse ----------------------
+
+def test_disc_action_trivial_on_more_lattices(L, L_disc):
+    # rank 0, E8 (unimodular: every isometry acts trivially), M_D5 (factors
+    # 2, 2, 2, 2, 10, 10) and L under -I, g, h and g h, against the
+    # Fraction oracle on discriminant_group's lifts
+    zero = make_lattice([])
+    cases = [(zero, make_isometry(zero, []), True)]
+    e8 = std_gram("E8")
+    minus8 = make_isometry(e8, [[-(i == j) for j in range(8)] for i in range(8)])
+    cases += [(e8, reflection(e8, [int(i == k) for i in range(8)]), True) for k in range(8)]
+    cases += [(e8, minus8, True)]
+    md5 = build_MD5(build_nikulin()[0])
+    assert invariant_factors(md5) == (2, 2, 2, 2, 10, 10)
+    minus16 = [[-(i == j) for j in range(16)] for i in range(16)]
+    root = [0] * 16
+    root[5] = 1   # a root of the second A4(-1), of norm -2: x -> x + (x, r) r
+    g_root = [sum(a * r for a, r in zip(row, root)) for row in md5.gram]
+    s_root = [[(i == j) + root[i] * g_root[j] for j in range(16)] for i in range(16)]
+    cases += [(md5, make_isometry(md5, minus16), False),
+              (md5, make_isometry(md5, s_root), True)]
+    g, h = L[0].isometries["g"], L[0].isometries["h"]
+    lat = L[0].lattice
+    cases += [(lat, make_isometry(lat, minus16), False), (lat, g, True), (lat, h, True),
+              (lat, g * h, True)]
+    for lat_, iso, want in cases:
+        fqf = L_disc if lat_ is lat else discriminant_group(lat_)
+        assert ref_disc_action_trivial(iso.matrix, fqf) is want
+        assert disc_action_trivial(lat_, iso) is want
+
+
+def test_smith_runs_snf_once(monkeypatch):
+    calls = []
+    snf = lattice.snf
+    monkeypatch.setattr(lattice, "snf", lambda g: calls.append(1) or snf(g))
+    md5 = build_MD5(build_nikulin()[0])
+    first = md5.smith
+    assert md5.smith is first and len(calls) == 1
+    assert first == tuple(tuple(map(tuple, m)) for m in snf(md5.gram))
+    assert invariant_factors(md5) == (2, 2, 2, 2, 10, 10)
+    swap = make_isometry(md5, [[int(j == (i + 4) % 8 if i < 8 else i == j)
+                                for j in range(16)] for i in range(16)])
+    assert disc_action_trivial(md5, swap) is False and len(calls) == 1
+
+
+def test_dihedral_relation_needs_no_inverse(L):
+    # g h g = h against h g h^-1 g = 1 on all 100 ordered pairs from <g, h>
+    # and under the faults that replace h or g by -I
+    c = L[0]
+    lat = c.lattice
+    elements = [Isometry(lat, m) for m in group_closure([c.isometries["g"],
+                                                          c.isometries["h"]]).elements]
+    seen = set()
+    for x in elements:
+        for y in elements:
+            new = (x * y * x).matrix == y.matrix
+            assert new == (y * x * y.inverse() * x).is_identity()
+            seen.add(new)
+    assert seen == {True, False}
+    for fault, want in (("h-minus-one", False), ("g-minus-one", True)):
+        faulty = catalog.FAULTS[fault]["L"](None)
+        g, h = faulty.isometries["g"], faulty.isometries["h"]
+        assert (h * g * h.inverse() * g).is_identity() is want
+        assert catalog._dihedral_relation(faulty) is want
+    assert catalog._dihedral_relation(c) is True
+
+
+def test_make_isometry_refuses_a_degenerate_lattice():
+    # M^T G M = G proves |det M| = 1 only when det G != 0: on this G the
+    # matrix with columns (3, -2) and (1, 0) keeps the Gram form at det 2
+    lat = IntegralLattice(((1, 1), (1, 1)))
+    for m in ([[1, 0], [0, 1]], [[3, 1], [-2, 0]]):
+        with pytest.raises(IsometryError, match="degenerate"):
+            make_isometry(lat, m)

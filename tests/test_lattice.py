@@ -46,9 +46,9 @@ def test_basic_invariants():
 
 def test_pairing_and_norm():
     a2 = std_gram("A", 2)
-    assert a2.norm_of((1, 0)) == 2
+    assert a2.pairing((1, 0), (1, 0)) == 2
     assert a2.pairing((1, 0), (0, 1)) == -1
-    assert a2.norm_of((1, 1)) == 2
+    assert a2.pairing((1, 1), (1, 1)) == 2
 
 
 def test_direct_sum_and_rescale():
