@@ -7,10 +7,7 @@ row vector v the image has coordinates M . v^T.
 
 from dataclasses import dataclass
 
-from .ratmat import (
-    MatrixError, divide_exact, identity, int_kernel, mat_mul, mat_vec, scaled_inverse,
-    to_int, transpose,
-)
+from .ratmat import MatrixError, identity, int_kernel, mat_mul, mat_vec, to_int, transpose
 from .lattice import CapExceeded, LatticeError, sublattice
 
 
@@ -18,8 +15,7 @@ class IsometryError(LatticeError):
     pass
 
 
-# Powers order tries, and elements group_closure keeps, before CapExceeded.
-ORDER_BUDGET = 1000
+# Elements group_closure (and so order) keeps before CapExceeded.
 CLOSURE_BUDGET = 10_000
 
 
@@ -32,16 +28,6 @@ class Isometry:
         if other.lattice != self.lattice:
             raise IsometryError("isometries live on different lattices")
         return Isometry(self.lattice, tuple(map(tuple, mat_mul(self.matrix, other.matrix))))
-
-    def inverse(self):
-        # the matrix is unimodular, so d = +-1 divides d M^-1 exactly
-        b, d = scaled_inverse(self.matrix)
-        return Isometry(self.lattice, tuple(map(tuple, divide_exact(b, d))))
-
-    def is_identity(self):
-        n = self.lattice.rank
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(n))
 
 
 def make_isometry(lat, matrix):
@@ -65,13 +51,9 @@ def make_isometry(lat, matrix):
 
 
 def order(iso):
-    """Least k >= 1 with M^k = I; raises CapExceeded past ORDER_BUDGET."""
-    acc = iso
-    for k in range(1, ORDER_BUDGET + 1):
-        if acc.is_identity():
-            return k
-        acc = acc * iso
-    raise CapExceeded("order not found within cap %d" % ORDER_BUDGET)
+    """Least k >= 1 with M^k = I: the size of the cyclic group it generates,
+    so past CLOSURE_BUDGET it raises group_closure's CapExceeded."""
+    return group_closure([iso]).order
 
 
 def disc_action_trivial(lat, iso):

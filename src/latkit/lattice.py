@@ -156,8 +156,11 @@ def discriminant_group(lat):
     The invariant factors are canonical; the generators are not.  They
     follow from the U that snf returns, so the lifts, q_values and
     b_matrix are fixed only up to isomorphism of the form (compare forms
-    with fqf_isomorphic).  q is the diagonal of the lifts' pairings mod 2.
+    with fqf_isomorphic).  q is the diagonal of the lifts' pairings mod 2,
+    well defined only on an even lattice, so an odd one is refused.
     """
+    if not lat.is_even:
+        raise LatticeError("discriminant form of an odd lattice: q mod 2 depends on the lift")
     n = lat.rank
     g = lat.gram
     u, d, v = snf(g)
@@ -234,7 +237,12 @@ def span_index(rows):
     """[Z^n + span(rows) : Z^n] for rows of n rationals; 1 for no rows."""
     if not rows:
         return 1
-    ws, d = clear_denominators(_rational_rows(rows, LatticeError, "row"))
+    rows = _rational_rows(rows, LatticeError, "row")
+    for k, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            raise LatticeError("row %d has length %d, not %d as row 0"
+                               % (k, len(r), len(rows[0])))
+    ws, d = clear_denominators(rows)
     return _glue_hermite(ws, d, len(ws[0]))[1]
 
 

@@ -1,8 +1,10 @@
 """Exact dense linear algebra over the rationals and over Z.
 
 Matrices are any sequences of rows, copied before any write.  mat_mul
-adds products of nonzeros only, mat_vec and vec_dot sum map(mul, ...); ints
-give ints, a Fraction term a Fraction, and to_int converts an int first.
+adds products of nonzeros only, so ints give ints and an entry is a
+Fraction only if one of its nonzero terms is; mat_vec and vec_dot sum
+map(mul, ...), ints giving ints and any Fraction term a Fraction.  Every
+mat_mul in latkit multiplies ints.  to_int converts an int first.
 det, scaled_inverse (and inverse) and rref share one fraction-free
 elimination on ints, and signature and shortvec's Cholesky data share
 symmetric_elimination; the integer normal forms (snf, hnf_int) insist on
@@ -37,13 +39,6 @@ def mat_mul(a, b):
             if x:
                 for j, y in nz:
                     acc[j] += x * y
-    # a sum of the entries that is no int means a Fraction; entry (i, j) has
-    # a Fraction term, zero or not, iff row i of a or column j of b has one
-    if type(sum(map(sum, a)) + sum(map(sum, b))) is not int:
-        cols = {j for row in b for j, y in enumerate(row) if isinstance(y, Fraction)}
-        for row, acc in zip(a, out):
-            frac = any(isinstance(x, Fraction) for x in row)
-            acc[:] = [Fraction(x) if frac or j in cols else x for j, x in enumerate(acc)]
     return out
 
 

@@ -8,6 +8,7 @@ the pass/fail lines.
 import io
 import random
 
+from isometry_ref import inverse, is_identity
 from latkit import catalog, cli, k3fam, shortvec
 from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.cyclo import Cyc5
@@ -61,8 +62,8 @@ def test_05_dihedral_group(L):
     c, _ = L
     g, h = c.isometries["g"], c.isometries["h"]
     n = group_closure([g, h]).order
-    rel = (h * g * h.inverse() * g).is_identity()
-    sq = (h * h).is_identity()
+    rel = is_identity(h * g * inverse(h) * g)
+    sq = is_identity(h * h)
     report("criterion-05 <g,h> dihedral of order 10",
            n == 10 and rel and sq,
            "order=%d h^2=I:%s hgh^-1=g^-1:%s" % (n, sq, rel))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from isometry_ref import inverse, is_identity
 from latkit import catalog, cli, k3fam, lattice, shortvec
 from latkit.catalog import (
     CatalogError, build_L, build_MD5, build_nikulin, primary_decomposition,
@@ -57,7 +58,7 @@ def test_build_L_isometries(L):
     assert order(g) == 5 and order(h) == 2
     assert disc_action_trivial(c.lattice, g)
     assert group_closure([g, h]).order == 10
-    assert (h * g * h.inverse() * g).is_identity()
+    assert is_identity(h * g * inverse(h) * g)
 
 
 def test_fault_injection_breaks_gluing():
@@ -485,7 +486,8 @@ def test_one_repro_pass_runs_18_eliminations(monkeypatch):
     monkeypatch.setattr(ratmat, "_fraction_free",
                         lambda *a, **k: calls.append(1) or elim(*a, **k))
     monkeypatch.setattr(lattice, "snf", lambda g: snfs.append(len(g)) or snf(g))
-    for mod in (ratmat, catalog, isometry):
+    assert not hasattr(isometry, "scaled_inverse")
+    for mod in (ratmat, catalog):
         monkeypatch.setattr(mod, "scaled_inverse", lambda a: inverses.append(
             sys._getframe(1).f_code.co_name) or scaled_inverse(a))
     results = repro_all()
@@ -493,3 +495,28 @@ def test_one_repro_pass_runs_18_eliminations(monkeypatch):
     assert len(calls) == 18
     assert snfs == [16, 8, 16]
     assert inverses == ["build_L", "reflection_in_span"]
+
+
+def test_repro_multiplies_only_ints(monkeypatch):
+    # mat_mul adds only nonzero terms, so on Fraction input an entry's type
+    # follows the terms it kept; latkit hands it ints only.  Wrap it where
+    # catalog, isometry and lattice bind it, and run repro with no fault
+    # and with each fault
+    from latkit import isometry, ratmat
+    calls, bad = {}, []
+
+    def wrap(name):
+        def mat_mul(a, b):
+            calls[name] = calls.get(name, 0) + 1
+            if not all(type(x) is int for m in (a, b) for row in m for x in row):
+                bad.append((name, sys._getframe(1).f_code.co_name))
+            return ratmat.mat_mul(a, b)
+        return mat_mul
+
+    for mod in (catalog, isometry, lattice):
+        monkeypatch.setattr(mod, "mat_mul", wrap(mod.__name__))
+    for fault in (None,) + catalog.FAULT_IDS:
+        argv = ["repro", "--json"] + (["--inject-fault", fault] if fault else [])
+        assert cli.main(argv, out=io.StringIO()) == (1 if fault else 0)
+    assert bad == []
+    assert set(calls) == {"latkit.catalog", "latkit.isometry", "latkit.lattice"}

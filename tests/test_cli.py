@@ -198,6 +198,15 @@ def test_usage_errors(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_disc_refuses_an_odd_lattice(tmp_path, capsys):
+    # q of <3> would read 1/3 or 4/3 mod 2 depending on the lift
+    f = write(tmp_path, "odd.lat", "rank 1\n3\n")
+    for argv in (["disc", f], ["disc", f, "--json"]):
+        code, out = run(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "discriminant form of an odd lattice" in capsys.readouterr().err
+
+
 def test_text_json_parity(tmp_path):
     f = write(tmp_path, "a2.lat", A2)
     code_t, text = run(["disc", f])

@@ -14,11 +14,12 @@ from fractions import Fraction
 import pytest
 
 from fqf_ref import b_of, element_order, elements, q_of
+from isometry_ref import inverse as iso_inverse, is_identity
 from latkit import catalog, isometry, lattice
 from latkit.catalog import build_MD5, build_nikulin, std_gram, u2_cubed
 from latkit.isometry import (
     CapExceeded, Isometry, IsometryError, disc_action_trivial, group_closure,
-    invariant_sublattice, make_isometry,
+    invariant_sublattice, make_isometry, order,
 )
 from latkit.lattice import (
     FiniteQuadraticForm, IntegralLattice, direct_sum, discriminant_group, fqf_isomorphic,
@@ -101,7 +102,7 @@ def is_witness(f1, f2, wit):
 def ref_group_closure(gens, cap=10000):
     """Breadth-first closure over the generators and their inverses."""
     lat = gens[0].lattice
-    gens = list(gens) + [g.inverse() for g in gens]
+    gens = list(gens) + [iso_inverse(g) for g in gens]
     n = lat.rank
     ident = tuple(tuple(identity(n)[i]) for i in range(n))
     seen = {ident}
@@ -429,6 +430,34 @@ def test_infinite_group_hits_cap(monkeypatch):
     monkeypatch.setattr(isometry, "CLOSURE_BUDGET", 500)
     with pytest.raises(CapExceeded):
         group_closure([pell])
+    with pytest.raises(CapExceeded):
+        order(pell)
+
+
+def test_order_matches_a_power_loop(L, monkeypatch):
+    # order is the size of group_closure of one element: against the least
+    # k with M^k = I by dense powers, on every element of <g, h>, and under
+    # a CLOSURE_BUDGET at and below the order of g
+    lat = L[0].lattice
+    g, h = L[0].isometries["g"], L[0].isometries["h"]
+    one = identity(lat.rank)
+    orders = []
+    for m in ref_group_closure([g, h]):
+        power, k = [list(r) for r in m], 1
+        while power != one:
+            assert k < 10
+            power, k = dense_product(power, m), k + 1
+        assert order(Isometry(lat, m)) == k
+        orders.append(k)
+    assert sorted(orders) == [1] + [2] * 5 + [5] * 4
+    monkeypatch.setattr(isometry, "CLOSURE_BUDGET", 5)
+    assert order(g) == 5
+    monkeypatch.setattr(isometry, "CLOSURE_BUDGET", 4)
+    with pytest.raises(CapExceeded, match="cap 4"):
+        order(g)
+    monkeypatch.setattr(isometry, "CLOSURE_BUDGET", 1)
+    with pytest.raises(CapExceeded, match="cap 1"):
+        order(h)
 
 
 def dense_product(a, b):
@@ -530,13 +559,13 @@ def test_dihedral_relation_needs_no_inverse(L):
     for x in elements:
         for y in elements:
             new = (x * y * x).matrix == y.matrix
-            assert new == (y * x * y.inverse() * x).is_identity()
+            assert new == is_identity(y * x * iso_inverse(y) * x)
             seen.add(new)
     assert seen == {True, False}
     for fault, want in (("h-minus-one", False), ("g-minus-one", True)):
         faulty = catalog.FAULTS[fault]["L"](None)
         g, h = faulty.isometries["g"], faulty.isometries["h"]
-        assert (h * g * h.inverse() * g).is_identity() is want
+        assert is_identity(h * g * iso_inverse(h) * g) is want
         assert catalog._dihedral_relation(faulty) is want
     assert catalog._dihedral_relation(c) is True
 

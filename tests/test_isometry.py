@@ -1,5 +1,6 @@
 import pytest
 
+from isometry_ref import inverse, is_identity
 from latkit import isometry
 from latkit.catalog import std_gram
 from latkit.isometry import (
@@ -33,10 +34,13 @@ def test_make_isometry_validation():
 def test_order_and_inverse(monkeypatch):
     lat, rot = a2_rotation()
     assert order(rot) == 3
-    assert (rot * rot.inverse()).is_identity()
+    assert is_identity(rot * inverse(rot)) and inverse(rot) == rot * rot
     assert order(make_isometry(lat, [[-1, 0], [0, -1]])) == 2
-    monkeypatch.setattr(isometry, "ORDER_BUDGET", 2)
-    with pytest.raises(CapExceeded):
+    # order is the size of the cyclic group: CLOSURE_BUDGET bounds it
+    monkeypatch.setattr(isometry, "CLOSURE_BUDGET", 3)
+    assert order(rot) == 3
+    monkeypatch.setattr(isometry, "CLOSURE_BUDGET", 2)
+    with pytest.raises(CapExceeded, match="cap 2"):
         order(rot)
 
 

@@ -113,6 +113,15 @@ def test_one_matrix_form():
         assert not re.search(r"def rows\(self\b", text), p.name
 
 
+def test_discriminant_group_refuses_an_odd_lattice(monkeypatch):
+    # on <3> the lifts 1/3 and 4/3 of one class have q = 1/3 and 4/3 mod 2:
+    # q is defined only on an even lattice, and snf never runs on an odd one
+    monkeypatch.setattr(lattice, "snf", lambda g: pytest.fail("snf ran"))
+    for gram in ([[3]], [[2, 1], [1, -1]], [[1, 0], [0, 1]]):
+        with pytest.raises(LatticeError, match="odd lattice: q mod 2 depends on the lift"):
+            discriminant_group(make_lattice(gram))
+
+
 def test_discriminant_group_standard():
     assert discriminant_group(std_gram("A", 4)).invariant_factors == (5,)
     assert discriminant_group(std_gram("E8")).invariant_factors == ()
@@ -204,6 +213,17 @@ def test_span_index_is_the_glue_index():
     assert lattice.span_index([[1, 2], [3, 4]]) == 1
     a1_8 = direct_sum([rescale(std_gram("A", 1), -1)] * 8)
     assert overlattice(a1_8, [[half] * 8])[1] == 2
+
+
+def test_span_index_rejects_rows_of_unequal_length():
+    # rows of unequal length have no common n: neither cut nor padded
+    half = Fraction(1, 2)
+    for rows, bad in (([[half, 0], [half]], "row 1 has length 1, not 2"),
+                      ([[half], [half, half]], "row 1 has length 2, not 1"),
+                      ([[half, 0], [0, half], [half, half, 0]], "row 2 has length 3, not 2"),
+                      ([[], [half]], "row 1 has length 1, not 0")):
+        with pytest.raises(LatticeError, match=bad + " as row 0"):
+            lattice.span_index(rows)
 
 
 def test_overlattice_rejects_bad_glue():
