@@ -23,7 +23,7 @@ from .isometry import (
     make_isometry, order,
 )
 from .lattice import (
-    GlueError, LatticeError, _in_basis, _rows_in, direct_sum, invariant_factors,
+    GlueError, LatticeError, _rows_in, direct_sum, invariant_factors,
     make_lattice, orthogonal_complement, overlattice, rescale, saturation, span_index,
     sublattice,
 )
@@ -95,6 +95,10 @@ def std_gram(family, n=None):
 
 # --- the overlattice L ----------------------------------------------------
 
+# A4(-2), the block of L's base lattice A4(-2)^4, built once on import
+L_BLOCK = rescale(std_gram("A", 4), -2)
+
+
 def _gamma4():
     # alpha_i -> alpha_{i+1}, alpha_4 -> alpha_5 = -(a1+a2+a3+a4);
     # columns are images of the basis vectors
@@ -141,7 +145,7 @@ def build_L(nu_override=None):
     P m H^T / d, and the named vectors are kept as ints V over the common
     denominator s of mu and nu (s = 2), with coordinates P V / s in L.
     """
-    base = direct_sum([rescale(std_gram("A", 4), -2)] * 4)
+    base = direct_sum([L_BLOCK] * 4)
     g_base = _block_diag([_gamma4()] * 4)
     nu = nu_override if nu_override is not None else NU_BASE
     (mu, nu), s = clear_denominators([MU_BASE, nu])
@@ -199,32 +203,6 @@ def build_L(nu_override=None):
         isometries=isometries,
         index=index,
     ), index
-
-
-# A basis of L for the radius-2 search of L/rootless, as rows in L's
-# basis: exact LLL (delta = 0.99) on -Gram(L), then the row order that a
-# search over swaps found fastest.  Every row has norm -4 and, with P the
-# rows, det P = 1, so P Gram(L) P^T is the Gram matrix of L in this basis;
-# shortvec checks that its det is L's.  The search visits 426 nodes here
-# and 1,348 in L's own basis.
-L_SV_BASIS = (
-    ( 1,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0),
-    ( 0,  0,  0,  0,  1,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0),
-    ( 0,  0,  0,  1,  0,  0,  0,  0, -1, -1, -1, -1,  0,  0,  0,  0),
-    ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  1,  1,  0,  0,  0,  0),
-    (-1,  0,  1,  1,  1,  0,  0,  0,  0, -1,  0, -1, -1, -1, -1, -1),
-    ( 1,  0, -1, -1,  0,  0,  0,  0,  0,  1,  0,  1,  0,  1,  0,  0),
-    ( 0,  0,  0,  0,  0,  0,  0,  0,  1,  0,  0,  0,  0,  0,  0,  0),
-    ( 0,  1,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0),
-    ( 0, -1,  0,  0,  0,  1,  1,  0,  0, -1,  0,  0,  0,  0,  0,  0),
-    ( 0, -1,  0,  0,  0,  0,  0,  0,  1,  0,  1,  0,  0,  0,  0,  0),
-    ( 0,  0,  0,  0, -1, -1, -1,  0,  0,  1,  1,  1,  1,  1,  1,  1),
-    (-1, -1,  0,  0,  0, -1,  0,  0,  1,  0,  1,  0,  1,  0,  1,  0),
-    ( 0,  0,  0,  0,  0,  0,  0,  0,  0,  1,  0,  0,  0,  0,  0,  0),
-    (-1, -1,  0,  0,  1,  1,  0,  0,  1,  0,  0,  0,  0,  1,  0,  0),
-    ( 1,  1,  1,  0,  0,  0,  0,  0, -1, -1, -1, -1,  0, -1, -1, -1),
-    ( 0,  0,  0,  0,  0,  0,  0,  1, -1, -1,  0,  0,  0,  0,  1,  0),
-)
 
 
 def reflection_in_span(lat, span_rows):
@@ -435,12 +413,16 @@ class Claim:
     needs: tuple = ()
 
 
-def _search_in_basis(lat, basis):
-    """short_vectors(lat, 3) on lat written in the basis whose rows are
-    `basis` (coordinates in lat's basis), so the vectors it lists are in
-    those coordinates; shortvec refuses a Gram matrix whose det is not
-    lat's."""
-    return shortvec.short_vectors(_in_basis(lat, basis), 3)
+# The glue rows of L over A4(-2)^4, in build_L's order: the g-orbits of
+# mu and nu.
+L_GLUE = ("mu", "g1(mu)", "g2(mu)", "g3(mu)", "nu", "g1(nu)", "g2(nu)", "g3(nu)")
+
+
+def _glue_counts_L(c, names=L_GLUE):
+    """shortvec.glue_counts of L at bound 3, from its four A4(-2) blocks
+    and the glue rows `names` of c.base_vectors."""
+    return shortvec.glue_counts(c.lattice, [L_BLOCK] * 4,
+                                [c.base_vectors[name] for name in names], 3)
 
 
 def _minus_one_as(c, name):
@@ -460,8 +442,8 @@ BUILDERS = {
     "factors:L": lambda get: invariant_factors(get("L").lattice),
     "factors:md5": lambda get: invariant_factors(get("md5")),
     "factors:nikulin": lambda get: invariant_factors(get("nikulin")[0]),
-    # one radius-2 search certifies both L/rootless and L/minimum
-    "sv:L": lambda get: _search_in_basis(get("L").lattice, L_SV_BASIS),
+    # L's counts up to norm 3 certify both L/rootless and L/minimum
+    "sv:L": lambda get: _glue_counts_L(get("L")),
     "k3:quartic-p3": lambda get: quartic_p3(),
     "k3:ci-p4": lambda get: ci_p4(),
     "k3:ci-p5": lambda get: ci_p5(),
@@ -498,9 +480,9 @@ FAULTS = {
     # eigenspaces become a line that keeps both forms and a plane
     "k3-p4-iota": {"k3:ci-p4": lambda get: replace(
         ci_p4(), iota=k3fam.permutation_map([0, 4, 3, 2, 1], signs=[-1, 1, 1, 1, 1]))},
-    # row 0 of L_SV_BASIS doubled: det 4 det L, which the search of sv:L refuses
-    "sv-basis": {"sv:L": lambda get: _search_in_basis(
-        get("L").lattice, (tuple(2 * x for x in L_SV_BASIS[0]),) + L_SV_BASIS[1:])},
+    # g3(nu) dropped from L's glue rows: 128 glue classes, which the det
+    # check of sv:L refuses
+    "sv-glue": {"sv:L": lambda get: _glue_counts_L(get("L"), L_GLUE[:-1])},
 }
 FAULT_IDS = tuple(FAULTS)
 
@@ -535,16 +517,16 @@ def _f_rows(c):
     return [c.vectors["f%d" % i] for i in range(9, 17)]
 
 
-def _minimum_from(lat, report):
-    """shortvec.minimum(lat), read off report = short_vectors(lat, bound)
-    where it settles it.  The report lists every vector of norm <= bound,
-    so a listed vector of least norm is the minimum.  An empty report
-    leaves no norm below m = min |G_ii| (the norm of a basis vector) when
-    m <= bound + 1, so the minimum is m; otherwise search."""
-    if report.vectors:
-        return min(norm for _, norm in report.vectors)
+def _minimum_from(lat, counts, bound):
+    """shortvec.minimum(lat), read off counts, the counts_by_norm of
+    short_vectors(lat, bound), where they settle it.  They count every
+    vector of norm <= bound, so the least listed norm is the minimum.  No
+    count leaves no norm below m = min |G_ii| (the norm of a basis vector)
+    when m <= bound + 1, so the minimum is m; otherwise search."""
+    if counts:
+        return counts[0][0]
     m = min((abs(row[i]) for i, row in enumerate(lat.gram)), default=None)
-    if m is not None and m <= report.bound + 1:
+    if m is not None and m <= bound + 1:
         return m
     return shortvec.minimum(lat)
 
@@ -593,9 +575,10 @@ CLAIMS = (
           lambda L: _norm(L.base_lattice, L.base_vectors["mu"]), ("L",)),
     Claim("L/nu-self", "L/glue-vectors", -4,
           lambda L: _norm(L.base_lattice, L.base_vectors["nu"]), ("L",)),
-    Claim("L/rootless", "L/short-vectors", 0, lambda sv: len(sv.vectors), ("sv:L",)),
+    Claim("L/rootless", "L/short-vectors", 0,
+          lambda sv: sum(pairs for _, pairs in sv), ("sv:L",)),
     Claim("L/minimum", "L/short-vectors", 4,
-          lambda L, sv: _minimum_from(L.lattice, sv), ("L", "sv:L")),
+          lambda L, sv: _minimum_from(L.lattice, sv, 3), ("L", "sv:L")),
     Claim("L/mu-primitive", "L/saturation", 1,
           lambda L: saturation(L.lattice, [L.vectors["mu"]])[1], ("L",)),
     # -- the order-5 isometry g

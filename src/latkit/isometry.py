@@ -56,11 +56,19 @@ def order(iso):
     return group_closure([iso]).order
 
 
+def _check_lattice(lat, isos):
+    for k, iso in enumerate(isos):
+        if iso.lattice != lat:
+            raise IsometryError("isometry %d lives on another lattice" % k)
+
+
 def disc_action_trivial(lat, iso):
     """True iff the isometry fixes every class of L*/L, i.e. (M - I) L* is
     in L.  With U G V = D the lattice's Smith form, G^-1 = V D^-1 U and U
     is unimodular, so the columns v_i / d_i of V D^-1 generate L*, and the
-    test is (M - I) v_i = 0 mod d_i for each d_i > 1.  No inverse is taken."""
+    test is (M - I) v_i = 0 mod d_i for each d_i > 1.  No inverse is taken.
+    An isometry of another lattice: IsometryError."""
+    _check_lattice(lat, [iso])
     _, d, v = lat.smith
     factors = [(i, row[i]) for i, row in enumerate(d) if row[i] > 1]
     cols = [[row[i] for i, _ in factors] for row in v]
@@ -88,9 +96,7 @@ def group_closure(gens):
     if not gens:
         raise IsometryError("need at least one generator")
     lat = gens[0].lattice
-    for g in gens:
-        if g.lattice != lat:
-            raise IsometryError("generators live on different lattices")
+    _check_lattice(lat, gens)
     n = lat.rank
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     seen = {ident}
@@ -116,8 +122,10 @@ def invariant_sublattice(lat, gens):
     generator, so this is int_kernel of the stacked rows of g - I (in
     Hermite normal form).
 
-    Returns (lattice, basis_rows), of rank 0 when nothing is fixed.
+    Returns (lattice, basis_rows), of rank 0 when nothing is fixed.  An
+    isometry of another lattice: IsometryError.
     """
+    _check_lattice(lat, gens)
     stacked = []
     for g in gens:
         for i, row in enumerate(g.matrix):

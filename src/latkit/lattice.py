@@ -269,15 +269,6 @@ def _rows_in(lat, rows):
         raise LatticeError("rows must be integral: %s" % e) from None
 
 
-def _in_basis(lat, rows):
-    """lat written in the basis whose rows are `rows` (int coordinates in
-    lat's basis): the Gram matrix R G R^T, stored with lat's det.  That det
-    is right only when |det R| = 1; shortvec._cholesky's last-pivot check
-    refuses the Gram matrix of any other basis."""
-    gram = mat_mul(mat_mul(rows, lat.gram), transpose(rows))
-    return _with_det(tuple(map(tuple, gram)), lat.det)
-
-
 def sublattice(lat, rows):
     """Lattice on integer rows in lat's basis; its det rejects dependent rows."""
     rows = _rows_in(lat, rows)

@@ -5,19 +5,21 @@ then depth-first coordinate enumeration with exact interval bounds
 (Fincke-Pohst), each level taken in zig-zag order from the middle of its
 range (Schnorr-Euchner), at a radius rounded down to a multiple of the
 norm gcd.  No floating point: the empty report for a rootless lattice is
-an unconditional certificate.
+an unconditional certificate.  An overlattice of an orthogonal sum of
+definite blocks is counted from its glue classes instead (glue_counts).
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .lattice import CapExceeded, LatticeError
-from .ratmat import MatrixError, symmetric_elimination, to_int
+from .lattice import CapExceeded, LatticeError, _rational_rows
+from .ratmat import MatrixError, clear_denominators, symmetric_elimination, to_int
 
 # Far above the largest search in the claims, tests and benchmark
-# (L at bound 6: 295,492 nodes).
+# (L at bound 6: 295,492 nodes).  glue_counts counts its glue classes and
+# convolution terms against it too.
 NODE_BUDGET = 2_000_000
 
 
@@ -70,9 +72,13 @@ def _cholesky(lat):
                            % (sign ** n * pivots[-1], lat.det))
     q = [[0] * t + [Fraction(p, d)] + [Fraction(x, p) for x in row[1:]]
          for t, (row, p, d) in enumerate(zip(rows, pivots, [1] + pivots))]
-    g = gcd(*(x if i == j else 2 * x
-              for i, row in enumerate(gram) for j, x in enumerate(row)))
-    return q, sign < 0, g
+    return q, sign < 0, _norm_gcd(gram)
+
+
+def _norm_gcd(gram):
+    """gcd(G_ii, 2 G_ij), which divides every norm."""
+    return gcd(*(x if i == j else 2 * x
+                 for i, row in enumerate(gram) for j, x in enumerate(row)))
 
 
 def _search(q, radius):
@@ -130,15 +136,101 @@ def short_vectors(lat, bound):
     lattices are negated internally; norms in the report always use the
     positive convention.  Raises CapExceeded past NODE_BUDGET nodes.
     """
-    try:
-        bound = to_int(bound)
-    except MatrixError:
-        raise LatticeError("short_vectors bound %r is not an integer" % (bound,)) from None
+    bound = _int_bound(bound)
     q, negated, g = _cholesky(lat)
     found = sorted(_search(q, [bound - bound % g])) if bound >= 1 and q else []
     counts = Counter(norm for _, norm in found)
     return ShortVectorReport(
         bound, tuple(found), tuple(sorted(counts.items())), negated)
+
+
+def _int_bound(bound):
+    try:
+        return to_int(bound)
+    except MatrixError:
+        raise LatticeError("short_vectors bound %r is not an integer" % (bound,)) from None
+
+
+def glue_counts(lat, blocks, glue, bound):
+    """The counts_by_norm of short_vectors(lat, bound), ((norm, count of
+    +- pairs), ...), for lat = (+ blocks) + span(glue), an overlattice of
+    an orthogonal sum of definite blocks of one sign.  Glue rows are
+    rationals in the coordinates of the blocks' sum.
+
+    A vector's norm is the sum of its block norms (Conway-Sloane, Sphere
+    Packings, Lattices and Groups, ch. 4 sec. 3), so with d the glue's
+    common denominator and r = bound rounded down by lat's norm gcd, as
+    in short_vectors: one short_vectors(block, d^2 r) per distinct block,
+    its vectors y (both signs, and 0) keyed by y mod d; the glue classes,
+    each found once by adding each glue row to the classes found so far
+    until a multiple of it is already among them; and per class the
+    convolution of its blocks' tables, cut at d^2 r.  Classes and terms
+    count against NODE_BUDGET (CapExceeded).  LatticeError unless the
+    glue rows are rational of the blocks' total length, every block is
+    definite of one sign, and |det (+ blocks)| = |det lat| (#classes)^2.
+    """
+    bound = _int_bound(bound)
+    offsets = [sum(b.rank for b in blocks[:k]) for k in range(len(blocks) + 1)]
+    rows = _rational_rows(glue, LatticeError, "glue row")
+    for k, r in enumerate(rows):
+        if len(r) != offsets[-1]:
+            raise LatticeError("glue row %d has length %d, not the blocks' rank %d"
+                               % (k, len(r), offsets[-1]))
+    ws, d = clear_denominators(rows)
+
+    zero = (0,) * offsets[-1]
+    classes, seen = [zero], {zero}
+    for w in ws:
+        # the classes form a group S; S + j w is a new coset until j w in S
+        layer = classes
+        while True:
+            first = tuple((a + b) % d for a, b in zip(layer[0], w))
+            if first in seen:
+                break
+            layer = [first] + [tuple((a + b) % d for a, b in zip(c, w)) for c in layer[1:]]
+            seen.update(layer)
+            classes += layer
+            if len(classes) > NODE_BUDGET:
+                raise CapExceeded("glue classes past %d nodes" % NODE_BUDGET)
+    blocks_det = abs(prod(b.det for b in blocks))
+    if blocks_det != abs(lat.det) * len(classes) ** 2:
+        raise LatticeError("the blocks have |det| %d, not |det| %d of the lattice times "
+                           "%d^2 for its %d glue classes"
+                           % (blocks_det, abs(lat.det), len(classes), len(classes)))
+
+    cap = d * d * max(0, bound - bound % _norm_gcd(lat.gram)) if lat.rank else 0
+    tables, signs = {}, set()
+    for block in blocks:
+        if block not in tables:
+            report = short_vectors(block, cap)
+            signs.add(report.negated)
+            table = {(0,) * block.rank: Counter({0: 1})}
+            for y, norm in report.vectors:
+                for v in (y, [-x for x in y]):
+                    table.setdefault(tuple(x % d for x in v), Counter())[norm] += 1
+            tables[block] = table
+    if len(signs) > 1:
+        raise LatticeError("glue_counts requires blocks of one sign")
+
+    parts = [(tables[block], lo, hi) for block, lo, hi in zip(blocks, offsets, offsets[1:])]
+    total, nodes = Counter(), len(classes)
+    for c in classes:
+        acc = {0: 1}
+        for table, lo, hi in parts:
+            nxt = {}
+            for t, k in table.get(c[lo:hi], {}).items():
+                for s, m in acc.items():
+                    if s + t <= cap:
+                        nxt[s + t] = nxt.get(s + t, 0) + m * k
+                nodes += len(acc)
+            acc = nxt
+        if nodes > NODE_BUDGET:
+            raise CapExceeded("glue counts past %d nodes" % NODE_BUDGET)
+        total.update(acc)
+    total[0] -= 1  # the zero vector
+    if any(s % (d * d) for s, count in total.items() if count):
+        raise LatticeError("the glue gives a vector of non-integral norm")
+    return tuple((s // (d * d), count // 2) for s, count in sorted(total.items()) if count)
 
 
 def minimum(lat):

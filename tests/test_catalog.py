@@ -335,60 +335,18 @@ def test_a_run_frees_what_it_built_without_the_cycle_collector(monkeypatch):
 
 
 def test_one_search_certifies_rootless_and_minimum(monkeypatch):
-    # L/rootless and L/minimum read one radius-2 report, short_vectors at
-    # bound 3 on L in the stored basis L_SV_BASIS (same det, same norms);
-    # the minimum comes off it (empty, and min |G_ii| = 4 <= 3 + 1 in L's
-    # own basis) with no second search
+    # L/rootless and L/minimum read one count of L up to norm 3, taken from
+    # its glue classes over A4(-2)^4: a whole repro pass runs one
+    # short_vectors, on the rank-4 block A4(-2) at bound 2^2 * 2 (glue
+    # denominator 2, radius 2), and no shortvec.minimum, since nothing is
+    # counted and min |G_ii| = 4 <= 3 + 1 in L's basis
     searches = _counting(monkeypatch, [shortvec], "short_vectors")
     minima = _counting(monkeypatch, [shortvec], "minimum")
-    claims = repro_all(filter_tag="L/")
-    assert len(claims) == 9 and all(c.passed for c in claims)
-    assert [args[1] for args in searches] == [3]
-    assert searches[0][0].det == build_L()[0].lattice.det
+    claims = repro_all()
+    assert len(claims) == REPRO_CLAIMS and all(c.passed for c in claims)
+    assert [(lat.gram, bound) for lat, bound in searches] == [
+        (rescale(std_gram("A", 4), -2).gram, 8)]
     assert minima == []
-
-
-def _in_basis(lat, rows):
-    """lat with the basis rows (coordinates in lat's basis), its Gram
-    matrix computed by sympy and stored with lat's det."""
-    from sympy import Matrix
-
-    p = Matrix(rows)
-    gram = p * Matrix(lat.gram) * p.T
-    return lattice._with_det(
-        tuple(tuple(int(x) for x in gram.row(i)) for i in range(gram.rows)), lat.det)
-
-
-def test_stored_search_basis_spans_L(L):
-    # |det P| = 1 and every row of norm -4, by sympy
-    from sympy import Matrix
-
-    lat = L[0].lattice
-    p = Matrix(catalog.L_SV_BASIS)
-    assert p.shape == (16, 16) and abs(p.det()) == 1
-    reduced = _in_basis(lat, catalog.L_SV_BASIS)
-    assert [reduced.gram[i][i] for i in range(16)] == [-4] * 16
-    # bound 4 lists the 1,320 pairs of L; mapped back by v -> vP with the
-    # first nonzero coordinate positive, they are L's own report
-    found = []
-    for v, norm in shortvec.short_vectors(reduced, 4).vectors:
-        w = [sum(x * row[j] for x, row in zip(v, catalog.L_SV_BASIS)) for j in range(16)]
-        if next(x for x in w if x) < 0:
-            w = [-x for x in w]
-        found.append((tuple(w), norm))
-    assert len(found) == 1320
-    assert sorted(found) == list(shortvec.short_vectors(lat, 4).vectors)
-
-
-def test_stored_search_basis_halves_the_search(L, monkeypatch):
-    # a stale basis that is no faster than L's own fails here, not only
-    # in the benchmark: 426 range computations against 1,348
-    lat = L[0].lattice
-    calls = _counting(monkeypatch, [shortvec], "_range_for")
-    assert shortvec.short_vectors(lat, 3).vectors == ()
-    own = len(calls)
-    assert shortvec.short_vectors(_in_basis(lat, catalog.L_SV_BASIS), 3).vectors == ()
-    assert 2 * (len(calls) - own) < own
 
 
 def test_fault_fails_exactly_the_claims_on_L():
@@ -413,9 +371,10 @@ FAULT_FAILURES = [
     ("nu-roots", {"L/nu-self": "-6", "L/rootless": "40", "L/minimum": "2",
                   "e8/e-half-unimodular": str((False, 1, (0, 8))),
                   "e8/f-half-unimodular": str((False, 1, (0, 8)))}),
-    ("sv-basis", dict.fromkeys(
+    ("sv-glue", dict.fromkeys(
         ("L/rootless", "L/minimum"),
-        "error: Gram matrix has det 2500, not the lattice's det 625")),
+        "error: the blocks have |det| 40960000, not |det| 625 of the lattice "
+        "times 128^2 for its 128 glue classes")),
     ("k3-dihedral", {"k3/quartic-p3/dihedral": "False",
                      "k3/quartic-p3/conjugation-scalar": "False",
                      "k3/quartic-p3/fixed-points": "error: no fixed-point count on the "
@@ -433,8 +392,8 @@ def test_fault_fails_its_claim_group(fault, failed):
     # A4(-1)^2 + A1(-1)^8 has discriminant group (Z/2)^8 + (Z/5)^2; and
     # the nu-roots glue still gives index 256, but nu has norm -6 and L
     # gets 40 pairs of roots, so both E8(-2) spans are odd after halving;
-    # a doubled row of L_SV_BASIS spans an index-2 sublattice, of det
-    # 4 * 625, which the search refuses; and the quartic's iota swapping
+    # without g3(nu) the glue of A4(-2)^4 has 128 classes, and
+    # 80^4 != 625 * 128^2 refuses the count; and the quartic's iota swapping
     # x2, x3 alone gives a_i + a_pi(i) in {0, 1, 3}, so it does not invert
     # sigma, and its fixed locus is a plane and a point, not two lines;
     # ci-p4's iota negating x0 as well is still dihedral, but its (+1)
@@ -473,12 +432,13 @@ def test_readme_names_every_fault_in_order():
     assert first == sorted(first)
 
 
-def test_one_repro_pass_runs_18_eliminations(monkeypatch):
+def test_one_repro_pass_runs_17_eliminations(monkeypatch):
     # sublattice, overlattice, reflection_in_span and _half_unimodular
     # reuse the dets they already have (40 fraction-free eliminations per
     # pass before, 22 after); disc_action_trivial reads L's Smith form,
     # dih10/relation checks g h g = h and make_isometry takes no det, which
-    # leaves 18.  The Smith forms are those of L, M_D5 and the Nikulin
+    # leaves 18; L's block A4(-2) is built on import, not by each build_L
+    # and count of L, which leaves 17.  The Smith forms are those of L, M_D5 and the Nikulin
     # lattice, and only build_L and reflection_in_span take a scaled inverse
     from latkit import isometry, ratmat
     calls, snfs, inverses = [], [], []
@@ -492,7 +452,7 @@ def test_one_repro_pass_runs_18_eliminations(monkeypatch):
             sys._getframe(1).f_code.co_name) or scaled_inverse(a))
     results = repro_all()
     assert len(results) == REPRO_CLAIMS and all(c.passed for c in results)
-    assert len(calls) == 18
+    assert len(calls) == 17
     assert snfs == [16, 8, 16]
     assert inverses == ["build_L", "reflection_in_span"]
 

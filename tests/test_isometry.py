@@ -117,6 +117,34 @@ def test_isometries_on_different_lattices_do_not_mix():
         rot * one
 
 
+def test_an_isometry_of_another_lattice_of_the_same_rank_is_refused():
+    # the A2 swap is no isometry of diag(2, 6) (make_isometry refuses it
+    # there); on that lattice both routines used to answer about it anyway
+    swap = make_isometry(std_gram("A", 2), [[0, 1], [1, 0]])
+    lat = make_lattice([[2, 0], [0, 6]])
+    with pytest.raises(IsometryError):
+        make_isometry(lat, [[0, 1], [1, 0]])
+    with pytest.raises(IsometryError, match="another lattice"):
+        disc_action_trivial(lat, swap)
+    with pytest.raises(IsometryError, match="another lattice"):
+        invariant_sublattice(lat, [swap])
+
+
+def test_an_isometry_of_another_rank_is_refused():
+    # the A2 swap on E8 used to surface as ratmat's dimension mismatch in
+    # disc_action_trivial
+    swap = make_isometry(std_gram("A", 2), [[0, 1], [1, 0]])
+    e8 = std_gram("E8")
+    with pytest.raises(IsometryError, match="another lattice"):
+        disc_action_trivial(e8, swap)
+    one = make_isometry(e8, [[int(i == j) for j in range(8)] for i in range(8)])
+    with pytest.raises(IsometryError, match="isometry 1 lives on another lattice"):
+        invariant_sublattice(e8, [one, swap])
+    # group_closure checks its generators against the first one's lattice
+    with pytest.raises(IsometryError, match="isometry 1 lives on another lattice"):
+        group_closure([one, swap])
+
+
 def test_bool_matrix_entries_become_ints():
     a2 = std_gram("A", 2)
     swap = make_isometry(a2, [[False, True], [True, False]])

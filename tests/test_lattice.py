@@ -78,7 +78,7 @@ def test_every_known_det_is_the_gram_det(monkeypatch):
     # each det stored by the private route in one repro pass and in the
     # fixtures of test_stored_det_is_the_gram_det equals det(gram): this
     # checks make_lattice's own det, direct_sum's product, rescale's
-    # s^rank det, overlattice's det / index^2 and _in_basis's det
+    # s^rank det and overlattice's det / index^2
     stored = []
     with_det = lattice._with_det
 
@@ -90,7 +90,7 @@ def test_every_known_det_is_the_gram_det(monkeypatch):
     assert all(c.passed for c in repro_all())
     _fixture_lattices(build_L()[0].lattice)
     assert {name for name, _, _ in stored} == {
-        "make_lattice", "direct_sum", "rescale", "overlattice", "_in_basis"}
+        "make_lattice", "direct_sum", "rescale", "overlattice"}
     for name, gram, d in stored:
         assert d == (ratmat.det([list(row) for row in gram]) if gram else 1), name
 

@@ -9,10 +9,13 @@ import pytest
 
 from cholesky_ref import INDEFINITE, definite_grams, ref_cholesky, upper
 from latkit import shortvec
-from latkit.catalog import _minimum_from, std_gram
-from latkit.lattice import LatticeError, _with_det, direct_sum, make_lattice, rescale
+from latkit import catalog
+from latkit.catalog import L_GLUE, _minimum_from, build_nikulin, std_gram
+from latkit.lattice import (
+    CapExceeded, LatticeError, _with_det, direct_sum, make_lattice, overlattice, rescale,
+)
 from latkit.ratmat import det, mat_mul, transpose
-from latkit.shortvec import _cholesky, minimum, short_vectors
+from latkit.shortvec import _cholesky, glue_counts, minimum, short_vectors
 
 
 def naive_pairs(gram, bound):
@@ -239,8 +242,8 @@ def test_minimum_searches_L_once(monkeypatch, L):
 
 
 def test_minimum_read_off_a_bound_3_report(monkeypatch):
-    # repro reads L/minimum off the short_vectors(L, 3) report that
-    # L/rootless reads: the least listed norm, else m = min |G_ii| when
+    # repro reads L/minimum off the counts up to norm 3 that L/rootless
+    # reads: the least listed norm, else m = min |G_ii| when
     # m <= 3 + 1, else a search; each branch against shortvec.minimum and
     # brute force, with the search taken in the last branch only
     searches = []
@@ -250,7 +253,7 @@ def test_minimum_read_off_a_bound_3_report(monkeypatch):
 
     def read_off(lat):
         before = len(searches)
-        got = _minimum_from(lat, short_vectors(lat, 3))
+        got = _minimum_from(lat, short_vectors(lat, 3).counts_by_norm, 3)
         assert got == minimum(lat)
         return got, len(searches) - before
 
@@ -280,7 +283,7 @@ def test_minimum_read_off_a_bound_3_report(monkeypatch):
                     ([[5, 3], [3, 5]], 4)):
         assert read_off(make_lattice(g)) == (want, 1) and brute_minimum(g, want)
     with pytest.raises(LatticeError):
-        _minimum_from(make_lattice([]), short_vectors(make_lattice([]), 3))
+        _minimum_from(make_lattice([]), (), 3)
 
 
 def test_bound_between_norms():
@@ -328,3 +331,90 @@ def test_search_leaves_no_reference_cycle(L):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _L_glue(c):
+    return [rescale(std_gram("A", 4), -2)] * 4, [c.base_vectors[n] for n in L_GLUE]
+
+
+def test_glue_counts_of_L_match_its_search(L):
+    # the counts of L = A4(-2)^4 + glue at bounds 2, 3, 4, and of the
+    # nu-roots L (40 pairs of roots), equal short_vectors on L's Gram matrix
+    c = L[0]
+    blocks, glue = _L_glue(c)
+    for bound, want in ((2, ()), (3, ()), (4, ((4, 1320),))):
+        assert glue_counts(c.lattice, blocks, glue, bound) == want
+        assert short_vectors(c.lattice, bound).counts_by_norm == want
+    roots = catalog.FAULTS["nu-roots"]["L"](None)
+    got = glue_counts(roots.lattice, *_L_glue(roots), 3)
+    assert got == short_vectors(roots.lattice, 3).counts_by_norm == ((2, 40),)
+
+
+def _glued_sums(rng):
+    """(blocks, glue) with A_n(4s) blocks glued by half vectors and A2(3s)
+    blocks by multiples of (1/3, 2/3), s = +-1: every such glue row pairs
+    integrally and evenly, so overlattice accepts it."""
+    sign = rng.choice((1, -1))
+    blocks, parts = [], []
+    for _ in range(rng.randint(2, 3)):
+        if rng.random() < 0.3:
+            blocks.append(rescale(std_gram("A", 2), 3 * sign))
+            parts.append(lambda: [Fraction(k, 3) for k in ((1, 2), (2, 1), (0, 0))[rng.randrange(3)]])
+        else:
+            n = rng.randint(1, 3)
+            blocks.append(rescale(std_gram("A", n), 4 * sign))
+            parts.append(lambda n=n: [Fraction(rng.randint(0, 1), 2) for _ in range(n)])
+    glue = [sum((part() for part in parts), []) for _ in range(rng.randint(1, 3))]
+    return blocks, glue
+
+
+def test_glue_counts_oracle_on_glued_sums():
+    # the Nikulin lattice A1(-1)^8 + (1/2, ..., 1/2), and seeded sums of
+    # A_n(4) and A2(3) blocks under half and third glue, of either sign,
+    # against short_vectors on the Gram matrix that overlattice builds
+    nik = build_nikulin()[0]
+    for bound in (2, 4, 6):
+        assert (glue_counts(nik, [rescale(std_gram("A", 1), -1)] * 8,
+                            [[Fraction(1, 2)] * 8], bound)
+                == short_vectors(nik, bound).counts_by_norm)
+    # by hand: norm 2 is +-e_i; norm 4 is +-e_i +- e_j and (+-1/2, ..., +-1/2)
+    assert glue_counts(nik, [rescale(std_gram("A", 1), -1)] * 8,
+                       [[Fraction(1, 2)] * 8], 4) == ((2, 8), (4, 4 * 28 // 2 + 2 ** 8 // 2))
+    rng = random.Random(38)
+    for _ in range(12):
+        blocks, glue = _glued_sums(rng)
+        lat, _, _ = overlattice(direct_sum(blocks), glue)
+        for bound in (0, 2, 5, 8):
+            assert (glue_counts(lat, blocks, glue, bound)
+                    == short_vectors(lat, bound).counts_by_norm), (blocks, glue, bound)
+
+
+def test_glue_counts_refuses_malformed_input(L):
+    c = L[0]
+    blocks, glue = _L_glue(c)
+    a2 = std_gram("A", 2)
+    for args, match in (
+            ((c.lattice, blocks, glue[:3] + [glue[3][:15]] + glue[4:], 3),
+             "glue row 3 has length 15, not the blocks' rank 16"),
+            ((c.lattice, blocks, [[0.5] * 16], 3), "glue row 0 has entry 0.5"),
+            ((c.lattice, blocks, glue, 2.5), "bound 2.5 is not an integer"),
+            ((std_gram("U"), [std_gram("U")], [], 2), "requires a definite lattice"),
+            ((direct_sum([a2, rescale(a2, -1)]), [a2, rescale(a2, -1)], [], 2),
+             "blocks of one sign"),
+            ((c.lattice, blocks, glue[:7], 3), "not \\|det\\| 625 of the lattice times 128"),
+            # (1/2, 0) has norm 1/2 in A1 + A1; Z^2 passes the det check
+            ((make_lattice([[1, 0], [0, 1]]), [std_gram("A", 1)] * 2,
+              [[Fraction(1, 2), 0]], 2), "non-integral norm"),
+            ((rescale(c.lattice, 2), blocks, glue, 3), "not \\|det\\| 40960000 of the lattice times 256")):
+        with pytest.raises(LatticeError, match=match):
+            glue_counts(*args)
+
+
+def test_glue_counts_budget(monkeypatch, L):
+    # L's 256 classes and their convolution terms count against NODE_BUDGET
+    c = L[0]
+    blocks, glue = _L_glue(c)
+    for budget, match in ((200, "glue classes"), (300, "glue counts")):
+        monkeypatch.setattr(shortvec, "NODE_BUDGET", budget)
+        with pytest.raises(CapExceeded, match=match):
+            glue_counts(c.lattice, blocks, glue, 3)
