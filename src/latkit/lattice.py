@@ -14,7 +14,8 @@ from operator import mul
 from . import ratmat
 from .ratmat import (
     clear_denominators, det, divide_exact, hnf_int, identity, int_kernel,
-    inverse, mat_mul, mat_vec, signature, snf, to_int, transpose, vec_dot,
+    inverse, mat_mul, mat_vec, snf, symmetric_elimination, to_int, transpose,
+    vec_dot,
 )
 
 
@@ -41,10 +42,20 @@ class IntegralLattice:
     gram: tuple  # tuple of tuples of ints
 
     @cached_property
+    def elimination(self):
+        """symmetric_elimination(gram) as tuples, computed on first read."""
+        rows, pivots = symmetric_elimination(self.gram)
+        return tuple(map(tuple, rows)), tuple(pivots)
+
+    @cached_property
     def det(self):
-        """det of the Gram matrix (1 at rank 0), computed on first read
-        unless the lattice was built by _with_det."""
-        return det(self.gram) if self.gram else 1
+        """det of the Gram matrix (1 at rank 0), read on first use unless the
+        lattice was built by _with_det: the elimination's last pivot, else
+        ratmat.det (a degenerate or non-symmetric Gram matrix)."""
+        try:
+            return (1, *self.elimination[1])[-1]
+        except ratmat.MatrixError:
+            return det(self.gram)
 
     @cached_property
     def smith(self):
@@ -57,7 +68,7 @@ class IntegralLattice:
 
     @property
     def signature(self):
-        return signature(self.gram)
+        return ratmat._sylvester(self.elimination[1])
 
     @property
     def is_even(self):
@@ -97,22 +108,20 @@ def _with_det(gram, d):
 def make_lattice(gram):
     """Validate and build an integral lattice from a Gram matrix."""
     rows = [list(row) for row in gram]
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise LatticeError("Gram matrix must be square")
+    if any(len(row) != len(rows) for row in rows):
+        raise LatticeError("Gram matrix must be square")
     try:
-        rows = [[to_int(x) for x in row] for row in rows]
+        rows = [list(map(to_int, row)) for row in rows]
     except ratmat.MatrixError as e:
         raise LatticeError("Gram matrix must be integral: %s" % e)
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != rows[j][i]:
-                raise LatticeError("Gram matrix must be symmetric")
-    d = det(rows) if n > 0 else 1
-    if d == 0:
-        raise LatticeError("Gram matrix is degenerate")
-    return _with_det(tuple(tuple(row) for row in rows), d)
+    if transpose(rows) != rows:
+        raise LatticeError("Gram matrix must be symmetric")
+    lat = IntegralLattice(tuple(tuple(row) for row in rows))
+    try:
+        lat.elimination
+    except ratmat.MatrixError:
+        raise LatticeError("Gram matrix is degenerate") from None
+    return lat
 
 
 def direct_sum(lattices):

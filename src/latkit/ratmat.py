@@ -6,10 +6,11 @@ Fraction only if one of its nonzero terms is; mat_vec and vec_dot sum
 map(mul, ...), ints giving ints and any Fraction term a Fraction.  Every
 mat_mul in latkit multiplies ints.  to_int converts an int first.
 det, scaled_inverse (and inverse) and rref share one fraction-free
-elimination on ints, and signature and shortvec's Cholesky data share
-symmetric_elimination; the integer normal forms (snf, hnf_int) insist on
-ints, and clear_denominators turns rational rows into ints over one
-common denominator.  Everything here is exact -- no floats anywhere.
+elimination on ints; signature and IntegralLattice.elimination share the
+upper-triangle symmetric_elimination; snf, hnf_int and int_kernel check
+for int rows of one length once and share one echelon kernel; and
+clear_denominators puts rational rows over one common denominator.
+Everything here is exact -- no floats anywhere.
 """
 
 from fractions import Fraction
@@ -151,15 +152,56 @@ def rref(rows, ncols):
 
 # --- integer normal forms -------------------------------------------------
 
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
+def _int_rows(mat):
+    """mat as new int lists; MatrixError on a non-integer entry or ragged rows."""
+    a = [list(map(to_int, row)) for row in mat]
+    if any(len(row) != len(a[0]) for row in a):
+        raise MatrixError("rows of unequal lengths %s" % sorted({len(r) for r in a}))
+    return a
+
+
+def _echelon(a, ncols, hermite):
+    """Bring the int lists a, in place, to echelon form on their first
+    ncols columns and return its rank r: rows r.. are zero there.
+    hermite=True also makes each pivot positive and reduces the entries
+    above it into [0, pivot), which leaves the rows below it as they are."""
+    r = 0
+    for c in range(ncols):
+        # rows r.. are zero left of column c, so only columns c.. change
+        while r < len(a):
+            nz = [(abs(row[c]), i) for i, row in enumerate(a[r:], r) if row[c]]
+            if nz:
+                i = min(nz)[1]
+                a[r], a[i] = a[i], a[r]
+            if len(nz) < 2:
+                break
+            top = a[r][c:]
+            for row in a[r + 1:]:
+                if row[c]:
+                    q = row[c] // top[0]
+                    row[c:] = [x - q * y for x, y in zip(row[c:], top)]
+        if r < len(a) and a[r][c]:
+            top = a[r]
+            if hermite:
+                if top[c] < 0:
+                    top[c:] = [-x for x in top[c:]]
+                for row in a[:r]:
+                    q = row[c] // top[c]
+                    if q:
+                        row[c:] = [x - q * y for x, y in zip(row[c:], top[c:])]
+            r += 1
+    return r
+
+
+def _hnf(a):
+    """The row Hermite form of the int lists a, which it rewrites."""
+    return a[:_echelon(a, len(a[0]) if a else 0, True)]
 
 
 def _hermite_blocks(a, w):
     """The row Hermite form of [a | w], split back into its two blocks."""
     k = len(a[0]) if a else 0
-    h = hnf_int([row + x for row, x in zip(a, w)])
+    h = _hnf([row + x for row, x in zip(a, w)])
     return [row[:k] for row in h], [row[k:] for row in h]
 
 
@@ -179,7 +221,7 @@ def snf(mat):
     d_i, d_j (i < j) with d_i not dividing d_j becomes gcd, lcm by one
     2 x 2 unimodular step on rows i, j of U and columns i, j of V.
     """
-    a = [list(map(to_int, row)) for row in mat]
+    a = _int_rows(mat)
     n = len(a)
     m = len(a[0]) if a else 0
     v = identity(m)
@@ -213,39 +255,7 @@ def hnf_int(mat):
     Upper triangular (echelon), positive pivots, entries above a pivot
     reduced into [0, pivot).  Zero rows are dropped.
     """
-    a = [list(map(to_int, row)) for row in mat]
-    if not a:
-        return []
-    n, m = len(a), len(a[0])
-    r = 0
-    for c in range(m):
-        while True:
-            nz = [i for i in range(r, n) if a[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-            done = True
-            for i in range(r + 1, n):
-                if a[i][c]:
-                    q = a[i][c] // a[r][c]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][c]:
-                        done = False
-            if done:
-                break
-        if r < n and a[r][c]:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-            r += 1
-            if r == n:
-                break
-    return a[:r]
+    return _hnf(_int_rows(mat))
 
 
 def clear_denominators(rows):
@@ -258,17 +268,19 @@ def clear_denominators(rows):
 def int_kernel(mat):
     """Basis rows of {x in Z^m : mat . x = 0} in Hermite normal form.
 
-    One Hermite form H = W [mat^T | I_m] gives it (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.4.10): the rows of H
-    whose left block is zero have right blocks w with mat . w = 0, and as
-    rows of the unimodular W they span the whole kernel, which is thus
-    saturated.  They are the trailing rows of H, so they are already in
-    Hermite normal form."""
-    a = [list(map(to_int, row)) for row in mat]
+    A unimodular W with W [mat^T | I_m] in echelon form on mat^T's k
+    columns gives it (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.4.10): the right blocks of the rows whose left block is
+    zero span the whole kernel, which is thus saturated.  Only they are
+    brought to Hermite form, which is unique, so they are the kernel rows
+    of the full Hermite form of [mat^T | I_m]."""
+    a = _int_rows(mat)
     if not a:
         return []
-    h, w = _hermite_blocks(transpose(a), identity(len(a[0])))
-    return [x for row, x in zip(h, w) if not any(row)]
+    k = len(a)
+    aug = [list(col) + e for col, e in zip(zip(*a), identity(len(a[0])))]
+    r = _echelon(aug, k, False)
+    return _hnf([row[k:] for row in aug[r:]])
 
 
 def symmetric_elimination(gram):
@@ -279,45 +291,53 @@ def symmetric_elimination(gram):
     Step t maps each later row to (p * row - row[t] * pivot row) // d on
     the columns after t, p the pivot and d the last one (Bareiss): the
     trailing block stays d times the Schur complement, so rows[t] is
-    p_{t-1} times row t of that complement.  A zero pivot is first swapped
-    with a later nonzero diagonal entry, or made nonzero by e_t += e_j;
-    both moves are congruences of the trailing block, so the divisions
-    stay exact.
+    p_{t-1} times row t of that complement.  The block is symmetric, so
+    only its upper triangle is kept, row i on columns i..n-1.  A zero
+    pivot rebuilds the whole block to swap a later nonzero diagonal entry
+    in, or else to make the pivot nonzero by e_t += e_j; both moves are
+    congruences, so the divisions stay exact.  Ragged or non-symmetric
+    input raises MatrixError.
     """
     a, _ = clear_denominators(gram)
-    n = len(a)
+    n = _square(a)
+    if transpose(a) != a:
+        raise MatrixError("matrix is not symmetric")
+    u = [row[i:] for i, row in enumerate(a)]
     rows, pivots = [], []
     d = 1
     for t in range(n):
-        if not a[t][t]:
-            j = next((i for i in range(t + 1, n) if a[i][i]), None)
+        if not u[t][0]:
+            m = n - t
+            b = [[u[t + min(i, j)][abs(i - j)] for j in range(m)] for i in range(m)]
+            e = identity(m)
+            j = next((i for i in range(1, m) if b[i][i]), None)
             if j is not None:
-                a[t], a[j] = a[j], a[t]
-                _swap_cols(a, t, j)
+                e[0], e[j] = e[j], e[0]
             else:
-                j = next((i for i in range(t + 1, n) if a[t][i]), None)
+                j = next((i for i in range(1, m) if b[0][i]), None)
                 if j is None:
                     raise MatrixError("degenerate symmetric form")
-                # e_t += e_j makes the diagonal entry 2*a[t][j] != 0
-                a[t] = [x + y for x, y in zip(a[t], a[j])]
-                for row in a:
-                    row[t] += row[j]
-        top = a[t]
-        p = top[t]
-        rows.append(top[t:])
+                e[0][j] = 1  # e_t += e_j makes the pivot 2 b[0][j] != 0
+            b = mat_mul(mat_mul(e, b), transpose(e))
+            u[t:] = [row[i:] for i, row in enumerate(b)]
+        top = u[t]
+        p = top[0]
+        rows.append(top)
         pivots.append(p)
         for i in range(t + 1, n):
-            row = a[i]
-            f = row[t]
-            row[t + 1:] = [(p * x - f * y) // d for x, y in zip(row[t + 1:], top[t + 1:])]
+            f = top[i - t]
+            u[i] = [(p * x - f * y) // d for x, y in zip(u[i], top[i - t:])]
         d = p
     return rows, pivots
 
 
 def signature(gram):
-    """Signature (n_plus, n_minus) of a symmetric nondegenerate matrix by
-    Sylvester counting on the pivots of symmetric_elimination: pivot t
-    counts as positive iff p_t and p_{t-1} have one sign (p_{-1} = 1)."""
-    pivots = symmetric_elimination(gram)[1]
-    npos = sum((p > 0) == (d > 0) for d, p in zip([1] + pivots, pivots))
+    """Signature (n_plus, n_minus) of a symmetric nondegenerate matrix:
+    _sylvester on the pivots of symmetric_elimination."""
+    return _sylvester(symmetric_elimination(gram)[1])
+
+
+def _sylvester(pivots):
+    """Pivot t counts as positive iff p_t and p_{t-1} have one sign (p_{-1} = 1)."""
+    npos = sum((p > 0) == (d > 0) for d, p in zip((1, *pivots), pivots))
     return npos, len(pivots) - npos

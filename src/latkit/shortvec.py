@@ -1,10 +1,10 @@
 """Certified short-vector enumeration for definite lattices.
 
-Exact Cholesky data from ratmat's fraction-free symmetric elimination,
-then depth-first coordinate enumeration with exact interval bounds
-(Fincke-Pohst), each level taken in zig-zag order from the middle of its
-range (Schnorr-Euchner), at a radius rounded down to a multiple of the
-norm gcd.  No floating point: the empty report for a rootless lattice is
+Exact Cholesky data from the lattice's fraction-free symmetric
+elimination, then depth-first coordinate enumeration with exact interval
+bounds (Fincke-Pohst), each level taken in zig-zag order from the middle
+of its range (Schnorr-Euchner), at a radius rounded down to a multiple of
+the norm gcd.  No floating point: the empty report for a rootless lattice is
 an unconditional certificate.  An overlattice of an orthogonal sum of
 definite blocks is counted from its glue classes instead (glue_counts).
 """
@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 
 from .lattice import CapExceeded, LatticeError, _rational_rows
-from .ratmat import MatrixError, clear_denominators, symmetric_elimination, to_int
+from .ratmat import MatrixError, clear_denominators, to_int
 
 # Far above the largest search in the claims, tests and benchmark
 # (L at bound 6: 295,492 nodes).  glue_counts counts its glue classes and
@@ -51,27 +51,27 @@ def _cholesky(lat):
     definite: q[i][i] > 0 and q[i][j] (j > i) with
     norm(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2.
     q[t][t] = p_t / p_{t-1} and q[t][j] = r_t[j] / p_t for the pivots p_t
-    and pivot rows r_t of ratmat.symmetric_elimination; all p_t > 0 means
-    signature (n, 0), and a definite form makes no pivot move, so p_t is
-    the leading t+1 minor and the last pivot must be +-lat.det: a Gram
+    and pivot rows r_t of lat.elimination.  A definite form makes no pivot
+    move, so p_t is the leading t+1 minor; -G's p_t and r_t are (-1)^(t+1)
+    times G's, so for -lat only q[t][t] changes sign.  All q[t][t] > 0
+    means signature (n, 0), and the last pivot must be lat.det: a Gram
     matrix that does not match lat's det (a basis that spans a sublattice)
     raises LatticeError, as does a degenerate one.
     Returns (q, negated, g), where g = gcd(G_ii, 2 G_ij) divides every norm."""
     gram = lat.gram
-    n = len(gram)
     # a definite form's diagonal has one sign; the pivots reject the rest
-    sign = -1 if n and gram[0][0] < 0 else 1
+    sign = -1 if gram and gram[0][0] < 0 else 1
     try:
-        rows, pivots = symmetric_elimination([[sign * x for x in row] for row in gram])
+        rows, pivots = lat.elimination
     except MatrixError as e:
         raise LatticeError("short_vectors requires a nondegenerate lattice: %s" % e) from None
-    if any(p <= 0 for p in pivots):
+    if any(sign ** t * p <= 0 for t, p in enumerate(pivots, 1)):
         raise LatticeError("short_vectors requires a definite lattice")
-    if pivots and pivots[-1] != sign ** n * lat.det:
+    if pivots and pivots[-1] != lat.det:
         raise LatticeError("Gram matrix has det %d, not the lattice's det %d"
-                           % (sign ** n * pivots[-1], lat.det))
-    q = [[0] * t + [Fraction(p, d)] + [Fraction(x, p) for x in row[1:]]
-         for t, (row, p, d) in enumerate(zip(rows, pivots, [1] + pivots))]
+                           % (pivots[-1], lat.det))
+    q = [[0] * t + [Fraction(sign * p, d)] + [Fraction(x, p) for x in row[1:]]
+         for t, (row, p, d) in enumerate(zip(rows, pivots, (1,) + pivots))]
     return q, sign < 0, _norm_gcd(gram)
 
 

@@ -1,15 +1,18 @@
-"""Reference Cholesky data for short-vector enumeration: the Fraction
-elimination that latkit.shortvec._cholesky replaced, and the definite Gram
-matrices that tests compare it and latkit.ratmat.signature on.  No code
-from latkit.ratmat or latkit.shortvec runs in ref_cholesky."""
+"""Reference eliminations of symmetric matrices: the Fraction Cholesky
+elimination that latkit.shortvec._cholesky replaced, the full-block
+fraction-free elimination that the upper-triangle
+latkit.ratmat.symmetric_elimination replaced, and the seeded matrices that
+tests compare them and latkit.ratmat.signature on.  No code from
+latkit.ratmat or latkit.shortvec runs in ref_cholesky or
+ref_symmetric_elimination."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from latkit.catalog import std_gram
 from latkit.lattice import LatticeError, direct_sum, rescale
-from latkit.ratmat import det
+from latkit.ratmat import MatrixError, det, identity, mat_mul, transpose
 
 
 def ref_cholesky(gram):
@@ -33,6 +36,41 @@ def ref_cholesky(gram):
     g = gcd(*(x if i == j else 2 * x
               for i, row in enumerate(gram) for j, x in enumerate(row)))
     return q, sign < 0, g
+
+
+def ref_symmetric_elimination(gram):
+    """(rows, pivots) as latkit.ratmat.symmetric_elimination returns them,
+    by Bareiss steps on the whole trailing block, lower triangle included,
+    and pivot moves made in place on the full matrix."""
+    den = lcm(*(x.denominator for row in gram for x in row))
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in gram]
+    n = len(a)
+    rows, pivots = [], []
+    d = 1
+    for t in range(n):
+        if not a[t][t]:
+            j = next((i for i in range(t + 1, n) if a[i][i]), None)
+            if j is not None:
+                a[t], a[j] = a[j], a[t]
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
+            else:
+                j = next((i for i in range(t + 1, n) if a[t][i]), None)
+                if j is None:
+                    raise MatrixError("degenerate symmetric form")
+                a[t] = [x + y for x, y in zip(a[t], a[j])]
+                for row in a:
+                    row[t] += row[j]
+        top = a[t]
+        p = top[t]
+        rows.append(top[t:])
+        pivots.append(p)
+        for i in range(t + 1, n):
+            row = a[i]
+            f = row[t]
+            row[t + 1:] = [(p * x - f * y) // d for x, y in zip(row[t + 1:], top[t + 1:])]
+        d = p
+    return rows, pivots
 
 
 def upper(q):
@@ -78,3 +116,69 @@ INDEFINITE = (
     [[2, 0], [0, -2]],
     [[2, 2, 0], [2, 2, 1], [0, 1, 2]],
 )
+
+
+U = [[0, 1], [1, 0]]
+
+
+def direct_sum_matrix(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off:off + len(b)] = row
+        off += len(b)
+    return out
+
+
+def symmetric_cases():
+    """150 seeded symmetric nondegenerate int matrices of rank 1-8, with
+    the zero leading minors that make the symmetric elimination move a
+    pivot: U, U(2)^3 and U + A2 (a zero first pivot with no nonzero
+    diagonal to swap in), zero-diagonal matrices, and their congruences by
+    random unimodular matrices."""
+    u2 = [[0, 2], [2, 0]]
+    a2 = [[2, -1], [-1, 2]]
+    fixed = [U, direct_sum_matrix(u2, u2, u2), direct_sum_matrix(U, a2),
+             direct_sum_matrix(a2, U), direct_sum_matrix([[-2]], U, [[0, 3], [3, 0]])]
+    rng = random.Random(29)
+    cases = list(fixed)
+    while len(cases) < 150:
+        n = rng.randint(1, 8)
+        kind = len(cases) % 3
+        if kind == 0:
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            s = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+        elif kind == 1:
+            s = [[0 if i == j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+            s = [[s[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        else:
+            s = rng.choice(fixed)
+            n = len(s)
+        if kind and rng.random() < 0.7:
+            p = identity(n)
+            for _ in range(2 * n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    p[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(p[i], p[j])]
+            s = mat_mul(mat_mul(p, s), transpose(p))
+        if det(s) == 0:
+            continue
+        cases.append(s)
+    return cases
+
+
+def sympy_inertia(s):
+    """(n_plus, n_minus) of a symmetric matrix from sympy: Descartes' rule
+    of signs is exact for a polynomial whose roots are all real, such as
+    the characteristic polynomial of a symmetric matrix."""
+    from sympy import Matrix
+
+    coeffs = Matrix(s).charpoly().all_coeffs()
+
+    def changes(cs):
+        cs = [c for c in cs if c]
+        return sum((a > 0) != (b > 0) for a, b in zip(cs, cs[1:]))
+
+    return changes(coeffs), changes([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])

@@ -432,19 +432,33 @@ def test_readme_names_every_fault_in_order():
     assert first == sorted(first)
 
 
-def test_one_repro_pass_runs_17_eliminations(monkeypatch):
+def test_one_repro_pass_runs_19_eliminations(monkeypatch):
     # sublattice, overlattice, reflection_in_span and _half_unimodular
     # reuse the dets they already have (40 fraction-free eliminations per
     # pass before, 22 after); disc_action_trivial reads L's Smith form,
     # dih10/relation checks g h g = h and make_isometry takes no det, which
     # leaves 18; L's block A4(-2) is built on import, not by each build_L
-    # and count of L, which leaves 17.  The Smith forms are those of L, M_D5 and the Nikulin
-    # lattice, and only build_L and reflection_in_span take a scaled inverse
+    # and count of L, which leaves 17, and signature and short_vectors ran
+    # 4 symmetric eliminations more.  Now a lattice eliminates its Gram
+    # matrix once, symmetrically (IntegralLattice.elimination), and reads
+    # its det, signature and Cholesky data from it: make_lattice's 9 dets
+    # are its 9 symmetric eliminations, L's signature is one more (L is
+    # built by overlattice, with a known det), and A4(-2) keeps the one
+    # its first short_vectors made.  That leaves 9 fraction-free ones (6
+    # rref in fixed_locus, 2 scaled inverses, one det of L's e and f rows)
+    # and 10 symmetric ones, on 10 distinct lattices; two pairs of them,
+    # built by different claims, share a Gram matrix.  The Smith forms are
+    # those of L, M_D5 and the Nikulin lattice, and only build_L and
+    # reflection_in_span take a scaled inverse
     from latkit import isometry, ratmat
-    calls, snfs, inverses = [], [], []
+    repro_all()  # A4(-2) keeps its elimination from the first pass on
+    calls, eliminated, snfs, inverses = [], [], [], []
     elim, snf, scaled_inverse = ratmat._fraction_free, ratmat.snf, ratmat.scaled_inverse
+    sym = ratmat.symmetric_elimination
     monkeypatch.setattr(ratmat, "_fraction_free",
                         lambda *a, **k: calls.append(1) or elim(*a, **k))
+    monkeypatch.setattr(lattice, "symmetric_elimination", lambda g: eliminated.append(
+        sys._getframe(1).f_locals["self"]) or sym(g))
     monkeypatch.setattr(lattice, "snf", lambda g: snfs.append(len(g)) or snf(g))
     assert not hasattr(isometry, "scaled_inverse")
     for mod in (ratmat, catalog):
@@ -452,7 +466,9 @@ def test_one_repro_pass_runs_17_eliminations(monkeypatch):
             sys._getframe(1).f_code.co_name) or scaled_inverse(a))
     results = repro_all()
     assert len(results) == REPRO_CLAIMS and all(c.passed for c in results)
-    assert len(calls) == 17
+    assert len(calls) == 9
+    assert len(eliminated) == 10 and len({id(lat) for lat in eliminated}) == 10
+    assert len({lat.gram for lat in eliminated}) == 8
     assert snfs == [16, 8, 16]
     assert inverses == ["build_L", "reflection_in_span"]
 

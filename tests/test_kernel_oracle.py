@@ -1,7 +1,9 @@
 """int_kernel and saturation, read off one Hermite form, against the
-Smith-form versions they replaced, kept here as oracles.  Hermite normal
-form is unique, so the kernels and saturations must be equal, not just
-span the same lattice; the oracles' errors must match too."""
+Smith-form versions they replaced, kept here as oracles, and int_kernel
+against the kernel rows of the full Hermite form of [A^T | I] it once
+took.  Hermite normal form is unique, so the kernels and saturations must
+be equal, not just span the same lattice; the oracles' errors must match
+too."""
 
 import itertools
 import random
@@ -25,6 +27,17 @@ def ref_int_kernel(mat):
     r = sum(1 for i in range(min(len(a), m)) if d[i][i])
     vt = transpose(v)
     return hnf_int([vt[j] for j in range(r, m)])
+
+
+def ref_hermite_kernel(mat):
+    """The rows of the full Hermite form of [mat^T | I_m] whose left block
+    is zero, without their left block."""
+    a = [list(map(to_int, row)) for row in mat]
+    if not a:
+        return []
+    k, m = len(a), len(a[0])
+    h = hnf_int([col + e for col, e in zip(transpose(a), identity(m))])
+    return [row[k:] for row in h if not any(row[:k])]
 
 
 def ref_saturation(n, rows):
@@ -106,6 +119,17 @@ def test_int_kernel_matches_snf_oracle():
     for a in cases:
         assert int_kernel(a) == ref_int_kernel(a), a
     assert sum(1 for a in cases if int_kernel(a)) > 200
+
+
+def test_int_kernel_matches_full_hermite_form():
+    # int_kernel stops at echelon form on A^T's columns and reduces only
+    # the kernel rows; the full Hermite form reduces every row
+    cases = kernel_inputs()
+    for a in cases:
+        assert int_kernel(a) == ref_hermite_kernel(a), a
+    shapes = [(len(a), len(a[0])) for a in cases if int_kernel(a)]
+    assert sum(n < m for n, m in shapes) > 100 and sum(n > m for n, m in shapes) > 10
+    assert sum(1 for a in cases if len(int_kernel(a)) > max(0, len(a[0]) - len(a))) > 30
 
 
 def test_saturation_matches_snf_oracle():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cholesky_ref import U, direct_sum_matrix, symmetric_cases, sympy_inertia
 from fqf_ref import element_order, q_of
 from latkit import lattice, ratmat
 from latkit.isometry import IsometryError, make_isometry
@@ -15,7 +16,7 @@ from latkit.catalog import (
     build_L, build_MD5, build_nikulin, reflection_in_span, repro_all, std_gram, u2_cubed,
 )
 from latkit.lattice import (
-    CapExceeded, FiniteQuadraticForm, GlueError, LatticeError, direct_sum,
+    CapExceeded, FiniteQuadraticForm, GlueError, IntegralLattice, LatticeError, direct_sum,
     discriminant_group, fqf_isomorphic, invariant_factors, make_lattice,
     orthogonal_complement, overlattice, rescale, saturation, sublattice,
 )
@@ -77,22 +78,27 @@ def test_det_is_computed_or_derived_never_passed():
 def test_every_known_det_is_the_gram_det(monkeypatch):
     # each det stored by the private route in one repro pass and in the
     # fixtures of test_stored_det_is_the_gram_det equals det(gram): this
-    # checks make_lattice's own det, direct_sum's product, rescale's
-    # s^rank det and overlattice's det / index^2
-    stored = []
-    with_det = lattice._with_det
+    # checks direct_sum's product, rescale's s^rank det and overlattice's
+    # det / index^2.  make_lattice stores none: its det is the last pivot
+    # of the lattice's symmetric elimination, checked here on every one
+    stored, eliminated = [], []
+    with_det, sym = lattice._with_det, lattice.symmetric_elimination
 
     def recording(gram, d):
         stored.append((sys._getframe(1).f_code.co_name, gram, d))
         return with_det(gram, d)
 
     monkeypatch.setattr(lattice, "_with_det", recording)
+    monkeypatch.setattr(lattice, "symmetric_elimination",
+                        lambda g: eliminated.append(g) or sym(g))
     assert all(c.passed for c in repro_all())
     _fixture_lattices(build_L()[0].lattice)
-    assert {name for name, _, _ in stored} == {
-        "make_lattice", "direct_sum", "rescale", "overlattice"}
+    assert {name for name, _, _ in stored} == {"direct_sum", "rescale", "overlattice"}
     for name, gram, d in stored:
         assert d == (ratmat.det([list(row) for row in gram]) if gram else 1), name
+    assert len(eliminated) >= 9
+    for gram in eliminated:
+        assert (1, *sym(gram)[1])[-1] == ratmat.det(gram)
 
 
 def test_known_det_route_stays_in_lattice():
@@ -482,6 +488,25 @@ def _fixture_lattices(l_lat):
             blocks.append(rescale(make_lattice(sym), rng.choice((-3, -1, 1, 2))))
         lats.append(direct_sum(blocks))
     return lats
+
+
+def test_det_and_signature_come_from_one_elimination(monkeypatch):
+    # make_lattice runs no ratmat.det: its det is the last pivot of the
+    # lattice's symmetric elimination, and its signature is Sylvester's
+    # count on the pivots, on seeded forms whose elimination moves pivots
+    monkeypatch.setattr(lattice, "det", lambda g: pytest.fail("ratmat.det ran"))
+    lats = [make_lattice(s) for s in symmetric_cases()]
+    monkeypatch.undo()
+    for lat in lats:
+        assert lat.det == ratmat.det(lat.gram) and type(lat.det) is int
+        assert lat.signature == sympy_inertia(lat.gram)
+    with pytest.raises(LatticeError, match="Gram matrix is degenerate"):
+        make_lattice(direct_sum_matrix(U, [[0]]))
+    # a lattice built on a degenerate Gram matrix has det 0, which
+    # make_isometry's refusal reads, and rank 0 has det 1
+    assert IntegralLattice(((1, 1), (1, 1))).det == 0
+    assert IntegralLattice(()).det == make_lattice([]).det == 1
+    assert IntegralLattice(()).signature == (0, 0)
 
 
 def test_stored_det_is_the_gram_det(L):

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cholesky_ref import INDEFINITE, definite_grams
+from cholesky_ref import (
+    INDEFINITE, U, definite_grams, direct_sum_matrix, ref_symmetric_elimination,
+    symmetric_cases, sympy_inertia,
+)
 from latkit import ratmat
 from latkit.ratmat import (
     det, hnf_int, identity, int_kernel, inverse, mat_mul, mat_vec, rref,
@@ -152,78 +155,59 @@ def test_signature_random_vs_eigen_count():
         done += 1
 
 
-def _sympy_inertia(s):
-    # Descartes' rule of signs is exact for a polynomial whose roots are all
-    # real, such as the characteristic polynomial of a symmetric matrix
-    from sympy import Matrix
-
-    coeffs = Matrix(s).charpoly().all_coeffs()
-
-    def changes(cs):
-        cs = [c for c in cs if c]
-        return sum((a > 0) != (b > 0) for a, b in zip(cs, cs[1:]))
-
-    return changes(coeffs), changes([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])
-
-
-def _direct_sum(*blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            out[off + i][off:off + len(b)] = row
-        off += len(b)
-    return out
-
-
 def test_signature_oracle_sympy():
     # Seeded symmetric nondegenerate matrices against sympy's inertia,
-    # including the zero leading minors the Jacobi test above skips: U,
-    # U(2)^3 and U + A2 (a zero first pivot with no nonzero diagonal to swap
-    # in), zero-diagonal matrices, and their congruences by random
-    # unimodular matrices, some divided by small denominators.
-    u = [[0, 1], [1, 0]]
-    u2 = [[0, 2], [2, 0]]
-    a2 = [[2, -1], [-1, 2]]
-    fixed = [u, _direct_sum(u2, u2, u2), _direct_sum(u, a2), _direct_sum(a2, u),
-             _direct_sum([[-2]], u, [[0, 3], [3, 0]])]
-    rng = random.Random(29)
-    cases = list(fixed)
-    while len(cases) < 150:
-        n = rng.randint(1, 8)
-        kind = len(cases) % 3
-        if kind == 0:
-            a = rand_mat(rng, n, n, -3, 3)
-            s = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
-        elif kind == 1:
-            s = [[0 if i == j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
-            s = [[s[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-        else:
-            s = rng.choice(fixed)
-            n = len(s)
-        if kind and rng.random() < 0.7:
-            p = identity(n)
-            for _ in range(2 * n):
-                i, j = rng.randrange(n), rng.randrange(n)
-                if i != j:
-                    p[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(p[i], p[j])]
-            s = mat_mul(mat_mul(p, s), transpose(p))
-        if det(s) == 0:
-            continue
-        cases.append(s)
+    # including the zero leading minors the Jacobi test above skips (see
+    # cholesky_ref.symmetric_cases), some divided by small denominators.
+    cases = symmetric_cases()
     zero_minor = 0
     for k, s in enumerate(cases):
         n = len(s)
         zero_minor += any(det([row[:m] for row in s[:m]]) == 0 for m in range(1, n + 1))
-        want = _sympy_inertia(s)
+        want = sympy_inertia(s)
         assert signature(s) == want, s
         if k % 4 == 1:
             scaled = [[Fraction(x, 6) for x in row] for row in s]
             assert signature(scaled) == want
     assert zero_minor >= 40
     with pytest.raises(MatrixError, match="degenerate"):
-        signature(_direct_sum(u, [[0]]))
+        signature(direct_sum_matrix(U, [[0]]))
+
+
+def test_symmetric_elimination_matches_full_block_reference():
+    # the elimination on the upper triangle against the full-block one it
+    # replaced: identical (rows, pivots) on the seeded cases above, which
+    # take both pivot moves, on Fraction input, on the short-vector Gram
+    # matrices, and the same error on U + [0]
+    cases = symmetric_cases() + definite_grams() + list(INDEFINITE)
+    for k, s in enumerate(cases):
+        assert symmetric_elimination(s) == ref_symmetric_elimination(s), s
+        if k % 4 == 1:
+            scaled = [[Fraction(x, 6) for x in row] for row in s]
+            assert symmetric_elimination(scaled) == ref_symmetric_elimination(scaled)
+    degenerate = direct_sum_matrix(U, [[0]])
+    for fn in (symmetric_elimination, ref_symmetric_elimination):
+        with pytest.raises(MatrixError) as err:
+            fn(degenerate)
+        assert str(err.value) == "degenerate symmetric form"
+
+
+def test_ragged_and_asymmetric_input_refused():
+    # a ragged matrix once gave snf a U with a short row and D = diag(1, 6),
+    # int_kernel an empty kernel and hnf_int an IndexError; a non-symmetric
+    # one gave signature([[2, 1], [0, 2]]) = (2, 0) from its upper triangle
+    ragged = [[1, 2], [3]]
+    for fn in (hnf_int, int_kernel, snf):
+        with pytest.raises(MatrixError, match=r"rows of unequal lengths \[1, 2\]"):
+            fn(ragged)
+        with pytest.raises(MatrixError, match="non-integer entry 1/2"):
+            fn([[1, Fraction(1, 2)], [0, 1]])
+    for fn in (symmetric_elimination, signature):
+        with pytest.raises(MatrixError, match="not square"):
+            fn(ragged)
+        for m in ([[2, 1], [0, 2]], [[0, 1, 0], [1, 0, 0], [0, Fraction(1, 2), 2]]):
+            with pytest.raises(MatrixError, match="matrix is not symmetric"):
+                fn(m)
 
 
 def test_signature_on_short_vector_inputs(L):
@@ -234,7 +218,7 @@ def test_signature_on_short_vector_inputs(L):
     from sympy import Matrix
 
     for s in definite_grams([L[0].lattice.gram]) + list(INDEFINITE):
-        assert signature(s) == _sympy_inertia(s)
+        assert signature(s) == sympy_inertia(s)
     for s in definite_grams():
         rows, pivots = symmetric_elimination(s)
         m = Matrix(s)

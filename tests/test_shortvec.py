@@ -14,7 +14,7 @@ from latkit.catalog import L_GLUE, _minimum_from, build_nikulin, std_gram
 from latkit.lattice import (
     CapExceeded, LatticeError, _with_det, direct_sum, make_lattice, overlattice, rescale,
 )
-from latkit.ratmat import det, mat_mul, transpose
+from latkit.ratmat import det, mat_mul, symmetric_elimination, transpose
 from latkit.shortvec import _cholesky, glue_counts, minimum, short_vectors
 
 
@@ -113,6 +113,21 @@ def test_cholesky_matches_fraction_reference(L):
         assert all(type(x) is Fraction for row in upper(q) for x in row)
         assert (negated, g) == (want_negated, want_g)
         assert negated == (gram[0][0] < 0)
+
+
+def test_cholesky_of_negative_definite_L(L):
+    # L, built by overlattice with a known det, is negative definite: its
+    # Cholesky data come from the elimination of G itself, whose pivots
+    # and pivot rows t are (-1)^(t+1) times those of -G
+    lat = L[0].lattice
+    q, negated, g = _cholesky(lat)
+    want_q, want_negated, want_g = ref_cholesky(lat.gram)
+    assert upper(q) == upper(want_q)
+    assert (negated, g) == (want_negated, want_g) == (True, 2)
+    rows, pivots = symmetric_elimination([[-x for x in row] for row in lat.gram])
+    signs = [(-1) ** (t + 1) for t in range(lat.rank)]
+    assert lat.elimination == (tuple(tuple(s * x for x in row) for s, row in zip(signs, rows)),
+                               tuple(s * p for s, p in zip(signs, pivots)))
 
 
 def test_indefinite_forms_rejected_by_both_choleskys():
