@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import k3fam, shortvec
 from .cyclo import Cyc5
 from .isometry import (
-    acts_as_minus_one, disc_action_trivial, group_closure, invariant_sublattice,
+    _invariant_rows, acts_as_minus_one, disc_action_trivial, group_closure,
     make_isometry, order,
 )
 from .lattice import (
@@ -444,6 +444,7 @@ BUILDERS = {
     "factors:nikulin": lambda get: invariant_factors(get("nikulin")[0]),
     # L's counts up to norm 3 certify both L/rootless and L/minimum
     "sv:L": lambda get: _glue_counts_L(get("L")),
+    "ef-spans": lambda get: _ef_spans(get("L")),
     "k3:quartic-p3": lambda get: quartic_p3(),
     "k3:ci-p4": lambda get: ci_p4(),
     "k3:ci-p5": lambda get: ci_p5(),
@@ -531,9 +532,8 @@ def _minimum_from(lat, counts, bound):
     return shortvec.minimum(lat)
 
 
-def _half_unimodular(lat, rows):
+def _half_unimodular(sub):
     """Halving the Gram matrix divides its det by 2^rank, keeps the signature."""
-    sub = sublattice(lat, rows)
     half = divide_exact(sub.gram, 2)
     if half is None:
         return "half-Gram not integral"
@@ -541,10 +541,17 @@ def _half_unimodular(lat, rows):
             abs(sub.det) // 2 ** sub.rank, sub.signature)
 
 
+def _ef_spans(c):
+    """The spans of L's e rows and of its f rows: one lattice, eliminated
+    once, when their Gram matrices agree (both are E8(-2))."""
+    e, f = sublattice(c.lattice, _e_rows(c)), _rows_in(c.lattice, _f_rows(c))
+    same = tuple(map(tuple, mat_mul(mat_mul(f, c.lattice.gram), transpose(f)))) == e.gram
+    return e, e if same else sublattice(c.lattice, f)
+
+
 def _h_invariant_matches(c):
-    inv_lat, inv_rows = invariant_sublattice(c.lattice, [c.isometries["h"]])
-    comp_lat, comp_rows = orthogonal_complement(c.lattice, _e_rows(c))
-    return inv_rows == comp_rows and len(inv_rows) == 8
+    inv_rows = _invariant_rows(c.lattice, [c.isometries["h"]])
+    return inv_rows == orthogonal_complement(c.lattice, _e_rows(c))[1] and len(inv_rows) == 8
 
 
 def _dihedral_relation(c):
@@ -586,8 +593,7 @@ CLAIMS = (
     Claim("g/disc-trivial", "isometry-g", True,
           lambda L: disc_action_trivial(L.lattice, L.isometries["g"]), ("L",)),
     Claim("g/no-invariants", "isometry-g", 0,
-          lambda L: len(invariant_sublattice(L.lattice, [L.isometries["g"]])[1]),
-          ("L",)),
+          lambda L: len(_invariant_rows(L.lattice, [L.isometries["g"]])), ("L",)),
     # -- the dihedral group <g, h>
     Claim("dih10/h-order", "involution-h", 2,
           lambda L: order(L.isometries["h"]), ("L",)),
@@ -606,9 +612,9 @@ CLAIMS = (
           _h_invariant_matches, ("L",)),
     # -- the two E8(-2) copies and their spanning of L
     Claim("e8/e-half-unimodular", "L/e-span", (True, 1, (0, 8)),
-          lambda L: _half_unimodular(L.lattice, _e_rows(L)), ("L",)),
+          lambda spans: _half_unimodular(spans[0]), ("ef-spans",)),
     Claim("e8/f-half-unimodular", "L/f-span", (True, 1, (0, 8)),
-          lambda L: _half_unimodular(L.lattice, _f_rows(L)), ("L",)),
+          lambda spans: _half_unimodular(spans[1]), ("ef-spans",)),
     Claim("e8/ef-det", "L/ef-span", 5 ** 4,
           lambda L: abs(sublattice(L.lattice, _e_rows(L) + _f_rows(L)).det), ("L",)),
     Claim("e8/ef-index", "L/ef-span", 1,

@@ -125,6 +125,12 @@ def invariant_sublattice(lat, gens):
     Returns (lattice, basis_rows), of rank 0 when nothing is fixed.  An
     isometry of another lattice: IsometryError.
     """
+    basis = _invariant_rows(lat, gens)
+    return sublattice(lat, basis), basis
+
+
+def _invariant_rows(lat, gens):
+    """invariant_sublattice's basis rows, without building its lattice."""
     _check_lattice(lat, gens)
     stacked = []
     for g in gens:
@@ -132,8 +138,7 @@ def invariant_sublattice(lat, gens):
             moved = [x - (1 if i == j else 0) for j, x in enumerate(row)]
             if any(moved):
                 stacked.append(moved)
-    basis = int_kernel(stacked) if stacked else identity(lat.rank)
-    return sublattice(lat, basis), basis
+    return int_kernel(stacked) if stacked else identity(lat.rank)
 
 
 def acts_as_minus_one(iso, rows):

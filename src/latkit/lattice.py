@@ -49,9 +49,8 @@ class IntegralLattice:
 
     @cached_property
     def det(self):
-        """det of the Gram matrix (1 at rank 0), read on first use unless the
-        lattice was built by _with_det: the elimination's last pivot, else
-        ratmat.det (a degenerate or non-symmetric Gram matrix)."""
+        """det of the Gram matrix unless _with_det stored it: the last pivot
+        of the elimination (1 at rank 0), else ratmat.det (a degenerate or asymmetric one)."""
         try:
             return (1, *self.elimination[1])[-1]
         except ratmat.MatrixError:
@@ -106,21 +105,19 @@ def _with_det(gram, d):
 
 
 def make_lattice(gram):
-    """Validate and build an integral lattice from a Gram matrix."""
-    rows = [list(row) for row in gram]
-    if any(len(row) != len(rows) for row in rows):
-        raise LatticeError("Gram matrix must be square")
+    """Validate and build an integral lattice from a Gram matrix; its
+    elimination checks the shape, symmetry and nondegeneracy at once."""
     try:
-        rows = [list(map(to_int, row)) for row in rows]
+        lat = IntegralLattice(tuple(tuple(map(to_int, row)) for row in gram))
     except ratmat.MatrixError as e:
         raise LatticeError("Gram matrix must be integral: %s" % e)
-    if transpose(rows) != rows:
-        raise LatticeError("Gram matrix must be symmetric")
-    lat = IntegralLattice(tuple(tuple(row) for row in rows))
     try:
         lat.elimination
     except ratmat.MatrixError:
-        raise LatticeError("Gram matrix is degenerate") from None
+        g = lat.gram
+        raise LatticeError("Gram matrix " + (
+            "must be square" if any(len(row) != len(g) for row in g) else
+            "must be symmetric" if tuple(zip(*g)) != g else "is degenerate")) from None
     return lat
 
 
@@ -327,8 +324,7 @@ def orthogonal_complement(lat, rows):
     # exactly when their pairings leave a kernel of rank n - k
     if len(basis) != n - len(rows):
         raise LatticeError("orthogonal_complement input rows are dependent")
-    gram = mat_mul(mat_mul(basis, lat.gram), transpose(basis))
-    return make_lattice(gram), basis
+    return make_lattice(mat_mul(mat_mul(basis, lat.gram), transpose(basis))), basis
 
 
 def _fqf_table(f, den):

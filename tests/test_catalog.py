@@ -432,7 +432,7 @@ def test_readme_names_every_fault_in_order():
     assert first == sorted(first)
 
 
-def test_one_repro_pass_runs_19_eliminations(monkeypatch):
+def test_one_repro_pass_runs_16_eliminations(monkeypatch):
     # sublattice, overlattice, reflection_in_span and _half_unimodular
     # reuse the dets they already have (40 fraction-free eliminations per
     # pass before, 22 after); disc_action_trivial reads L's Smith form,
@@ -444,10 +444,13 @@ def test_one_repro_pass_runs_19_eliminations(monkeypatch):
     # its det, signature and Cholesky data from it: make_lattice's 9 dets
     # are its 9 symmetric eliminations, L's signature is one more (L is
     # built by overlattice, with a known det), and A4(-2) keeps the one
-    # its first short_vectors made.  That leaves 9 fraction-free ones (6
+    # its first short_vectors made.  That left 9 fraction-free ones (6
     # rref in fixed_locus, 2 scaled inverses, one det of L's e and f rows)
-    # and 10 symmetric ones, on 10 distinct lattices; two pairs of them,
-    # built by different claims, share a Gram matrix.  The Smith forms are
+    # and 10 symmetric ones, on 8 distinct Gram matrices.  The spans of the
+    # e rows and of the f rows now share one lattice (named input
+    # ef-spans), and the claims that read only invariant rows build no
+    # lattice on them, which leaves 7 symmetric eliminations, each of its
+    # own Gram matrix: no pass eliminates one twice.  The Smith forms are
     # those of L, M_D5 and the Nikulin lattice, and only build_L and
     # reflection_in_span take a scaled inverse
     from latkit import isometry, ratmat
@@ -467,8 +470,7 @@ def test_one_repro_pass_runs_19_eliminations(monkeypatch):
     results = repro_all()
     assert len(results) == REPRO_CLAIMS and all(c.passed for c in results)
     assert len(calls) == 9
-    assert len(eliminated) == 10 and len({id(lat) for lat in eliminated}) == 10
-    assert len({lat.gram for lat in eliminated}) == 8
+    assert len(eliminated) == len({lat.gram for lat in eliminated}) == 7
     assert snfs == [16, 8, 16]
     assert inverses == ["build_L", "reflection_in_span"]
 
