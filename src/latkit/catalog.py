@@ -28,8 +28,8 @@ from .lattice import (
     sublattice,
 )
 from .ratmat import (
-    MatrixError, clear_denominators, det, divide_exact, identity, mat_mul, mat_vec,
-    scaled_inverse, transpose, vec_dot,
+    MatrixError, block_diag, clear_denominators, det, divide_exact, identity, mat_mul,
+    mat_vec, scaled_inverse, transpose, vec_dot,
 )
 
 
@@ -108,18 +108,6 @@ def _gamma4():
             [0, 0, 1, -1]]
 
 
-def _block_diag(blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(b)
-    return out
-
-
 def _eta4():
     # the involution on one A4 copy: a1 -> -a1, a2 -> -a5, a3 -> -a4,
     # a4 -> -a3, with a5 = -(a1+a2+a3+a4); columns are images
@@ -146,7 +134,7 @@ def build_L(nu_override=None):
     denominator s of mu and nu (s = 2), with coordinates P V / s in L.
     """
     base = direct_sum([L_BLOCK] * 4)
-    g_base = _block_diag([_gamma4()] * 4)
+    g_base = block_diag([_gamma4()] * 4)
     nu = nu_override if nu_override is not None else NU_BASE
     (mu, nu), s = clear_denominators([MU_BASE, nu])
     mus, nus = [mu], [nu]
@@ -160,7 +148,7 @@ def build_L(nu_override=None):
     inv, dh = scaled_inverse(ht)
     p = divide_exact([[d * x for x in row] for row in inv], dh)
     isometries = {}
-    for name, m in (("g", g_base), ("h", _block_diag([_eta4()] * 4))):
+    for name, m in (("g", g_base), ("h", block_diag([_eta4()] * 4))):
         rows = divide_exact(mat_mul(mat_mul(p, m), ht), d)
         if rows is None:
             raise CatalogError("%s does not extend integrally to the overlattice" % name)

@@ -10,7 +10,8 @@ Family files:
     vars n
     weights w0 ... w_{n-1}
     mono e0 ... e_{n-1}   (one line per monomial)
-    map NAME              (optional, followed by n rows of n Q(w) tokens)
+    map NAME              (optional, each NAME once, followed by n rows
+                           of n Q(w) tokens)
 Q(w) tokens look like 1, -2/3, w, w^2, 1+w-3*w^3: every term after the
 first starts with + or -, so 1w, ww and w2 are errors.
 """
@@ -156,6 +157,8 @@ def parse_family_file(path, text=None):
         elif toks[0] in ("weights", "mono", "map") and n is None:
             raise ParseError(path, lineno, "'vars' must come before %r" % toks[0])
         elif toks[0] == "weights":
+            if weights is not None:
+                raise ParseError(path, lineno, "'weights' given twice")
             weights = tuple(_parse_int(t, path, lineno) % 5 for t in toks[1:])
             if len(weights) != n:
                 raise ParseError(path, lineno, "weights need %d entries" % n)
@@ -173,6 +176,8 @@ def parse_family_file(path, text=None):
             if len(toks) != 2:
                 raise ParseError(path, lineno, "expected 'map NAME'")
             name = toks[1]
+            if name in maps:
+                raise ParseError(path, lineno, "map %r given twice" % name)
             rows = []
             for k in range(n):
                 i += 1

@@ -25,14 +25,14 @@ class Isometry:
     matrix: tuple  # tuple of tuples of ints
 
     def __mul__(self, other):
-        if other.lattice != self.lattice:
-            raise IsometryError("isometries live on different lattices")
+        _check_lattice(self.lattice, [self, other])
         return Isometry(self.lattice, tuple(map(tuple, mat_mul(self.matrix, other.matrix))))
 
 
 def make_isometry(lat, matrix):
     """Validate M^T G M = G; on failure the error carries the Gram defect.
-    That gives det(M)^2 = 1 when det G != 0, so a degenerate G is refused."""
+    That gives det(M)^2 = 1 only when G is nondegenerate, so a G whose
+    elimination fails is refused."""
     try:
         rows = [[to_int(x) for x in r] for r in matrix]
     except MatrixError as e:
@@ -40,8 +40,10 @@ def make_isometry(lat, matrix):
     n = lat.rank
     if len(rows) != n or any(len(r) != n for r in rows):
         raise IsometryError("isometry matrix must be %d x %d" % (n, n))
-    if lat.det == 0:
-        raise IsometryError("degenerate lattice: M^T G M = G does not make M unimodular")
+    try:
+        lat.elimination
+    except LatticeError as e:
+        raise IsometryError("%s: M^T G M = G does not make M unimodular" % e) from None
     g = lat.gram
     lhs = mat_mul(mat_mul(transpose(rows), g), rows)
     defect = [[lhs[i][j] - g[i][j] for j in range(lat.rank)] for i in range(lat.rank)]
@@ -97,8 +99,7 @@ def group_closure(gens):
         raise IsometryError("need at least one generator")
     lat = gens[0].lattice
     _check_lattice(lat, gens)
-    n = lat.rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    ident = tuple(map(tuple, identity(lat.rank)))
     seen = {ident}
     frontier = [ident]
     while frontier:

@@ -13,7 +13,7 @@ from operator import mul
 
 from . import ratmat
 from .ratmat import (
-    clear_denominators, det, divide_exact, hnf_int, identity, int_kernel,
+    block_diag, clear_denominators, divide_exact, hnf_int, identity, int_kernel,
     inverse, mat_mul, mat_vec, snf, symmetric_elimination, to_int, transpose,
     vec_dot,
 )
@@ -43,18 +43,23 @@ class IntegralLattice:
 
     @cached_property
     def elimination(self):
-        """symmetric_elimination(gram) as tuples, computed on first read."""
-        rows, pivots = symmetric_elimination(self.gram)
+        """symmetric_elimination(gram) as tuples, computed on first read:
+        the one check of the Gram matrix, whose faults it names in a
+        LatticeError."""
+        try:
+            rows, pivots = symmetric_elimination(self.gram)
+        except ratmat.MatrixError:
+            g = self.gram
+            raise LatticeError("Gram matrix " + (
+                "must be square" if any(len(row) != len(g) for row in g) else
+                "must be symmetric" if tuple(zip(*g)) != g else "is degenerate")) from None
         return tuple(map(tuple, rows)), tuple(pivots)
 
-    @cached_property
+    @property
     def det(self):
-        """det of the Gram matrix unless _with_det stored it: the last pivot
-        of the elimination (1 at rank 0), else ratmat.det (a degenerate or asymmetric one)."""
-        try:
-            return (1, *self.elimination[1])[-1]
-        except ratmat.MatrixError:
-            return det(self.gram)
+        """det of the Gram matrix: the last pivot of the elimination, 1 at rank 0."""
+        pivots = self.elimination[1]
+        return pivots[-1] if pivots else 1
 
     @cached_property
     def smith(self):
@@ -96,52 +101,32 @@ class FiniteQuadraticForm:
         return prod(self.invariant_factors)
 
 
-def _with_det(gram, d):
-    """IntegralLattice on gram (int tuples) with its det d already known:
-    the one route that stores a det instead of computing it."""
-    lat = IntegralLattice(gram)
-    lat.__dict__["det"] = d  # where cached_property keeps its value
-    return lat
-
-
 def make_lattice(gram):
-    """Validate and build an integral lattice from a Gram matrix; its
-    elimination checks the shape, symmetry and nondegeneracy at once."""
+    """Validate and build an integral lattice from a Gram matrix: convert
+    the entries to ints, then read the elimination, which checks the
+    shape, symmetry and nondegeneracy at once."""
     try:
         lat = IntegralLattice(tuple(tuple(map(to_int, row)) for row in gram))
     except ratmat.MatrixError as e:
         raise LatticeError("Gram matrix must be integral: %s" % e)
-    try:
-        lat.elimination
-    except ratmat.MatrixError:
-        g = lat.gram
-        raise LatticeError("Gram matrix " + (
-            "must be square" if any(len(row) != len(g) for row in g) else
-            "must be symmetric" if tuple(zip(*g)) != g else "is degenerate")) from None
+    lat.elimination
     return lat
 
 
 def direct_sum(lattices):
-    """The orthogonal sum; its det is the product of the parts' dets."""
-    n = sum(lat.rank for lat in lattices)
-    gram = []
-    off = 0
-    for lat in lattices:
-        gram += [(0,) * off + row + (0,) * (n - off - lat.rank) for row in lat.gram]
-        off += lat.rank
-    return _with_det(tuple(gram), prod(lat.det for lat in lattices))
+    """The orthogonal sum, on the block-diagonal Gram matrix."""
+    return IntegralLattice(tuple(map(tuple, block_diag([lat.gram for lat in lattices]))))
 
 
 def rescale(lat, s):
-    """L(s), the Gram matrix times the integer s; its det is s^rank det L."""
+    """L(s), the Gram matrix times the integer s."""
     try:
         s = to_int(s)
     except ratmat.MatrixError:
         raise LatticeError("rescale by non-integer %s" % (s,)) from None
     if s == 0:
         raise LatticeError("rescale by 0")
-    return _with_det(tuple(tuple(x * s for x in row) for row in lat.gram),
-                     s ** lat.rank * lat.det)
+    return IntegralLattice(tuple(tuple(x * s for x in row) for row in lat.gram))
 
 
 def invariant_factors(lat):
@@ -197,8 +182,8 @@ def overlattice(lat, glue):
     common denominator of the glue and W = d * glue, the glue must have
     G W divisible by d, each W_k G W_k by 2 d^2 and each W_a G W_b by d^2;
     B = H / d for the Hermite form H of [d I ; W], and L' is built as is
-    on H G H^T / d^2, with det L / index^2 as its det.  The index
-    [L' : L] = [H Z^n : d Z^n] = d^n / det H, H triangular, positive pivots.
+    on H G H^T / d^2.  The index [L' : L] = [H Z^n : d Z^n] = d^n / det H,
+    H triangular, positive pivots.
     """
     n = lat.rank
     gram = lat.gram
@@ -228,8 +213,8 @@ def overlattice(lat, glue):
     h, index = _glue_hermite(ws, d, n)
     # exact: the checks above make every pairing of L' integral
     new_gram = divide_exact(mat_mul(mat_mul(h, gram), transpose(h)), d * d)
-    new_lat = _with_det(tuple(map(tuple, new_gram)), lat.det // index ** 2)
-    return new_lat, index, [[Fraction(x, d) for x in row] for row in h]
+    return (IntegralLattice(tuple(map(tuple, new_gram))), index,
+            [[Fraction(x, d) for x in row] for row in h])
 
 
 def _glue_hermite(ws, d, n):
@@ -276,7 +261,7 @@ def _rows_in(lat, rows):
 
 
 def sublattice(lat, rows):
-    """Lattice on integer rows in lat's basis; its det rejects dependent rows."""
+    """Lattice on integer rows in lat's basis; its elimination rejects dependent rows."""
     rows = _rows_in(lat, rows)
     try:
         return make_lattice(mat_mul(mat_mul(rows, lat.gram), transpose(rows)))

@@ -30,6 +30,16 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
+def block_diag(blocks):
+    """The block-diagonal matrix of the square blocks, as new lists."""
+    n = sum(map(len, blocks))
+    out, off = [], 0
+    for b in blocks:
+        out += [[0] * off + list(row) + [0] * (n - off - len(b)) for row in b]
+        off += len(b)
+    return out
+
+
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise MatrixError("dimension mismatch in mat_mul")

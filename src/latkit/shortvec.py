@@ -54,22 +54,15 @@ def _cholesky(lat):
     and pivot rows r_t of lat.elimination.  A definite form makes no pivot
     move, so p_t is the leading t+1 minor; -G's p_t and r_t are (-1)^(t+1)
     times G's, so for -lat only q[t][t] changes sign.  All q[t][t] > 0
-    means signature (n, 0), and the last pivot must be lat.det: a Gram
-    matrix that does not match lat's det (a basis that spans a sublattice)
-    raises LatticeError, as does a degenerate one.
+    means signature (n, 0); any other form raises LatticeError, and so
+    does a degenerate one, from its elimination.
     Returns (q, negated, g), where g = gcd(G_ii, 2 G_ij) divides every norm."""
     gram = lat.gram
     # a definite form's diagonal has one sign; the pivots reject the rest
     sign = -1 if gram and gram[0][0] < 0 else 1
-    try:
-        rows, pivots = lat.elimination
-    except MatrixError as e:
-        raise LatticeError("short_vectors requires a nondegenerate lattice: %s" % e) from None
+    rows, pivots = lat.elimination
     if any(sign ** t * p <= 0 for t, p in enumerate(pivots, 1)):
         raise LatticeError("short_vectors requires a definite lattice")
-    if pivots and pivots[-1] != lat.det:
-        raise LatticeError("Gram matrix has det %d, not the lattice's det %d"
-                           % (pivots[-1], lat.det))
     q = [[0] * t + [Fraction(sign * p, d)] + [Fraction(x, p) for x in row[1:]]
          for t, (row, p, d) in enumerate(zip(rows, pivots, (1,) + pivots))]
     return q, sign < 0, _norm_gcd(gram)

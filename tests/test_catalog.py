@@ -441,16 +441,17 @@ def test_one_repro_pass_runs_16_eliminations(monkeypatch):
     # and count of L, which leaves 17, and signature and short_vectors ran
     # 4 symmetric eliminations more.  Now a lattice eliminates its Gram
     # matrix once, symmetrically (IntegralLattice.elimination), and reads
-    # its det, signature and Cholesky data from it: make_lattice's 9 dets
-    # are its 9 symmetric eliminations, L's signature is one more (L is
-    # built by overlattice, with a known det), and A4(-2) keeps the one
-    # its first short_vectors made.  That left 9 fraction-free ones (6
+    # its det, signature and Cholesky data from it, and A4(-2) keeps the
+    # one its first short_vectors made.  That left 9 fraction-free ones (6
     # rref in fixed_locus, 2 scaled inverses, one det of L's e and f rows)
     # and 10 symmetric ones, on 8 distinct Gram matrices.  The spans of the
     # e rows and of the f rows now share one lattice (named input
     # ef-spans), and the claims that read only invariant rows build no
-    # lattice on them, which leaves 7 symmetric eliminations, each of its
-    # own Gram matrix: no pass eliminates one twice.  The Smith forms are
+    # lattice on them, which left 7.  No lattice stores a det any more, so
+    # L's elimination (read first by make_isometry in build_L) and the
+    # dets of the Nikulin lattice and of U(2)^3(-1) in _glues_unimodular
+    # make 9 symmetric eliminations, each of its own
+    # Gram matrix: no pass eliminates one twice.  The Smith forms are
     # those of L, M_D5 and the Nikulin lattice, and only build_L and
     # reflection_in_span take a scaled inverse
     from latkit import isometry, ratmat
@@ -470,7 +471,7 @@ def test_one_repro_pass_runs_16_eliminations(monkeypatch):
     results = repro_all()
     assert len(results) == REPRO_CLAIMS and all(c.passed for c in results)
     assert len(calls) == 9
-    assert len(eliminated) == len({lat.gram for lat in eliminated}) == 7
+    assert len(eliminated) == len({lat.gram for lat in eliminated}) == 9
     assert snfs == [16, 8, 16]
     assert inverses == ["build_L", "reflection_in_span"]
 

@@ -21,8 +21,8 @@ from latkit.lattice import (
     make_lattice, orthogonal_complement, overlattice, rescale, sublattice,
 )
 from latkit.ratmat import (
-    det, divide_exact, hnf_int, inverse, mat_mul, mat_vec, scaled_inverse, to_int,
-    transpose,
+    block_diag, det, divide_exact, hnf_int, inverse, mat_mul, mat_vec, scaled_inverse,
+    to_int, transpose,
 )
 
 
@@ -103,7 +103,7 @@ def ref_build_L(nu_override=None, glue_count=8):
     """The Fraction build_L; glue_count < 8 glues only the first vectors
     of the orbit, to reach the membership error."""
     base = direct_sum([rescale(std_gram("A", 4), -2)] * 4)
-    g_base = catalog._block_diag([catalog._gamma4()] * 4)
+    g_base = block_diag([catalog._gamma4()] * 4)
     mu = list(catalog.MU_BASE)
     nu = list(nu_override if nu_override is not None else catalog.NU_BASE)
 
@@ -118,7 +118,7 @@ def ref_build_L(nu_override=None, glue_count=8):
     p = transpose(basis)
     p_inv = inverse(p)
     g = _ref_conjugate_isometry(lat, p, p_inv, g_base, "g")
-    h_base = catalog._block_diag([catalog._eta4()] * 4)
+    h_base = block_diag([catalog._eta4()] * 4)
     h = _ref_conjugate_isometry(lat, p, p_inv, h_base, "h")
 
     base_vectors = {"mu": tuple(mu), "nu": tuple(nu)}

@@ -112,6 +112,19 @@ def test_juxtaposed_map_entry_exits_2(tmp_path):
     assert codes == [0, 2] and "'1w'" in err.getvalue()
 
 
+def test_repeated_map_exits_2(tmp_path):
+    # a second map sigma (the identity) used to replace diag(1, w) and fail
+    # family/sigma-matches-weights with exit 1
+    from latkit import cli
+    p = tmp_path / "twice.fam"
+    p.write_text("vars 2\nweights 0 1\nmono 5 0\nmono 0 5\n"
+                 "map sigma\n1 0\n0 w\nmap sigma\n1 0\n0 1\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["family", str(p)], io.StringIO())
+    assert code == 2 and ":8: map 'sigma' given twice" in err.getvalue()
+
+
 def test_parse_family_file(tmp_path):
     p = tmp_path / "fam.fam"
     p.write_text(FAMILY_TEXT)
@@ -145,6 +158,8 @@ def test_parse_family_file(tmp_path):
     ("vars 2\nweights 0 1\nmono 1 1\nvars 3\nmono 1 1 0", ":4: 'vars' given twice"),
     ("vars 2\nweights 0 1\nmono 2 0\nmono 7 -5", ":4: monomial exponent -5 is negative"),
     ("vars 2\nweights 0 1\nmono -1 3", ":3: monomial exponent -1 is negative"),
+    ("vars 2\nweights 0 1\nmono 5 0\nweights 0 2", ":4: 'weights' given twice"),
+    ("vars 1\nweights 0\nmono 5\nmap f\n1\nmap g\n1\nmap f\nw", ":8: map 'f' given twice"),
 ])
 def test_parse_family_errors(text, msg):
     with pytest.raises(ParseError, match=msg):

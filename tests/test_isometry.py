@@ -143,6 +143,9 @@ def test_an_isometry_of_another_rank_is_refused():
     # group_closure checks its generators against the first one's lattice
     with pytest.raises(IsometryError, match="isometry 1 lives on another lattice"):
         group_closure([one, swap])
+    # and a product checks its right factor against the left one's lattice
+    with pytest.raises(IsometryError, match="isometry 1 lives on another lattice"):
+        one * swap
 
 
 def test_bool_matrix_entries_become_ints():

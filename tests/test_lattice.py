@@ -1,6 +1,5 @@
 import random
 import re
-import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -10,10 +9,10 @@ import pytest
 
 from cholesky_ref import U, direct_sum_matrix, symmetric_cases, sympy_inertia
 from fqf_ref import element_order, q_of
-from latkit import lattice, ratmat
+from latkit import catalog, lattice, ratmat
 from latkit.isometry import IsometryError, make_isometry
 from latkit.catalog import (
-    build_L, build_MD5, build_nikulin, reflection_in_span, repro_all, std_gram, u2_cubed,
+    build_MD5, build_nikulin, reflection_in_span, repro_all, std_gram, u2_cubed,
 )
 from latkit.lattice import (
     CapExceeded, FiniteQuadraticForm, GlueError, IntegralLattice, LatticeError, direct_sum,
@@ -64,49 +63,6 @@ def test_direct_sum_and_rescale():
         with pytest.raises(LatticeError, match="rescale by non-integer %s" % bad):
             rescale(a1, bad)
     assert rescale(a1, True) == a1 and rescale(a1, Fraction(6, 2)) == rescale(a1, 3)
-
-
-def test_det_is_computed_or_derived_never_passed():
-    with pytest.raises(TypeError):
-        lattice.IntegralLattice(((8,),), 5)
-    # a lattice built from its Gram matrix alone computes its det on first
-    # read, so gluing [1/2] into (8) gives (2) with det 8 / 2^2
-    glued, index, _ = overlattice(lattice.IntegralLattice(((8,),)), [[Fraction(1, 2)]])
-    assert glued.gram == ((2,),) and index == 2 and glued.det == 2
-
-
-def test_every_known_det_is_the_gram_det(monkeypatch):
-    # each det stored by the private route in one repro pass and in the
-    # fixtures of test_stored_det_is_the_gram_det equals det(gram): this
-    # checks direct_sum's product, rescale's s^rank det and overlattice's
-    # det / index^2.  make_lattice stores none: its det is the last pivot
-    # of the lattice's symmetric elimination, checked here on every one
-    stored, eliminated = [], []
-    with_det, sym = lattice._with_det, lattice.symmetric_elimination
-
-    def recording(gram, d):
-        stored.append((sys._getframe(1).f_code.co_name, gram, d))
-        return with_det(gram, d)
-
-    monkeypatch.setattr(lattice, "_with_det", recording)
-    monkeypatch.setattr(lattice, "symmetric_elimination",
-                        lambda g: eliminated.append(g) or sym(g))
-    assert all(c.passed for c in repro_all())
-    _fixture_lattices(build_L()[0].lattice)
-    assert {name for name, _, _ in stored} == {"direct_sum", "rescale", "overlattice"}
-    for name, gram, d in stored:
-        assert d == (ratmat.det([list(row) for row in gram]) if gram else 1), name
-    assert len(eliminated) >= 9
-    for gram in eliminated:
-        assert (1, *sym(gram)[1])[-1] == ratmat.det(gram)
-
-
-def test_known_det_route_stays_in_lattice():
-    # _with_det stores a det it does not compute, so only lattice.py,
-    # where each stored det is derived, may call it
-    src = Path(lattice.__file__).parent
-    assert [p.name for p in sorted(src.glob("*.py")) if "_with_det" in p.read_text()] == [
-        "lattice.py"]
 
 
 def test_one_matrix_form():
@@ -490,30 +446,48 @@ def _fixture_lattices(l_lat):
     return lats
 
 
-def test_det_and_signature_come_from_one_elimination(monkeypatch):
-    # make_lattice runs no ratmat.det: its det is the last pivot of the
-    # lattice's symmetric elimination, and its signature is Sylvester's
-    # count on the pivots, on seeded forms whose elimination moves pivots
-    monkeypatch.setattr(lattice, "det", lambda g: pytest.fail("ratmat.det ran"))
-    lats = [make_lattice(s) for s in symmetric_cases()]
-    monkeypatch.undo()
-    for lat in lats:
+def test_det_and_signature_come_from_one_elimination():
+    # lattice has no ratmat.det: a lattice's det is the last pivot of its
+    # symmetric elimination, and its signature is Sylvester's count on the
+    # pivots, on seeded forms whose elimination moves pivots
+    assert not hasattr(lattice, "det")
+    for lat in map(make_lattice, symmetric_cases()):
         assert lat.det == ratmat.det(lat.gram) and type(lat.det) is int
         assert lat.signature == sympy_inertia(lat.gram)
     with pytest.raises(LatticeError, match="Gram matrix is degenerate"):
         make_lattice(direct_sum_matrix(U, [[0]]))
-    # a lattice built on a degenerate Gram matrix has det 0, which
-    # make_isometry's refusal reads, and rank 0 has det 1
-    assert IntegralLattice(((1, 1), (1, 1))).det == 0
+    # a lattice built on a degenerate Gram matrix has no det, and rank 0
+    # has det 1
+    with pytest.raises(LatticeError, match="Gram matrix is degenerate"):
+        IntegralLattice(((1, 1), (1, 1))).det
     assert IntegralLattice(()).det == make_lattice([]).det == 1
     assert IntegralLattice(()).signature == (0, 0)
 
 
-def test_stored_det_is_the_gram_det(L):
-    # make_lattice stores the det it computes; direct_sum and rescale
-    # derive theirs from their parts, and every one must be det(gram)
-    for lat in _fixture_lattices(L[0].lattice):
-        assert lat.det == ratmat.det(lat.gram) and type(lat.det) is int
+def test_every_built_lattice_has_the_gram_det_and_inertia(monkeypatch, L):
+    # every IntegralLattice that a repro pass builds, with no fault and
+    # under each fault, and the fixture lattices (direct sums, rescalings,
+    # overlattices): det against ratmat.det and signature against sympy.
+    # No det is passed in: a lattice takes its Gram matrix only
+    with pytest.raises(TypeError):
+        IntegralLattice(((8,),), 5)
+    built = {}
+    init = IntegralLattice.__init__
+
+    def recording(self, gram):
+        init(self, gram)
+        built.setdefault(gram, self)
+
+    monkeypatch.setattr(IntegralLattice, "__init__", recording)
+    for fault in (None,) + catalog.FAULT_IDS:
+        repro_all(inject_fault=fault)
+    fixtures = _fixture_lattices(L[0].lattice)
+    monkeypatch.undo()
+    assert {lat.gram for lat in fixtures} < set(built)
+    for gram, lat in built.items():
+        assert lat.det == (ratmat.det(gram) if gram else 1) and type(lat.det) is int
+        assert lat.signature == sympy_inertia(gram)
+    for lat in fixtures:
         _assert_same_lattice(lat, make_lattice(lat.gram))
     empty = direct_sum([])
     assert empty.rank == 0 and empty.det == 1

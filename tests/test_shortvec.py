@@ -12,7 +12,7 @@ from latkit import shortvec
 from latkit import catalog
 from latkit.catalog import L_GLUE, _minimum_from, build_nikulin, std_gram
 from latkit.lattice import (
-    CapExceeded, LatticeError, _with_det, direct_sum, make_lattice, overlattice, rescale,
+    CapExceeded, IntegralLattice, LatticeError, direct_sum, make_lattice, overlattice, rescale,
 )
 from latkit.ratmat import det, mat_mul, symmetric_elimination, transpose
 from latkit.shortvec import _cholesky, glue_counts, minimum, short_vectors
@@ -116,9 +116,9 @@ def test_cholesky_matches_fraction_reference(L):
 
 
 def test_cholesky_of_negative_definite_L(L):
-    # L, built by overlattice with a known det, is negative definite: its
-    # Cholesky data come from the elimination of G itself, whose pivots
-    # and pivot rows t are (-1)^(t+1) times those of -G
+    # L, built by overlattice, is negative definite: its Cholesky data
+    # come from the elimination of G itself, whose pivots and pivot rows t
+    # are (-1)^(t+1) times those of -G
     lat = L[0].lattice
     q, negated, g = _cholesky(lat)
     want_q, want_negated, want_g = ref_cholesky(lat.gram)
@@ -145,23 +145,14 @@ def test_indefinite_forms_rejected_by_both_choleskys():
 
 
 def test_hand_built_lattices_checked_against_their_det():
-    # the last Cholesky pivot is the det of the (negated) Gram matrix, so
-    # a det that does not match, or a degenerate Gram matrix from a
-    # repeated basis row, raises LatticeError from both searches; the
-    # lattices are built by lattice's private known-det route
-    a2, e8 = std_gram("A", 2), rescale(std_gram("E8"), -1)
-    assert short_vectors(_with_det(a2.gram, 3), 2).total_pairs == 3
-    assert short_vectors(_with_det(rescale(std_gram("A", 3), -1).gram, -4), 2).negated
-    for lat, det_given in ((a2, 5), (e8, -1), (rescale(std_gram("A", 3), -1), 4)):
-        bad = _with_det(lat.gram, det_given)
-        for search in (lambda x: short_vectors(x, 2), minimum):
-            with pytest.raises(LatticeError, match="not the lattice's det %d" % det_given):
-                search(bad)
+    # a Gram matrix from a repeated basis row has det 0: a lattice built on
+    # it by hand, without make_lattice, fails its elimination, so both
+    # searches raise LatticeError
+    e8 = rescale(std_gram("E8"), -1)
     rows = [[1] + [0] * 7] * 2 + [[int(i == j) for j in range(8)] for i in range(1, 7)]
-    gram = mat_mul(mat_mul(rows, e8.gram), transpose(rows))
-    dup = _with_det(tuple(map(tuple, gram)), e8.det)
+    dup = IntegralLattice(tuple(map(tuple, mat_mul(mat_mul(rows, e8.gram), transpose(rows)))))
     for search in (lambda x: short_vectors(x, 2), minimum):
-        with pytest.raises(LatticeError, match="nondegenerate lattice: degenerate symmetric form"):
+        with pytest.raises(LatticeError, match="Gram matrix is degenerate"):
             search(dup)
 
 
