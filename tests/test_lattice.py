@@ -464,13 +464,20 @@ def test_det_and_signature_come_from_one_elimination():
     assert IntegralLattice(()).signature == (0, 0)
 
 
-def test_every_built_lattice_has_the_gram_det_and_inertia(monkeypatch, L):
-    # every IntegralLattice that a repro pass builds, with no fault and
-    # under each fault, and the fixture lattices (direct sums, rescalings,
-    # overlattices): det against ratmat.det and signature against sympy.
-    # No det is passed in: a lattice takes its Gram matrix only
+def test_det_is_computed_or_derived_never_passed():
+    # a lattice takes its Gram matrix only: no det is passed in, and each
+    # det is read off the lattice's own elimination, so gluing [1/2] into
+    # (8) gives (2) with det 8 / 2^2
     with pytest.raises(TypeError):
         IntegralLattice(((8,),), 5)
+    glued, index, _ = overlattice(IntegralLattice(((8,),)), [[Fraction(1, 2)]])
+    assert glued.gram == ((2,),) and index == 2 and glued.det == 2
+
+
+def test_every_known_det_is_the_gram_det(monkeypatch, L):
+    # every IntegralLattice that a repro pass builds, with no fault and
+    # under each fault, and the fixture lattices (direct sums, rescalings,
+    # overlattices): det against ratmat.det and signature against sympy
     built = {}
     init = IntegralLattice.__init__
 
@@ -487,7 +494,14 @@ def test_every_built_lattice_has_the_gram_det_and_inertia(monkeypatch, L):
     for gram, lat in built.items():
         assert lat.det == (ratmat.det(gram) if gram else 1) and type(lat.det) is int
         assert lat.signature == sympy_inertia(gram)
-    for lat in fixtures:
+
+
+def test_stored_det_is_the_gram_det(L):
+    # direct_sum, rescale and overlattice build each lattice from its Gram
+    # matrix alone, so every fixture lattice has det(gram) and equals the
+    # lattice make_lattice builds on the same matrix
+    for lat in _fixture_lattices(L[0].lattice):
+        assert lat.det == (ratmat.det(lat.gram) if lat.gram else 1) and type(lat.det) is int
         _assert_same_lattice(lat, make_lattice(lat.gram))
     empty = direct_sum([])
     assert empty.rank == 0 and empty.det == 1
